@@ -116,8 +116,6 @@ def build_parser():
     pp.add_argument("--screen", choices=["dpc", "none"], default="dpc")
     pp.add_argument("--kkt-tol", type=float, default=1e-6)
     pp.add_argument("--max-iters", type=int, default=20000)
-    pp.add_argument("--seed", type=int, default=None,
-                    help="reserved; path fitting is deterministic")
     pp.add_argument("--threads", type=int, default=None)
 
     pb = sub.add_parser("bench", help="timed with/without-screening comparison")
@@ -193,47 +191,50 @@ def _write_path_csv(path, records):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _run_path(ds, args, screen):
+def _path_inputs(args):
+    """Validated dataset, grid and solver config of a path run.
+
+    Every bad-input error (unreadable or invalid data, a dataset with no
+    all-zero threshold, out-of-range grid or solver settings) raises here,
+    before any fitting starts.
+    """
     from .core import LambdaGrid
     from .dual import lambda_max
-    from .screening import sequential_path, unscreened_path
     from .solver import SolverConfig
 
+    ds, meta = _load_validated(args.dataset)
     lmax, _ = lambda_max(ds)
     grid = LambdaGrid.log_spaced(lmax, n_points=args.grid_points, min_ratio=args.grid_min)
     cfg = SolverConfig(kkt_tol=args.kkt_tol, max_iters=args.max_iters)
+    return ds, meta, grid, cfg
+
+
+def _run_path(ds, grid, cfg, screen):
+    from .screening import sequential_path, unscreened_path
+
     if screen:
         return sequential_path(ds, grid, cfg)
     return unscreened_path(ds, grid, cfg)
 
 
 def cmd_path(args):
-    from .errors import DatasetFormatError, LambdaOutOfRange, MtlError, SolverFailure
+    from .errors import MtlError, SolverFailure
 
     try:
-        ds, _ = _load_validated(args.dataset)
-    except MtlError as e:
+        ds, _, grid, cfg = _path_inputs(args)
+    except (MtlError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:
-        report = _run_path(ds, args, screen=(args.screen == "dpc"))
+        report = _run_path(ds, grid, cfg, screen=(args.screen == "dpc"))
     except SolverFailure as e:
         _write_path_csv(args.out, e.report.records)
         print(f"error: {e}", file=sys.stderr)
         print(f"partial results in {args.out}", file=sys.stderr)
         return 3
-    except (LambdaOutOfRange, DatasetFormatError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     _write_path_csv(args.out, report.records)
     print(f"wrote {args.out}: {len(report.records)} levels")
     return 0
-
-
-def _bench_once(ds, args):
-    rep_dpc = _run_path(ds, args, screen=True)
-    rep_plain = _run_path(ds, args, screen=False)
-    return rep_dpc, rep_plain
 
 
 def cmd_bench(args):
@@ -243,8 +244,8 @@ def cmd_bench(args):
     from .errors import MtlError, SolverFailure
 
     try:
-        ds, meta = _load_validated(args.dataset)
-    except MtlError as e:
+        ds, meta, grid, cfg = _path_inputs(args)
+    except (MtlError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if args.reps < 1:
@@ -253,7 +254,7 @@ def cmd_bench(args):
     runs = []
     try:
         for _ in range(args.reps):
-            runs.append(_bench_once(ds, args))
+            runs.append((_run_path(ds, grid, cfg, True), _run_path(ds, grid, cfg, False)))
     except SolverFailure as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -1,10 +1,20 @@
 """Domain types, validation, and serialization shared by all other modules.
 
-The central object is :class:`MultiTaskDataset`: per-task design matrices and
-responses, stored dense with contiguous columns because every screening pass
-touches every column of every task. Construction is permissive (so that
-invalid data can be held and then reported by :func:`validate_dataset`);
-numerical code is expected to validate first.
+The central object is :class:`MultiTaskDataset`: the per-task design matrices
+and responses, stored as one zero-padded stack of shape (T, n_max, d) (and
+(T, n_max) for the responses), where n_max is the largest task size. Each
+task block keeps contiguous columns, because every screening pass touches
+every column of every task. A task with fewer rows is padded with zero rows
+and zero responses; zero rows change neither a product nor a norm, and the
+padded entries of every dual quantity stay zero.
+
+The dataset holds the only implementation of the two products every layer is
+built from, ``forward`` (every X_t w_t) and ``adjoint`` (every X_t' theta_t),
+and the one conversion between the public length-N dual vector and the padded
+rows (``pad``/``unpad``). Construction rejects tasks that cannot be stacked
+(different column counts) but is otherwise permissive, so that invalid data
+can be held and then reported by :func:`validate_dataset`; numerical code is
+expected to validate first.
 
 All arrays are float64 and frozen (read-only) after construction; the types
 are safe to share across concurrent readers.
@@ -46,32 +56,29 @@ def format_float(v):
     return repr(float(v))
 
 
-def _frozen(a):
-    a = np.array(a, dtype=np.float64, order="F", copy=True)
-    a.setflags(write=False)
-    return a
-
-
 class MultiTaskDataset:
     """Per-task design matrices ``X[t]`` (N_t x d) and responses ``y[t]``.
 
     Parameters
     ----------
     tasks : sequence of (array_like, array_like)
-        One ``(X_t, y_t)`` pair per task. Each ``X_t`` must be 2-D and each
-        ``y_t`` 1-D with one entry per row of ``X_t``; these structural shape
-        requirements are enforced here. Cross-task consistency (equal column
-        counts), finiteness, and non-emptiness are checked later by
-        :func:`validate_dataset`, so a malformed dataset can be constructed
-        and then diagnosed.
+        One ``(X_t, y_t)`` pair per task. Each ``X_t`` must be 2-D, each
+        ``y_t`` 1-D with one entry per row of ``X_t``, and all tasks must
+        have the same column count; these are enforced here, because the
+        tasks are copied into one read-only float64 stack ``X_stack`` of
+        shape (T, n_max, d), zero rows padding the shorter tasks (responses
+        likewise in ``y_stack``, (T, n_max)). ``X[t]`` and ``y[t]`` are
+        read-only (N_t, d) and (N_t,) views into the stacks. Finiteness and
+        non-emptiness are checked later by :func:`validate_dataset`, so a
+        malformed dataset can be constructed and then diagnosed.
     """
 
     def __init__(self, tasks):
         xs = []
         ys = []
         for i, (X, y) in enumerate(tasks):
-            X = np.array(X, dtype=np.float64, order="F", copy=True)
-            y = np.array(y, dtype=np.float64, copy=True)
+            X = np.asarray(X, dtype=np.float64)
+            y = np.asarray(y, dtype=np.float64)
             if X.ndim != 2:
                 raise DimensionMismatch(f"task {i}: design matrix must be 2-D, got {X.ndim}-D")
             if y.ndim != 1:
@@ -80,21 +87,37 @@ class MultiTaskDataset:
                 raise DimensionMismatch(
                     f"task {i}: {X.shape[0]} rows but {y.shape[0]} responses"
                 )
-            X.setflags(write=False)
-            y.setflags(write=False)
+            if xs and X.shape[1] != xs[0].shape[1]:
+                raise DimensionMismatch(
+                    f"task {i} has {X.shape[1]} columns, task 0 has {xs[0].shape[1]}"
+                )
             xs.append(X)
             ys.append(y)
-        self.X = tuple(xs)
-        self.y = tuple(ys)
+        n = [X.shape[0] for X in xs]
+        n_max = max(n, default=0)
+        d = xs[0].shape[1] if xs else 0
+        # every task block keeps contiguous columns, as screening reads every
+        # column of every task: a (T, d, n_max) buffer seen with swapped axes
+        self.X_stack = np.zeros((len(xs), d, n_max)).swapaxes(1, 2)
+        self.y_stack = np.zeros((len(xs), n_max))
+        for t, (X, y) in enumerate(zip(xs, ys)):
+            self.X_stack[t, : n[t]] = X
+            self.y_stack[t, : n[t]] = y
+        self.X_stack.setflags(write=False)
+        self.y_stack.setflags(write=False)
+        self.X = tuple(self.X_stack[t, : n[t]] for t in range(len(n)))
+        self.y = tuple(self.y_stack[t, : n[t]] for t in range(len(n)))
+        # True on the real rows of the padded (T, n_max) layout
+        self._rows = np.arange(n_max) < np.array(n, dtype=int)[:, None]
         self._cache = {}
 
     @property
     def T(self):
-        return len(self.X)
+        return self.X_stack.shape[0]
 
     @property
     def d(self):
-        return self.X[0].shape[1] if self.X else 0
+        return self.X_stack.shape[2]
 
     @property
     def n_per_task(self):
@@ -104,14 +127,30 @@ class MultiTaskDataset:
     def N(self):
         return sum(self.n_per_task)
 
+    def forward(self, W):
+        """(T, n_max) rows X_t w_t of a (d, T) weight matrix; padding rows are 0."""
+        return np.matmul(self.X_stack, W.T[:, :, None])[:, :, 0]
+
+    def adjoint(self, R):
+        """(d, T) matrix with columns X_t' R[t] of (T, n_max) padded rows."""
+        return np.matmul(np.swapaxes(self.X_stack, 1, 2), R[:, :, None])[:, :, 0].T
+
+    def pad(self, theta):
+        """(T, n_max) padded rows of a length-N dual vector (DualPoint or array)."""
+        out = np.zeros(self._rows.shape)
+        out[self._rows] = as_dual_vector(theta, self.N)
+        return out
+
+    def unpad(self, R):
+        """Length-N vector of the real rows of (T, n_max) padded rows."""
+        return R[self._rows]
+
     @property
     def col_norms(self):
         """(d, T) array of per-task column norms, computed once and cached."""
         key = "col_norms"
         if key not in self._cache:
-            cn = np.empty((self.d, self.T))
-            for t, X in enumerate(self.X):
-                cn[:, t] = np.sqrt(np.einsum("ij,ij->j", X, X))
+            cn = np.sqrt(np.einsum("tij,tij->jt", self.X_stack, self.X_stack, order="C"))
             cn.setflags(write=False)
             self._cache[key] = cn
         return self._cache[key]
@@ -138,24 +177,21 @@ def validate_dataset(ds):
     Errors
     ------
     EmptyDataset : no tasks, a task with zero rows, or zero features.
-    DimensionMismatch : tasks disagree on the column count.
     NonFinite : some matrix or response entry is NaN or infinite.
+
+    Tasks with different column counts never get this far: the constructor
+    cannot stack them and raises DimensionMismatch itself.
     """
     if ds.T == 0:
         raise EmptyDataset("dataset has no tasks")
-    d = ds.X[0].shape[1]
     for t, (X, y) in enumerate(zip(ds.X, ds.y)):
         if X.shape[0] == 0:
             raise EmptyDataset(f"task {t} has no samples")
-        if X.shape[1] != d:
-            raise DimensionMismatch(
-                f"task {t} has {X.shape[1]} columns, task 0 has {d}"
-            )
         if not np.isfinite(X).all():
             raise NonFinite(f"task {t}: design matrix has a non-finite entry")
         if not np.isfinite(y).all():
             raise NonFinite(f"task {t}: response has a non-finite entry")
-    if d == 0:
+    if ds.d == 0:
         raise EmptyDataset("dataset has no features")
 
 

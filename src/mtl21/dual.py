@@ -66,42 +66,25 @@ def _check_ell(ds, ell):
     return ell
 
 
-def _blocks_of(ds, theta):
-    v = as_dual_vector(theta, ds.N)
-    out = []
-    off = 0
-    for n in ds.n_per_task:
-        out.append(v[off : off + n])
-        off += n
-    return out
-
-
 def feature_constraint(ds, theta, ell):
     """Constraint value of one feature: sum_t <x_l_t, theta_t>^2."""
     ell = _check_ell(ds, ell)
-    blocks = _blocks_of(ds, theta)
-    return float(sum(float(np.dot(ds.X[t][:, ell], blocks[t])) ** 2 for t in range(ds.T)))
+    return float(feature_constraint_all(ds, theta)[ell])
 
 
 def feature_constraint_all(ds, theta):
     """Constraint values of every feature at once; returns a (d,) array."""
-    blocks = _blocks_of(ds, theta)
-    out = np.zeros(ds.d)
-    for t in range(ds.T):
-        out += (ds.X[t].T @ blocks[t]) ** 2
-    return out
+    return (ds.adjoint(ds.pad(theta)) ** 2).sum(axis=1)
 
 
 def feature_constraint_grad(ds, theta, ell):
     """Gradient of one feature's constraint value; block t is
     2 <x_l_t, theta_t> x_l_t."""
     ell = _check_ell(ds, ell)
-    blocks = _blocks_of(ds, theta)
-    parts = []
-    for t in range(ds.T):
-        col = ds.X[t][:, ell]
-        parts.append(2.0 * float(np.dot(col, blocks[t])) * col)
-    return np.concatenate(parts)
+    # the forward image of a weight matrix whose only nonzero row is ell
+    W = np.zeros((ds.d, ds.T))
+    W[ell] = 2.0 * ds.adjoint(ds.pad(theta))[ell]
+    return ds.unpad(ds.forward(W))
 
 
 def dual_feasibility_violation(ds, theta):
@@ -119,10 +102,7 @@ def lambda_max(ds):
     """
     key = "lambda_max"
     if key not in ds._cache:
-        corr = np.zeros(ds.d)
-        for t in range(ds.T):
-            corr += (ds.X[t].T @ ds.y[t]) ** 2
-        vals = np.sqrt(corr)
+        vals = np.sqrt((ds.adjoint(ds.y_stack) ** 2).sum(axis=1))
         ell_star = int(np.argmax(vals))
         value = float(vals[ell_star])
         if value == 0.0:
@@ -139,8 +119,8 @@ def dual_from_primal(ds, W, lam):
     if lam <= 0:
         raise NonPositiveLambda(f"lam must be positive, got {lam}")
     V = as_weight_values(W, ds.d, ds.T)
-    blocks = [(ds.y[t] - ds.X[t] @ V[:, t]) / lam for t in range(ds.T)]
-    return DualPoint.from_blocks(blocks)
+    theta = ds.unpad((ds.y_stack - ds.forward(V)) / lam)
+    return DualPoint(theta, ds.n_per_task)
 
 
 def normal_vector(ds, theta0, lambda0):
@@ -174,14 +154,7 @@ def normal_vector(ds, theta0, lambda0):
             raise LambdaOutOfRange(
                 "at the all-zero threshold the reference dual point must be y/lambda_max"
             )
-        parts = []
-        off = 0
-        for t, n_t in enumerate(ds.n_per_task):
-            col = ds.X[t][:, ell_star]
-            yt = expected[off : off + n_t]
-            parts.append(2.0 * float(np.dot(col, yt)) * col)
-            off += n_t
-        n = np.concatenate(parts)
+        n = feature_constraint_grad(ds, expected, ell_star)
     else:
         n = y / lambda0 - th
     if float(np.linalg.norm(n)) < ZERO_NORMAL_RTOL * float(np.linalg.norm(y)) / lambda0:

@@ -104,26 +104,14 @@ def build_instance(ds, ball, ell):
     ell = int(ell)
     if not 0 <= ell < ds.d:
         raise IndexOutOfRange(f"feature index {ell} outside [0, {ds.d})")
-    a = np.empty(ds.T)
-    c = np.empty(ds.T)
-    off = 0
-    for t, n_t in enumerate(ds.n_per_task):
-        col = ds.X[t][:, ell]
-        a[t] = ds.col_norms[ell, t] ** 2
-        c[t] = float(np.dot(col, ball.center[off : off + n_t]))
-        off += n_t
-    b = ds.col_norms[ell] * np.abs(c)
-    return Qp1qcInstance(a=a, b=b, c=c, delta=float(ball.radius))
+    A, B, C, delta = build_instances(ds, ball)
+    return Qp1qcInstance(a=A[ell], b=B[ell], c=C[ell], delta=delta)
 
 
 def build_instances(ds, ball):
     """Reduced data of every feature at once: (d,T) arrays A, B, C and delta."""
     A = ds.col_norms**2
-    C = np.empty((ds.d, ds.T))
-    off = 0
-    for t, n_t in enumerate(ds.n_per_task):
-        C[:, t] = ds.X[t].T @ ball.center[off : off + n_t]
-        off += n_t
+    C = ds.adjoint(ds.pad(ball.center))
     B = ds.col_norms * np.abs(C)
     return A, B, C, float(ball.radius)
 
@@ -330,25 +318,17 @@ def screening_scores(ds, ball):
     for a fraction of its cost, but entries below 1 may exceed the true
     maximum. Use :func:`screening_bounds` when the values themselves matter.
     """
-    cn = ds.col_norms
     key = "col_norm_max"
     if key not in ds._cache:
-        ds._cache[key] = cn.max(axis=1)
+        ds._cache[key] = ds.col_norms.max(axis=1)
     rho_root = ds._cache[key]  # sqrt(rho): column norms are non-negative
-    C = np.empty((ds.d, ds.T))
-    off = 0
-    for t, n_t in enumerate(ds.n_per_task):
-        C[:, t] = ds.X[t].T @ ball.center[off : off + n_t]
-        off += n_t
-    delta = float(ball.radius)
+    A, B, C, delta = build_instances(ds, ball)
     cnorm = np.sqrt(np.einsum("ij,ij->i", C, C))
     scores = (cnorm + rho_root * delta) ** 2
     contested = scores >= 1.0
     if contested.any():
-        cn_c = cn[contested]
-        C_c = C[contested]
         s, _, _, _, _, _ = solve_batch(
-            cn_c**2, cn_c * np.abs(C_c), C_c, delta, strict=False
+            A[contested], B[contested], C[contested], delta, strict=False
         )
         scores[contested] = s
     return scores

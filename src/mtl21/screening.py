@@ -134,10 +134,6 @@ def _coerce_solver(solver_handle):
     return solver_handle
 
 
-def _subset_dataset(ds, keep):
-    return MultiTaskDataset([(ds.X[t][:, keep], ds.y[t]) for t in range(ds.T)])
-
-
 def _boundary_reference(ds, ref, viol):
     """Reference with its dual point pulled back onto the feasible boundary.
 
@@ -156,18 +152,17 @@ def _boundary_reference(ds, ref, viol):
     return ReferenceSolution(lambda0=ref.lambda0, theta0=theta0, n0=n0)
 
 
-def _head_record(ds, lam, lmax):
+def _head_record(ds, lam, lmax, screen):
     W = WeightMatrix(np.zeros((ds.d, ds.T)))
-    mask = ScreeningMask(np.zeros(ds.d), lam)
     y = stack_response(ds)
     obj = 0.5 * float(np.dot(y, y))
     return W, PathRecord(
         lam=lam,
         lambda_rel=lam / lmax,
-        mask=mask,
-        n_screened=ds.d,
+        mask=ScreeningMask(np.zeros(ds.d), lam) if screen else None,
+        n_screened=ds.d if screen else 0,
         n_truly_inactive=ds.d,
-        rejection_ratio=1.0,
+        rejection_ratio=1.0 if screen else float("nan"),
         objective=obj,
         kkt_residual=0.0,
         n_iters=0,
@@ -206,18 +201,36 @@ def sequential_path(
     validate_dataset(ds)
     if reference_mode not in ("sequential", "lambda-max"):
         raise ValueError(f"unknown reference_mode {reference_mode!r}")
+    return _walk(ds, grid, solver_handle, reference_mode, keep_weights, screen=True)
+
+
+def unscreened_path(ds, grid, solver_handle=None, keep_weights=False):
+    """Warm-started plain solves down the grid (no feature elimination).
+
+    The head record still uses the closed form (the solution there is
+    identically zero); every later level runs the solver on the full feature
+    set. Masks are absent; ``n_truly_inactive`` counts near-zero rows of each
+    solution so rejection-style statistics stay comparable.
+    """
+    validate_dataset(ds)
+    return _walk(ds, grid, solver_handle, "sequential", keep_weights, screen=False)
+
+
+def _walk(ds, grid, solver_handle, reference_mode, keep_weights, screen):
+    """The path loop behind both public walks; ``screen`` False skips the
+    references and masks, so every level solves the full problem."""
     if not isinstance(grid, LambdaGrid):
         grid = LambdaGrid(grid)
     lmax, _ = lambda_max(ds)
     grid.validate_head(lmax)
     run_solver = _coerce_solver(solver_handle)
-    report = PathScreeningReport(reference_mode=reference_mode, screened=True)
+    report = PathScreeningReport(reference_mode=reference_mode, screened=screen)
 
-    ref_max = ReferenceSolution.at_lambda_max(ds)
-    W_full, head = _head_record(ds, float(grid.values[0]), lmax)
+    W_full, head = _head_record(ds, float(grid.values[0]), lmax, screen)
     if keep_weights:
         head.weights = W_full
     report.records.append(head)
+    ref_max = ReferenceSolution.at_lambda_max(ds) if screen else None
     ref = ref_max
 
     prev_cert = 0.0  # certificate of the solve the current reference came from
@@ -225,31 +238,39 @@ def sequential_path(
     for lam in grid.values[1:]:
         lam = float(lam)
         fallback = False
-        if reference_mode == "lambda-max":
-            step_ref = ref_max
-        else:
-            step_ref = ref
-            if step_ref is not ref_max:
-                viol = dual_feasibility_violation(ds, step_ref.theta0)
-                trust = max(
-                    REF_FEASIBILITY_TOL, prev_cert * (2.0 + prev_cert) + 1e-13
-                )
-                if viol > trust:
-                    # worse than the certificate can explain: distrust entirely
-                    step_ref = ref_max
-                    fallback = True
-                elif viol > 0.0:
-                    step_ref = _boundary_reference(ds, step_ref, viol)
-        t0 = time.perf_counter()
-        mask = screen_at(ds, step_ref, lam)
-        t_screen = time.perf_counter() - t0
-        keep = ~mask.inactive
-        n_screened = int(mask.inactive.sum())
+        mask = None
+        n_screened = 0
+        t_screen = 0.0
+        keep = np.ones(ds.d, dtype=bool)
+        if screen:
+            if reference_mode == "lambda-max":
+                step_ref = ref_max
+            else:
+                step_ref = ref
+                if step_ref is not ref_max:
+                    viol = dual_feasibility_violation(ds, step_ref.theta0)
+                    trust = max(
+                        REF_FEASIBILITY_TOL, prev_cert * (2.0 + prev_cert) + 1e-13
+                    )
+                    if viol > trust:
+                        # worse than the certificate can explain: distrust entirely
+                        step_ref = ref_max
+                        fallback = True
+                    elif viol > 0.0:
+                        step_ref = _boundary_reference(ds, step_ref, viol)
+            t0 = time.perf_counter()
+            mask = screen_at(ds, step_ref, lam)
+            t_screen = time.perf_counter() - t0
+            keep = ~mask.inactive
+            n_screened = int(mask.inactive.sum())
 
         t1 = time.perf_counter()
         if keep.any():
-            sub = _subset_dataset(ds, keep)
-            warm = W_full.values[keep] if W_full is not None else None
+            if n_screened == 0:
+                sub, warm = ds, W_full.values
+            else:
+                sub = MultiTaskDataset([(X[:, keep], y) for X, y in zip(ds.X, ds.y)])
+                warm = W_full.values[keep]
             try:
                 res = run_solver(sub, lam, warm)
             except MaxItersExceeded as e:
@@ -276,21 +297,19 @@ def sequential_path(
                 ) from e
             V = np.zeros((ds.d, ds.T))
             V[keep] = res.weights.values
-            W_full = WeightMatrix(V)
             n_iters = res.n_iters
             kkt = res.kkt_residual
-            t_solve = time.perf_counter() - t1
-            obj = objective(ds, W_full, lam)
         else:
-            W_full = WeightMatrix(np.zeros((ds.d, ds.T)))
+            V = np.zeros((ds.d, ds.T))
             n_iters = 0
             kkt = 0.0
-            t_solve = time.perf_counter() - t1
-            obj = objective(ds, W_full, lam)
+        W_full = WeightMatrix(V)
+        t_solve = time.perf_counter() - t1
+        obj = objective(ds, W_full, lam)
 
         rn = W_full.row_norms()
         n_inact = int((rn <= ROW_ZERO_TOL).sum())
-        rej = n_screened / n_inact if n_inact > 0 else float("nan")
+        rej = n_screened / n_inact if screen and n_inact > 0 else float("nan")
         rec = PathRecord(
             lam=lam,
             lambda_rel=lam / lmax,
@@ -308,79 +327,7 @@ def sequential_path(
         if keep_weights:
             rec.weights = W_full
         report.records.append(rec)
-        if reference_mode == "sequential":
+        if screen and reference_mode == "sequential":
             ref = ReferenceSolution.from_primal(ds, W_full, lam)
             prev_cert = float(kkt)
-    return report
-
-
-def unscreened_path(ds, grid, solver_handle=None, keep_weights=False):
-    """Warm-started plain solves down the grid (no feature elimination).
-
-    The head record still uses the closed form (the solution there is
-    identically zero); every later level runs the solver on the full feature
-    set. Masks are absent; ``n_truly_inactive`` counts near-zero rows of each
-    solution so rejection-style statistics stay comparable.
-    """
-    validate_dataset(ds)
-    if not isinstance(grid, LambdaGrid):
-        grid = LambdaGrid(grid)
-    lmax, _ = lambda_max(ds)
-    grid.validate_head(lmax)
-    run_solver = _coerce_solver(solver_handle)
-    report = PathScreeningReport(screened=False)
-    W_full, head = _head_record(ds, float(grid.values[0]), lmax)
-    head.mask = None
-    head.n_screened = 0
-    head.rejection_ratio = float("nan")
-    if keep_weights:
-        head.weights = W_full
-    report.records.append(head)
-
-    for lam in grid.values[1:]:
-        lam = float(lam)
-        t1 = time.perf_counter()
-        try:
-            res = run_solver(ds, lam, W_full.values)
-        except MaxItersExceeded as e:
-            partial = PathRecord(
-                lam=lam,
-                lambda_rel=lam / lmax,
-                mask=None,
-                n_screened=0,
-                n_truly_inactive=0,
-                rejection_ratio=float("nan"),
-                objective=float("nan"),
-                kkt_residual=float(e.residual) if e.residual is not None else float("nan"),
-                n_iters=0,
-                t_screen=0.0,
-                t_solve=time.perf_counter() - t1,
-                status="solver-failure",
-            )
-            report.records.append(partial)
-            raise SolverFailure(
-                f"solver failed at level {lam!r}: {e}",
-                report=report,
-                failed_lambda=lam,
-            ) from e
-        W_full = res.weights
-        t_solve = time.perf_counter() - t1
-        rn = W_full.row_norms()
-        n_inact = int((rn <= ROW_ZERO_TOL).sum())
-        rec = PathRecord(
-            lam=lam,
-            lambda_rel=lam / lmax,
-            mask=None,
-            n_screened=0,
-            n_truly_inactive=n_inact,
-            rejection_ratio=float("nan"),
-            objective=objective(ds, W_full, lam),
-            kkt_residual=res.kkt_residual,
-            n_iters=res.n_iters,
-            t_screen=0.0,
-            t_solve=t_solve,
-        )
-        if keep_weights:
-            rec.weights = W_full
-        report.records.append(rec)
     return report

@@ -79,67 +79,32 @@ class FitResult:
     objective_history: list = field(default_factory=list)
 
 
-class _TaskOps:
-    """Forward/adjoint products, batched over tasks when sizes allow."""
+def _loss(R):
+    """Half the squared norm of (T, n_max) residual rows."""
+    return 0.5 * float(np.einsum("ij,ij->", R, R))
 
-    def __init__(self, ds):
-        self.ds = ds
-        self.uniform = len(set(ds.n_per_task)) == 1 and ds.T > 0
-        if self.uniform:
-            self.X3 = np.stack(ds.X)  # (T, n, d)
-            self.Y2 = np.stack(ds.y)  # (T, n)
 
-    def residual(self, W):
-        """R with rows R[t] = X_t w_t - y_t."""
-        if self.uniform:
-            return np.matmul(self.X3, W.T[:, :, None])[:, :, 0] - self.Y2
-        return [self.ds.X[t] @ W[:, t] - self.ds.y[t] for t in range(self.ds.T)]
+def _power_lipschitz(ds, iters=100, tol=1e-10, seed=0):
+    """max_t ||X_t||_2^2 by power iteration, batched over tasks.
 
-    def adjoint(self, R):
-        """(d, T) matrix with columns X_t' R[t]."""
-        if self.uniform:
-            return np.matmul(np.swapaxes(self.X3, 1, 2), R[:, :, None])[:, :, 0].T
-        out = np.empty((self.ds.d, self.ds.T))
-        for t in range(self.ds.T):
-            out[:, t] = self.ds.X[t].T @ R[t]
-        return out
-
-    def loss(self, R):
-        if self.uniform:
-            return 0.5 * float(np.einsum("ij,ij->", R, R))
-        return 0.5 * float(sum(np.dot(r, r) for r in R))
-
-    def sq_norm(self, R):
-        return 2.0 * self.loss(R)
-
-    def frob_bound(self):
-        """max_t ||X_t||_F^2, an upper bound on the Lipschitz constant."""
-        return float((self.ds.col_norms**2).sum(axis=0).max())
-
-    def power_lipschitz(self, iters=100, tol=1e-10, seed=0):
-        """max_t ||X_t||_2^2 by per-task power iteration."""
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for t in range(self.ds.T):
-            X = self.ds.X[t]
-            v = rng.standard_normal(X.shape[1])
-            nv = np.linalg.norm(v)
-            if nv == 0:
-                continue
-            v /= nv
-            prev = 0.0
-            for _ in range(iters):
-                w = X.T @ (X @ v)
-                lam = float(np.linalg.norm(w))
-                if lam == 0.0:
-                    break
-                v = w / lam
-                if abs(lam - prev) <= tol * max(lam, 1.0):
-                    prev = lam
-                    break
-                prev = lam
-            worst = max(worst, prev)
-        return worst
+    Each task iterates until its own estimate settles; a settled task's
+    vector and estimate are frozen while the others continue.
+    """
+    V = np.random.default_rng(seed).standard_normal((ds.T, ds.d)).T
+    V = V / np.linalg.norm(V, axis=0)
+    est = np.zeros(ds.T)
+    live = np.ones(ds.T, dtype=bool)
+    for _ in range(iters):
+        G = ds.adjoint(ds.forward(V))
+        lam = np.linalg.norm(G, axis=0)
+        live &= lam > 0.0
+        V[:, live] = G[:, live] / lam[live]
+        settled = np.abs(lam - est) <= tol * np.maximum(lam, 1.0)
+        est[live] = lam[live]
+        live &= ~settled
+        if not live.any():
+            break
+    return float(est.max(initial=0.0))
 
 
 def l21_norm(W):
@@ -150,11 +115,7 @@ def l21_norm(W):
 def objective(ds, W, lam):
     """Data loss plus lam times the sum of row norms."""
     V = as_weight_values(W, ds.d, ds.T)
-    loss = 0.0
-    for t in range(ds.T):
-        r = ds.X[t] @ V[:, t] - ds.y[t]
-        loss += 0.5 * float(np.dot(r, r))
-    return loss + float(lam) * l21_norm(V)
+    return _loss(ds.forward(V) - ds.y_stack) + float(lam) * l21_norm(V)
 
 
 def _row_prox(G, thresh):
@@ -193,10 +154,7 @@ def kkt_residual(ds, W, lam):
     if lam <= 0:
         raise NonPositiveLambda(f"lam must be positive, got {lam}")
     V = as_weight_values(W, ds.d, ds.T)
-    M = np.empty((ds.d, ds.T))
-    for t in range(ds.T):
-        theta_t = (ds.y[t] - ds.X[t] @ V[:, t]) / lam
-        M[:, t] = ds.X[t].T @ theta_t
+    M = ds.adjoint((ds.y_stack - ds.forward(V)) / lam)
     return _kkt_from_M(M, V)
 
 
@@ -211,8 +169,7 @@ def duality_gap(ds, W, lam):
         raise NonPositiveLambda(f"lam must be positive, got {lam}")
     V = as_weight_values(W, ds.d, ds.T)
     y = stack_response(ds)
-    blocks = [(ds.y[t] - ds.X[t] @ V[:, t]) / lam for t in range(ds.T)]
-    theta = np.concatenate(blocks)
+    theta = ds.unpad((ds.y_stack - ds.forward(V)) / lam)
     gmax = float(feature_constraint_all(ds, theta).max(initial=0.0))
     scale = 1.0 / max(1.0, np.sqrt(gmax))
     th = theta * scale
@@ -234,7 +191,6 @@ def fit(ds, lam, cfg=None):
     if lam <= 0:
         raise NonPositiveLambda(f"lam must be positive, got {lam}")
     validate_dataset(ds)
-    ops = _TaskOps(ds)
     d, T = ds.d, ds.T
 
     if cfg.warm_start is not None:
@@ -243,19 +199,20 @@ def fit(ds, lam, cfg=None):
         W = np.zeros((d, T))
 
     if cfg.step_rule == "fixed":
-        L = ops.power_lipschitz()
+        L = _power_lipschitz(ds)
         if L <= 0.0:
             L = 1.0
     else:
-        L = max(ops.frob_bound(), 1e-12) / 8.0
+        # max_t ||X_t||_F^2 bounds the Lipschitz constant from above
+        L = max(float((ds.col_norms**2).sum(axis=0).max()), 1e-12) / 8.0
 
     def prox_step(V, G, FV_loss, L):
         # backtracked proximal step; L only ever grows inside one step
         while True:
             eta = 1.0 / L
             cand = _row_prox(V - eta * G, lam * eta)
-            Rc = ops.residual(cand)
-            loss_c = ops.loss(Rc)
+            Rc = ds.forward(cand) - ds.y_stack
+            loss_c = _loss(Rc)
             if cfg.step_rule == "fixed":
                 return cand, Rc, loss_c, L
             diff = cand - V
@@ -266,11 +223,11 @@ def fit(ds, lam, cfg=None):
                 return cand, Rc, loss_c, L
             L *= 2.0
 
-    R_acc = ops.residual(W)
-    F = ops.loss(R_acc) + lam * l21_norm(W)
+    R_acc = ds.forward(W) - ds.y_stack
+    F = _loss(R_acc) + lam * l21_norm(W)
     V = W
     RV = R_acc
-    FV_loss = ops.loss(R_acc)
+    FV_loss = _loss(R_acc)
     t_k = 1.0
     history = [F] if cfg.keep_history else []
     best_resid = np.inf
@@ -279,7 +236,7 @@ def fit(ds, lam, cfg=None):
 
     for k in range(1, cfg.max_iters + 1):
         n_done = k
-        G = ops.adjoint(RV)  # gradient of the loss at V
+        G = ds.adjoint(RV)  # gradient of the loss at V
         cand, Rc, loss_c, L = prox_step(V, G, FV_loss, L)
         F_cand = loss_c + lam * l21_norm(cand)
         if F_cand > F:
@@ -287,8 +244,8 @@ def fit(ds, lam, cfg=None):
             t_k = 1.0
             V = W
             RV = R_acc
-            FV_loss = ops.loss(R_acc)
-            G = ops.adjoint(RV)
+            FV_loss = _loss(R_acc)
+            G = ds.adjoint(RV)
             cand, Rc, loss_c, L = prox_step(V, G, FV_loss, L)
             F_cand = loss_c + lam * l21_norm(cand)
         W_prev, W = W, cand
@@ -298,7 +255,7 @@ def fit(ds, lam, cfg=None):
             history.append(F_cand)
 
         # stationarity certificate at the accepted iterate (reuses Rc)
-        M = -ops.adjoint(Rc) / lam
+        M = -ds.adjoint(Rc) / lam
         resid = _kkt_from_M(M, W)
         if resid < best_resid:
             best_resid = resid
@@ -324,8 +281,8 @@ def fit(ds, lam, cfg=None):
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
             V = W + ((t_k - 1.0) / t_next) * (W - W_prev)
             t_k = t_next
-            RV = ops.residual(V)
-            FV_loss = ops.loss(RV)
+            RV = ds.forward(V) - ds.y_stack
+            FV_loss = _loss(RV)
         if cfg.step_rule == "backtracking":
             L *= 0.97
 
@@ -358,10 +315,8 @@ def weighted_objective(ds, W, lam, weights):
     """Objective of the per-task weighted model on the original data."""
     V = as_weight_values(W, ds.d, ds.T)
     w = np.asarray(weights, dtype=np.float64)
-    loss = 0.0
-    for t in range(ds.T):
-        r = ds.X[t] @ V[:, t] - ds.y[t]
-        loss += 0.5 * float(np.dot(r, r)) / w[t]
+    R = ds.forward(V) - ds.y_stack
+    loss = 0.5 * float((np.einsum("ij,ij->i", R, R) / w).sum())
     return loss + float(lam) * l21_norm(V)
 
 

@@ -235,6 +235,38 @@ class TestBench:
         assert "reps" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def zero_response_dir(tmp_path_factory):
+    # every response is zero, so no all-zero threshold exists
+    from mtl21.core import MultiTaskDataset, save_dataset
+
+    rng = np.random.default_rng(3)
+    ds = MultiTaskDataset([(rng.standard_normal((6, 5)), np.zeros(6)) for _ in range(2)])
+    return save_dataset(ds, tmp_path_factory.mktemp("zero") / "ds")
+
+
+@pytest.mark.parametrize("command", ["path", "bench"])
+class TestBadInputExits2:
+    def assert_one_error_line(self, capsys, rc, out, needle):
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert needle in err
+        assert not out.exists()
+
+    def test_all_zero_responses(self, command, zero_response_dir, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        rc = main([command, str(zero_response_dir), "--out", str(out)])
+        self.assert_one_error_line(capsys, rc, out, "orthogonal")
+
+    @pytest.mark.parametrize("flag", ["--kkt-tol", "--max-iters"])
+    def test_nonpositive_solver_setting(self, command, flag, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        rc = main([command, str(dataset_dir), "--out", str(out), flag, "0"])
+        self.assert_one_error_line(capsys, rc, out, flag[2:].replace("-", "_"))
+
+
 class TestVerify:
     def test_defaults_pass_on_fresh_dataset(self, dataset_dir, capsys):
         rc = main(["verify", str(dataset_dir), "--cases", "60"])
