@@ -5,131 +5,95 @@ entire feature rows. Before each solve along a regularization path, a
 screening step bounds every feature's dual correlation over a ball that
 provably contains the dual optimum; features whose bound stays below the
 activation threshold are discarded exactly, never approximately.
+
+The names below are resolved on first use, so importing the package (or
+``mtl21.cli``) loads no numerics: the command line can still cap BLAS
+threads before numpy is first imported.
 """
 
-from .core import (
-    DualPoint,
-    LambdaGrid,
-    MultiTaskDataset,
-    ScreeningMask,
-    WeightMatrix,
-    load_dataset,
-    save_dataset,
-    stack_response,
-    validate_dataset,
-)
-from .dual import (
-    DualBall,
-    ReferenceSolution,
-    dual_ball,
-    dual_feasibility_violation,
-    dual_from_primal,
-    feature_constraint,
-    feature_constraint_all,
-    lambda_max,
-    normal_vector,
-)
-from .errors import (
-    DatasetFormatError,
-    DegenerateData,
-    DimensionMismatch,
-    EmptyDataset,
-    LambdaOutOfRange,
-    MaxItersExceeded,
-    MtlError,
-    NoConvergence,
-    NonFinite,
-    NonPositiveLambda,
-    SolverFailure,
-    ZeroNormal,
-)
-from .qp1qc import (
-    Qp1qcInstance,
-    Qp1qcSolution,
-    build_instance,
-    build_instances,
-    screening_bound,
-    screening_bounds,
-    screening_scores,
-    solve,
-    solve_batch,
-)
-from .screening import (
-    PathRecord,
-    PathScreeningReport,
-    screen_at,
-    sequential_path,
-    unscreened_path,
-)
-from .solver import (
-    FitResult,
-    SolverConfig,
-    duality_gap,
-    fit,
-    kkt_residual,
-    objective,
-    reduce_frobenius,
-    reduce_weighted,
-)
-from .synth import SynthConfig, generate, write_benchmark
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DatasetFormatError",
-    "DegenerateData",
-    "DimensionMismatch",
-    "DualBall",
-    "DualPoint",
-    "EmptyDataset",
-    "FitResult",
-    "LambdaGrid",
-    "LambdaOutOfRange",
-    "MaxItersExceeded",
-    "MtlError",
-    "MultiTaskDataset",
-    "NoConvergence",
-    "NonFinite",
-    "NonPositiveLambda",
-    "PathRecord",
-    "PathScreeningReport",
-    "Qp1qcInstance",
-    "Qp1qcSolution",
-    "ReferenceSolution",
-    "ScreeningMask",
-    "SolverConfig",
-    "SolverFailure",
-    "SynthConfig",
-    "WeightMatrix",
-    "ZeroNormal",
-    "build_instance",
-    "build_instances",
-    "dual_ball",
-    "dual_feasibility_violation",
-    "dual_from_primal",
-    "duality_gap",
-    "feature_constraint",
-    "feature_constraint_all",
-    "fit",
-    "generate",
-    "kkt_residual",
-    "lambda_max",
-    "load_dataset",
-    "normal_vector",
-    "objective",
-    "reduce_frobenius",
-    "reduce_weighted",
-    "save_dataset",
-    "screen_at",
-    "screening_bound",
-    "screening_bounds",
-    "screening_scores",
-    "sequential_path",
-    "solve",
-    "solve_batch",
-    "stack_response",
-    "unscreened_path",
-    "validate_dataset",
-    "write_benchmark",
-    "__version__",
-]
+# submodule -> the public names it exports at package level
+_EXPORTS = {
+    "core": (
+        "DualPoint",
+        "LambdaGrid",
+        "MultiTaskDataset",
+        "ScreeningMask",
+        "WeightMatrix",
+        "load_dataset",
+        "save_dataset",
+        "stack_response",
+        "validate_dataset",
+    ),
+    "dual": (
+        "DualBall",
+        "ReferenceSolution",
+        "dual_ball",
+        "dual_feasibility_violation",
+        "dual_from_primal",
+        "feature_constraint",
+        "feature_constraint_all",
+        "lambda_max",
+        "normal_vector",
+    ),
+    "errors": (
+        "DatasetFormatError",
+        "DegenerateData",
+        "DimensionMismatch",
+        "EmptyDataset",
+        "LambdaOutOfRange",
+        "MaxItersExceeded",
+        "MtlError",
+        "NoConvergence",
+        "NonFinite",
+        "NonPositiveLambda",
+        "SolverFailure",
+        "ZeroNormal",
+    ),
+    "qp1qc": (
+        "Qp1qcInstance",
+        "Qp1qcSolution",
+        "build_instances",
+        "screening_bounds",
+        "screening_scores",
+        "solve",
+        "solve_batch",
+    ),
+    "screening": (
+        "PathRecord",
+        "PathScreeningReport",
+        "screen_at",
+        "sequential_path",
+        "unscreened_path",
+    ),
+    "solver": (
+        "FitResult",
+        "SolverConfig",
+        "duality_gap",
+        "fit",
+        "kkt_residual",
+        "objective",
+        "reduce_frobenius",
+        "reduce_weighted",
+    ),
+    "synth": ("SynthConfig", "generate", "write_benchmark"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_SOURCE, "__version__"]
+
+
+def __getattr__(name):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

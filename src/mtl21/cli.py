@@ -7,9 +7,9 @@ suites). Exit codes: 0 ok, 1 verification failure, 2 usage or data-format
 error, 3 solver failure.
 
 Thread control: ``--threads`` (or the MTFL_THREADS environment variable)
-caps BLAS threads. The cap must be installed before the numerics are first
-imported, so this module imports numpy and the package lazily inside the
-command handlers.
+caps BLAS threads. The cap must be installed before numpy is first imported;
+the package resolves its names lazily, and this module imports numpy and the
+numerical modules only inside the command handlers.
 """
 
 from __future__ import annotations
@@ -313,10 +313,14 @@ def cmd_bench(args):
 def cmd_verify(args):
     from .checks import SUITES, run_suites
     from .errors import MtlError
+    from .solver import SolverConfig
 
     try:
+        SolverConfig(kkt_tol=args.kkt_tol)
+        if args.cases < 1:
+            raise ValueError(f"--cases must be >= 1, got {args.cases}")
         ds, _ = _load_validated(args.dataset)
-    except MtlError as e:
+    except (MtlError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     suites = SUITES if args.suite == "all" else (args.suite,)

@@ -155,9 +155,6 @@ class MultiTaskDataset:
             self._cache[key] = cn
         return self._cache[key]
 
-    def column(self, ell, t):
-        return self.X[t][:, ell]
-
     def __eq__(self, other):
         if not isinstance(other, MultiTaskDataset):
             return NotImplemented
@@ -272,20 +269,6 @@ class DualPoint:
         theta.setflags(write=False)
         self.theta = theta
         self.block_sizes = block_sizes
-        ends = np.cumsum(block_sizes)
-        self._offsets = tuple(zip(ends - np.array(block_sizes), ends))
-
-    @classmethod
-    def from_blocks(cls, blocks):
-        blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
-        return cls(np.concatenate(blocks) if blocks else np.zeros(0), [len(b) for b in blocks])
-
-    def block(self, t):
-        lo, hi = self._offsets[t]
-        return self.theta[lo:hi]
-
-    def blocks(self):
-        return [self.block(t) for t in range(len(self.block_sizes))]
 
     def __eq__(self, other):
         if not isinstance(other, DualPoint):
@@ -294,16 +277,6 @@ class DualPoint:
 
     def __repr__(self):
         return f"DualPoint(N={self.theta.shape[0]}, blocks={list(self.block_sizes)})"
-
-    def to_json(self):
-        return json.dumps(
-            {"blocks": [[float(v) for v in b] for b in self.blocks()]}
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        obj = json.loads(text)
-        return cls.from_blocks(obj["blocks"])
 
 
 def as_dual_vector(theta, N=None):
@@ -378,13 +351,6 @@ class LambdaGrid:
     def __repr__(self):
         return f"LambdaGrid(K={len(self)}, head={self.values[0]!r}, tail={self.values[-1]!r})"
 
-    def to_json(self):
-        return json.dumps({"values": [float(v) for v in self.values]})
-
-    @classmethod
-    def from_json(cls, text):
-        return cls(json.loads(text)["values"])
-
 
 class ScreeningMask:
     """Per-feature certified-inactive flags at one regularization value.
@@ -421,16 +387,6 @@ class ScreeningMask:
 
     def __repr__(self):
         return f"ScreeningMask(d={self.d}, n_inactive={self.n_inactive}, lam={self.lam!r})"
-
-    def to_json(self):
-        return json.dumps(
-            {"lambda": float(self.lam), "scores": [float(v) for v in self.scores]}
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        obj = json.loads(text)
-        return cls(obj["scores"], obj["lambda"])
 
 
 # ------------------------------ file format ------------------------------

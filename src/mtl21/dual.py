@@ -191,15 +191,19 @@ class ReferenceSolution:
         return cls(lambda0=lmax, theta0=theta0, n0=n0)
 
     @classmethod
-    def from_primal(cls, ds, W, lambda0, check_sign=True):
-        """Reference built from a solved primal iterate at ``lambda0``."""
+    def from_primal(cls, ds, W, lambda0):
+        """Reference built from a solved primal iterate at ``lambda0``.
+
+        Raises NegativeInnerProduct when the normal points away from the
+        response: at an optimum <y, n0> >= 0, so such weights are no solve.
+        """
         lambda0 = float(lambda0)
         theta0 = dual_from_primal(ds, W, lambda0)
         try:
             n0 = normal_vector(ds, theta0, lambda0)
         except ZeroNormal:
             n0 = None
-        if check_sign and n0 is not None:
+        if n0 is not None:
             y = stack_response(ds)
             inner = float(np.dot(y, n0))
             bound = SIGN_RTOL * float(np.linalg.norm(y)) * float(np.linalg.norm(n0))

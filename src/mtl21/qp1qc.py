@@ -27,16 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, NoConvergence
+from .errors import DimensionMismatch, NoConvergence
 
 __all__ = [
     "Qp1qcInstance",
     "Qp1qcSolution",
-    "build_instance",
     "build_instances",
     "solve",
     "solve_batch",
-    "screening_bound",
     "screening_bounds",
     "screening_scores",
 ]
@@ -97,15 +95,6 @@ class Qp1qcSolution:
     branch: str  # "closed_form" or "newton"
     newton_iters: int
     converged: bool
-
-
-def build_instance(ds, ball, ell):
-    """Reduced data of one feature against one ball."""
-    ell = int(ell)
-    if not 0 <= ell < ds.d:
-        raise IndexOutOfRange(f"feature index {ell} outside [0, {ds.d})")
-    A, B, C, delta = build_instances(ds, ball)
-    return Qp1qcInstance(a=A[ell], b=B[ell], c=C[ell], delta=delta)
 
 
 def build_instances(ds, ball):
@@ -275,22 +264,6 @@ def solve(inst):
         newton_iters=int(iters[0]),
         converged=bool(converged[0]),
     )
-
-
-def secular_gap(inst, alpha):
-    """1/||u(alpha)|| - 1/delta, the root function of the Newton branch."""
-    den = alpha - 2.0 * inst.a
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.where(inst.b == 0.0, 0.0, 2.0 * inst.b / np.where(den == 0.0, 1.0, den))
-    nu = float(np.linalg.norm(u))
-    if nu == 0.0:
-        return float("inf")
-    return 1.0 / nu - 1.0 / inst.delta
-
-
-def screening_bound(ds, ball, ell):
-    """Maximum constraint value of one feature over the ball."""
-    return solve(build_instance(ds, ball, ell)).s_value
 
 
 def screening_bounds(ds, ball):

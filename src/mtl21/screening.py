@@ -17,7 +17,7 @@ reference level exists).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -85,7 +85,6 @@ class PathRecord:
 @dataclass
 class PathScreeningReport:
     records: list = field(default_factory=list)
-    reference_mode: str = "sequential"
     screened: bool = True
 
     @property
@@ -116,21 +115,10 @@ def screen_at(ds, ref, lam):
 
 def _coerce_solver(solver_handle):
     if solver_handle is None:
-        solver_handle = SolverConfig(kkt_tol=1e-6)
+        solver_handle = SolverConfig()
     if isinstance(solver_handle, SolverConfig):
-        base = solver_handle
-
-        def run(sub_ds, lam, warm):
-            cfg = SolverConfig(
-                max_iters=base.max_iters,
-                kkt_tol=base.kkt_tol,
-                step_rule=base.step_rule,
-                warm_start=warm,
-                keep_history=base.keep_history,
-            )
-            return fit(sub_ds, lam, cfg)
-
-        return run
+        cfg = solver_handle
+        return lambda sub_ds, lam, warm: fit(sub_ds, lam, replace(cfg, warm_start=warm))
     return solver_handle
 
 
@@ -171,23 +159,15 @@ def _head_record(ds, lam, lmax, screen):
     )
 
 
-def sequential_path(
-    ds,
-    grid,
-    solver_handle=None,
-    reference_mode="sequential",
-    keep_weights=False,
-):
-    """Screen-and-solve down a decreasing grid.
+def sequential_path(ds, grid, solver_handle=None, keep_weights=False):
+    """Screen-and-solve down a decreasing grid, screening each level against
+    the previous grid point's solution.
 
     Parameters
     ----------
     solver_handle : SolverConfig or callable, optional
         Either a config (a default 1e-6-tolerance one if omitted) or a
         callable ``(reduced_dataset, lam, warm_start) -> FitResult``.
-    reference_mode : str
-        "sequential" screens each level against the previous grid point's
-        solution; "lambda-max" always uses the threshold reference.
     keep_weights : bool
         Attach each level's re-embedded weights to its record.
 
@@ -199,9 +179,7 @@ def sequential_path(
     step (flagged on the record).
     """
     validate_dataset(ds)
-    if reference_mode not in ("sequential", "lambda-max"):
-        raise ValueError(f"unknown reference_mode {reference_mode!r}")
-    return _walk(ds, grid, solver_handle, reference_mode, keep_weights, screen=True)
+    return _walk(ds, grid, solver_handle, keep_weights, screen=True)
 
 
 def unscreened_path(ds, grid, solver_handle=None, keep_weights=False):
@@ -213,10 +191,10 @@ def unscreened_path(ds, grid, solver_handle=None, keep_weights=False):
     solution so rejection-style statistics stay comparable.
     """
     validate_dataset(ds)
-    return _walk(ds, grid, solver_handle, "sequential", keep_weights, screen=False)
+    return _walk(ds, grid, solver_handle, keep_weights, screen=False)
 
 
-def _walk(ds, grid, solver_handle, reference_mode, keep_weights, screen):
+def _walk(ds, grid, solver_handle, keep_weights, screen):
     """The path loop behind both public walks; ``screen`` False skips the
     references and masks, so every level solves the full problem."""
     if not isinstance(grid, LambdaGrid):
@@ -224,7 +202,7 @@ def _walk(ds, grid, solver_handle, reference_mode, keep_weights, screen):
     lmax, _ = lambda_max(ds)
     grid.validate_head(lmax)
     run_solver = _coerce_solver(solver_handle)
-    report = PathScreeningReport(reference_mode=reference_mode, screened=screen)
+    report = PathScreeningReport(screened=screen)
 
     W_full, head = _head_record(ds, float(grid.values[0]), lmax, screen)
     if keep_weights:
@@ -243,21 +221,16 @@ def _walk(ds, grid, solver_handle, reference_mode, keep_weights, screen):
         t_screen = 0.0
         keep = np.ones(ds.d, dtype=bool)
         if screen:
-            if reference_mode == "lambda-max":
-                step_ref = ref_max
-            else:
-                step_ref = ref
-                if step_ref is not ref_max:
-                    viol = dual_feasibility_violation(ds, step_ref.theta0)
-                    trust = max(
-                        REF_FEASIBILITY_TOL, prev_cert * (2.0 + prev_cert) + 1e-13
-                    )
-                    if viol > trust:
-                        # worse than the certificate can explain: distrust entirely
-                        step_ref = ref_max
-                        fallback = True
-                    elif viol > 0.0:
-                        step_ref = _boundary_reference(ds, step_ref, viol)
+            step_ref = ref
+            if step_ref is not ref_max:
+                viol = dual_feasibility_violation(ds, step_ref.theta0)
+                trust = max(REF_FEASIBILITY_TOL, prev_cert * (2.0 + prev_cert) + 1e-13)
+                if viol > trust:
+                    # worse than the certificate can explain: distrust entirely
+                    step_ref = ref_max
+                    fallback = True
+                elif viol > 0.0:
+                    step_ref = _boundary_reference(ds, step_ref, viol)
             t0 = time.perf_counter()
             mask = screen_at(ds, step_ref, lam)
             t_screen = time.perf_counter() - t0
@@ -297,15 +270,13 @@ def _walk(ds, grid, solver_handle, reference_mode, keep_weights, screen):
                 ) from e
             V = np.zeros((ds.d, ds.T))
             V[keep] = res.weights.values
-            n_iters = res.n_iters
-            kkt = res.kkt_residual
+            W_full = WeightMatrix(V)
+            # screened rows are exact zeros, so the reduced objective is the full one
+            obj, n_iters, kkt = res.objective, res.n_iters, res.kkt_residual
         else:
-            V = np.zeros((ds.d, ds.T))
-            n_iters = 0
-            kkt = 0.0
-        W_full = WeightMatrix(V)
+            W_full = WeightMatrix(np.zeros((ds.d, ds.T)))
+            obj, n_iters, kkt = objective(ds, W_full, lam), 0, 0.0
         t_solve = time.perf_counter() - t1
-        obj = objective(ds, W_full, lam)
 
         rn = W_full.row_norms()
         n_inact = int((rn <= ROW_ZERO_TOL).sum())
@@ -327,7 +298,7 @@ def _walk(ds, grid, solver_handle, reference_mode, keep_weights, screen):
         if keep_weights:
             rec.weights = W_full
         report.records.append(rec)
-        if screen and reference_mode == "sequential":
+        if screen:
             ref = ReferenceSolution.from_primal(ds, W_full, lam)
             prev_cert = float(kkt)
     return report

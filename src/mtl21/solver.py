@@ -16,7 +16,7 @@ point induced by W) equals the unit row direction, and zero rows of W need
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,26 +46,18 @@ __all__ = [
 
 @dataclass
 class SolverConfig:
-    """Knobs of one fit call.
-
-    step_rule "backtracking" (default) probes the local curvature and needs
-    no spectral estimate; "fixed" runs power iteration for the exact
-    Lipschitz constant once per call and uses the constant step 1/L.
-    """
+    """Knobs of one fit call: the iteration budget, the stationarity
+    certificate to reach, and optional starting weights."""
 
     max_iters: int = 20000
     kkt_tol: float = 1e-6
-    step_rule: str = "backtracking"
     warm_start: object = None
-    keep_history: bool = False
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.kkt_tol > 0:
             raise ValueError(f"kkt_tol must be positive, got {self.kkt_tol}")
-        if self.step_rule not in ("backtracking", "fixed"):
-            raise ValueError(f"unknown step_rule {self.step_rule!r}")
 
 
 @dataclass
@@ -76,35 +68,11 @@ class FitResult:
     objective: float
     converged: bool
     wall_time: float
-    objective_history: list = field(default_factory=list)
 
 
 def _loss(R):
     """Half the squared norm of (T, n_max) residual rows."""
     return 0.5 * float(np.einsum("ij,ij->", R, R))
-
-
-def _power_lipschitz(ds, iters=100, tol=1e-10, seed=0):
-    """max_t ||X_t||_2^2 by power iteration, batched over tasks.
-
-    Each task iterates until its own estimate settles; a settled task's
-    vector and estimate are frozen while the others continue.
-    """
-    V = np.random.default_rng(seed).standard_normal((ds.T, ds.d)).T
-    V = V / np.linalg.norm(V, axis=0)
-    est = np.zeros(ds.T)
-    live = np.ones(ds.T, dtype=bool)
-    for _ in range(iters):
-        G = ds.adjoint(ds.forward(V))
-        lam = np.linalg.norm(G, axis=0)
-        live &= lam > 0.0
-        V[:, live] = G[:, live] / lam[live]
-        settled = np.abs(lam - est) <= tol * np.maximum(lam, 1.0)
-        est[live] = lam[live]
-        live &= ~settled
-        if not live.any():
-            break
-    return float(est.max(initial=0.0))
 
 
 def l21_norm(W):
@@ -198,13 +166,8 @@ def fit(ds, lam, cfg=None):
     else:
         W = np.zeros((d, T))
 
-    if cfg.step_rule == "fixed":
-        L = _power_lipschitz(ds)
-        if L <= 0.0:
-            L = 1.0
-    else:
-        # max_t ||X_t||_F^2 bounds the Lipschitz constant from above
-        L = max(float((ds.col_norms**2).sum(axis=0).max()), 1e-12) / 8.0
+    # max_t ||X_t||_F^2 bounds the Lipschitz constant from above
+    L = max(float((ds.col_norms**2).sum(axis=0).max()), 1e-12) / 8.0
 
     def prox_step(V, G, FV_loss, L):
         # backtracked proximal step; L only ever grows inside one step
@@ -213,8 +176,6 @@ def fit(ds, lam, cfg=None):
             cand = _row_prox(V - eta * G, lam * eta)
             Rc = ds.forward(cand) - ds.y_stack
             loss_c = _loss(Rc)
-            if cfg.step_rule == "fixed":
-                return cand, Rc, loss_c, L
             diff = cand - V
             quad = FV_loss + float(np.einsum("ij,ij->", G, diff)) + 0.5 * L * float(
                 np.einsum("ij,ij->", diff, diff)
@@ -229,13 +190,10 @@ def fit(ds, lam, cfg=None):
     RV = R_acc
     FV_loss = _loss(R_acc)
     t_k = 1.0
-    history = [F] if cfg.keep_history else []
     best_resid = np.inf
     best_W = W.copy()
-    n_done = 0
 
     for k in range(1, cfg.max_iters + 1):
-        n_done = k
         G = ds.adjoint(RV)  # gradient of the loss at V
         cand, Rc, loss_c, L = prox_step(V, G, FV_loss, L)
         F_cand = loss_c + lam * l21_norm(cand)
@@ -251,8 +209,6 @@ def fit(ds, lam, cfg=None):
         W_prev, W = W, cand
         R_acc = Rc
         F = min(F, F_cand)
-        if cfg.keep_history:
-            history.append(F_cand)
 
         # stationarity certificate at the accepted iterate (reuses Rc)
         M = -ds.adjoint(Rc) / lam
@@ -268,7 +224,6 @@ def fit(ds, lam, cfg=None):
                 objective=F_cand,
                 converged=True,
                 wall_time=time.perf_counter() - t0,
-                objective_history=history,
             )
 
         if float(np.einsum("ij,ij->", V - W, W - W_prev)) > 0.0:
@@ -283,8 +238,7 @@ def fit(ds, lam, cfg=None):
             t_k = t_next
             RV = ds.forward(V) - ds.y_stack
             FV_loss = _loss(RV)
-        if cfg.step_rule == "backtracking":
-            L *= 0.97
+        L *= 0.97
 
     raise MaxItersExceeded(
         f"no {cfg.kkt_tol:g} stationarity certificate in {cfg.max_iters} iterations "

@@ -245,26 +245,41 @@ def zero_response_dir(tmp_path_factory):
     return save_dataset(ds, tmp_path_factory.mktemp("zero") / "ds")
 
 
-@pytest.mark.parametrize("command", ["path", "bench"])
+path_and_bench = pytest.mark.parametrize("command", ["path", "bench"])
+
+
 class TestBadInputExits2:
-    def assert_one_error_line(self, capsys, rc, out, needle):
+    def assert_one_error_line(self, capsys, rc, needle):
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert needle in err
-        assert not out.exists()
 
+    @path_and_bench
     def test_all_zero_responses(self, command, zero_response_dir, tmp_path, capsys):
         out = tmp_path / "o.csv"
         rc = main([command, str(zero_response_dir), "--out", str(out)])
-        self.assert_one_error_line(capsys, rc, out, "orthogonal")
+        self.assert_one_error_line(capsys, rc, "orthogonal")
+        assert not out.exists()
 
+    @path_and_bench
     @pytest.mark.parametrize("flag", ["--kkt-tol", "--max-iters"])
     def test_nonpositive_solver_setting(self, command, flag, dataset_dir, tmp_path, capsys):
         out = tmp_path / "o.csv"
         rc = main([command, str(dataset_dir), "--out", str(out), flag, "0"])
-        self.assert_one_error_line(capsys, rc, out, flag[2:].replace("-", "_"))
+        self.assert_one_error_line(capsys, rc, flag[2:].replace("-", "_"))
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--kkt-tol", "0"), ("--kkt-tol", "-1"), ("--kkt-tol", "nan"), ("--cases", "-5")],
+    )
+    def test_bad_verify_setting(self, flag, value, dataset_dir, capsys):
+        rc = main(["verify", str(dataset_dir), "--suite", "qp1qc", flag, value])
+        self.assert_one_error_line(capsys, rc, flag[2:].replace("-", "_"))
+        # rejected before any suite ran: no result table was printed
+        assert capsys.readouterr().out == ""
 
 
 class TestVerify:
@@ -325,6 +340,12 @@ class TestThreads:
         )
         assert rc == 0
         assert os.environ["OMP_NUM_THREADS"] == "1"
+
+    def test_cli_import_loads_no_numpy(self):
+        # the thread cap only takes effect if numpy is first imported after it
+        code = "import sys, mtl21.cli; sys.exit('numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr or "numpy was imported"
 
     def test_nonpositive_thread_count_exits_2(self, dataset_dir, tmp_path, capsys):
         rc = main(

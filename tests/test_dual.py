@@ -224,10 +224,6 @@ class TestReferenceSolution:
         ds = hand_dataset()
         with pytest.raises(NegativeInnerProduct):
             ReferenceSolution.from_primal(ds, np.array([[-1.0], [0.0]]), 1.0)
-        ref = ReferenceSolution.from_primal(
-            ds, np.array([[-1.0], [0.0]]), 1.0, check_sign=False
-        )
-        np.testing.assert_allclose(ref.n0, [-1.0, 0.0])
 
     def test_rejects_non_positive_level(self):
         with pytest.raises(LambdaOutOfRange):

@@ -88,8 +88,8 @@ class TestCallers:
         lam = 0.7
         th = dual_from_primal(ds, W, lam)
         assert th.block_sizes == SIZES
-        for t in range(ds.T):
-            assert_rel(th.block(t), (ds.y[t] - ds.X[t] @ W[:, t]) / lam, 1e-14)
+        for t, b in enumerate(blocks(ds, th.theta)):
+            assert_rel(b, (ds.y[t] - ds.X[t] @ W[:, t]) / lam, 1e-14)
 
     def test_feature_constraint_all(self):
         rng = np.random.default_rng(5)

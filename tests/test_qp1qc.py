@@ -8,12 +8,9 @@ from mtl21.dual import ReferenceSolution, dual_ball, feature_constraint
 from mtl21.errors import DimensionMismatch, NoConvergence
 from mtl21.qp1qc import (
     Qp1qcInstance,
-    build_instance,
     build_instances,
-    screening_bound,
     screening_bounds,
     screening_scores,
-    secular_gap,
     solve,
     solve_batch,
 )
@@ -21,6 +18,23 @@ from mtl21.qp1qc import (
 # the Newton example frozen from a high-precision bisection run:
 # a=(1,4), b=(1,1), delta=0.1 has its multiplier at this root
 FROZEN_ALPHA = 33.750865384478814
+
+
+def secular_gap(inst, alpha):
+    """1/||u(alpha)|| - 1/delta, the root function of the Newton branch."""
+    den = alpha - 2.0 * inst.a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.where(inst.b == 0.0, 0.0, 2.0 * inst.b / np.where(den == 0.0, 1.0, den))
+    nu = float(np.linalg.norm(u))
+    if nu == 0.0:
+        return float("inf")
+    return 1.0 / nu - 1.0 / inst.delta
+
+
+def instance_of(ds, ball, ell):
+    """Reduced data of one feature: row ``ell`` of the batched build."""
+    A, B, C, delta = build_instances(ds, ball)
+    return Qp1qcInstance(a=A[ell], b=B[ell], c=C[ell], delta=delta)
 
 
 def sphere_max_oracle(inst, n_samples, rng):
@@ -74,7 +88,7 @@ class TestBuildInstance:
 
     def test_hand_value(self):
         ds = MultiTaskDataset([(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2))])
-        inst = build_instance(ds, self.ball([0.5, 7.0], 0.3), 0)
+        inst = instance_of(ds, self.ball([0.5, 7.0], 0.3), 0)
         np.testing.assert_allclose(inst.a, [1.0])
         np.testing.assert_allclose(inst.b, [0.5])
         np.testing.assert_allclose(inst.c, [0.5])
@@ -82,7 +96,7 @@ class TestBuildInstance:
 
     def test_zero_feature(self):
         ds = MultiTaskDataset([(np.array([[0.0, 1.0], [0.0, 2.0]]), np.zeros(2))])
-        inst = build_instance(ds, self.ball([0.5, 7.0], 0.3), 0)
+        inst = instance_of(ds, self.ball([0.5, 7.0], 0.3), 0)
         assert inst.a[0] == 0.0
         assert inst.b[0] == 0.0
         assert inst.c[0] == 0.0
@@ -94,12 +108,10 @@ class TestBuildInstance:
         )
         center = rng.standard_normal(ds.N)
         A, B, C, delta = build_instances(ds, self.ball(center, 0.7))
-        assert A.shape == (6, 3)
+        assert A.shape == B.shape == C.shape == (6, 3)
+        assert delta == 0.7
         for ell in range(6):
-            inst = build_instance(ds, self.ball(center, 0.7), ell)
-            np.testing.assert_allclose(A[ell], inst.a, rtol=1e-15)
-            np.testing.assert_allclose(B[ell], inst.b, rtol=1e-15)
-            np.testing.assert_allclose(C[ell], inst.c, rtol=1e-15)
+            inst = Qp1qcInstance(a=A[ell], b=B[ell], c=C[ell], delta=delta)
             # direct dot-product recomputation, no shared code path
             for t in range(3):
                 col = ds.X[t][:, ell]
@@ -335,7 +347,10 @@ class TestScreeningBounds:
         assert s_all.shape == (9,)
         for ell in range(9):
             assert math.isclose(
-                s_all[ell], screening_bound(ds, ball, ell), rel_tol=1e-10, abs_tol=1e-12
+                s_all[ell],
+                solve(instance_of(ds, ball, ell)).s_value,
+                rel_tol=1e-10,
+                abs_tol=1e-12,
             )
 
     def test_bounds_dominate_ball_samples(self):

@@ -179,19 +179,22 @@ class TestSequentialPath:
         assert np.nanmean(rej) > 0.5
 
     def test_reference_modes(self):
+        # basic DPC screens every level against the threshold reference; the
+        # walk's first step is exactly that, and both references are safe
         rng = np.random.default_rng(11)
         ds = sparse_dataset(rng, T=3, d=40, n=20)
         grid = grid_for(ds, points=10)
         cfg = SolverConfig(kkt_tol=1e-8, max_iters=100000)
-        seq = sequential_path(ds, grid, cfg, reference_mode="sequential")
-        frm = sequential_path(ds, grid, cfg, reference_mode="lambda-max")
-        assert seq.reference_mode == "sequential"
-        assert frm.reference_mode == "lambda-max"
-        for a, b in zip(seq.records[1:], frm.records[1:]):
-            rel = abs(a.objective - b.objective) / max(1.0, abs(b.objective))
-            assert rel <= 1e-6
-        with pytest.raises(ValueError):
-            sequential_path(ds, grid, cfg, reference_mode="midpoint")
+        seq = sequential_path(ds, grid, cfg)
+        plain = unscreened_path(ds, grid, cfg, keep_weights=True)
+        ref_max = ReferenceSolution.at_lambda_max(ds)
+        basic = [screen_at(ds, ref_max, lam) for lam in grid.values[1:]]
+        np.testing.assert_array_equal(basic[0].scores, seq.records[1].mask.scores)
+        assert basic[0].n_inactive > 0
+        for mask, rec_s, rec_u in zip(basic, seq.records[1:], plain.records[1:]):
+            active = rec_u.weights.row_norms() > ROW_ZERO_TOL
+            assert not (mask.inactive & active).any()
+            assert not (rec_s.mask.inactive & active).any()
 
     def test_determinism(self):
         rng = np.random.default_rng(12)
