@@ -319,6 +319,8 @@ def cmd_verify(args):
         SolverConfig(kkt_tol=args.kkt_tol)
         if args.cases < 1:
             raise ValueError(f"--cases must be >= 1, got {args.cases}")
+        if args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         ds, _ = _load_validated(args.dataset)
     except (MtlError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -10,6 +10,7 @@ padded entries of every dual quantity stay zero.
 
 The dataset holds the only implementation of the two products every layer is
 built from, ``forward`` (every X_t w_t) and ``adjoint`` (every X_t' theta_t),
+the cached image of the responses (``response_image``, every X_t' y_t),
 and the one conversion between the public length-N dual vector and the padded
 rows (``pad``/``unpad``). Construction rejects tasks that cannot be stacked
 (different column counts) but is otherwise permissive, so that invalid data
@@ -128,8 +129,18 @@ class MultiTaskDataset:
         return sum(self.n_per_task)
 
     def forward(self, W):
-        """(T, n_max) rows X_t w_t of a (d, T) weight matrix; padding rows are 0."""
-        return np.matmul(self.X_stack, W.T[:, :, None])[:, :, 0]
+        """(T, n_max) rows X_t w_t of a (d, T) weight matrix; padding rows are 0.
+
+        Only the columns of W's nonzero rows contribute, so when at most a
+        quarter of W's entries are nonzero (a screened path's weights, or a
+        row-sparse iterate) the product reads just those columns of every
+        task; gathering them costs more than it saves above about that share.
+        """
+        if 4 * np.count_nonzero(W) > W.size:
+            return np.matmul(self.X_stack, W.T[:, :, None])[:, :, 0]
+        rows = np.flatnonzero(W.any(axis=1))
+        cols = np.swapaxes(self.X_stack, 1, 2)[:, rows, :]
+        return np.matmul(W[rows].T[:, None, :], cols)[:, 0, :]
 
     def adjoint(self, R):
         """(d, T) matrix with columns X_t' R[t] of (T, n_max) padded rows."""
@@ -153,6 +164,16 @@ class MultiTaskDataset:
             cn = np.sqrt(np.einsum("tij,tij->jt", self.X_stack, self.X_stack, order="C"))
             cn.setflags(write=False)
             self._cache[key] = cn
+        return self._cache[key]
+
+    @property
+    def response_image(self):
+        """(d, T) array X_t' y_t of the responses, computed once and cached."""
+        key = "response_image"
+        if key not in self._cache:
+            img = self.adjoint(self.y_stack)
+            img.setflags(write=False)
+            self._cache[key] = img
         return self._cache[key]
 
     def __eq__(self, other):

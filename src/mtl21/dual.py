@@ -13,6 +13,14 @@ outward normal n0, the residual r = y/lam - theta0 is split into the
 component along n0 and the orthogonal remainder r_perp; the exact dual
 optimum lies in the ball centered at theta0 + r_perp/2 with radius
 ``norm(r_perp)/2``.
+
+Carried images: a reference also holds the adjoint images X't theta0 and
+X't n0, and a ball holds X't center, each a (d, T) array whose row l is the
+per-task inner products of feature l with that vector. Screening needs only
+these rows, and the adjoint is linear, so each image is formed with the same
+linear combination as its vector, from the cached response image X't y and
+the reference's own images: a sequential reference costs one full-width
+adjoint (of its dual point), and a ball costs none.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from .core import (
 )
 from .errors import (
     DegenerateData,
+    DimensionMismatch,
     IndexOutOfRange,
     LambdaOutOfRange,
     NegativeInnerProduct,
@@ -102,7 +111,7 @@ def lambda_max(ds):
     """
     key = "lambda_max"
     if key not in ds._cache:
-        vals = np.sqrt((ds.adjoint(ds.y_stack) ** 2).sum(axis=1))
+        vals = np.sqrt((ds.response_image**2).sum(axis=1))
         ell_star = int(np.argmax(vals))
         value = float(vals[ell_star])
         if value == 0.0:
@@ -121,6 +130,10 @@ def dual_from_primal(ds, W, lam):
     V = as_weight_values(W, ds.d, ds.T)
     theta = ds.unpad((ds.y_stack - ds.forward(V)) / lam)
     return DualPoint(theta, ds.n_per_task)
+
+
+def _at_threshold(ds, lambda0):
+    return math.isclose(lambda0, lambda_max(ds)[0], rel_tol=LAMBDA_EQ_RTOL, abs_tol=0.0)
 
 
 def normal_vector(ds, theta0, lambda0):
@@ -146,8 +159,7 @@ def normal_vector(ds, theta0, lambda0):
         )
     y = stack_response(ds)
     th = as_dual_vector(theta0, ds.N)
-    at_threshold = math.isclose(lambda0, lmax, rel_tol=LAMBDA_EQ_RTOL, abs_tol=0.0)
-    if at_threshold:
+    if _at_threshold(ds, lambda0):
         expected = y / lmax
         scale = float(np.linalg.norm(expected))
         if float(np.linalg.norm(th - expected)) > 1e-8 * max(scale, 1.0):
@@ -162,23 +174,45 @@ def normal_vector(ds, theta0, lambda0):
     return n
 
 
+def _normal_with_image(ds, theta0, lambda0, image):
+    """:func:`normal_vector` and its image X't n0, given image = X't theta0.
+
+    Below the threshold n0 = y/lambda0 - theta0, so its image is the same
+    combination of the cached X't y and ``image``; the threshold's witness
+    normal takes one adjoint product.
+    """
+    n0 = normal_vector(ds, theta0, lambda0)
+    if _at_threshold(ds, lambda0):
+        return n0, ds.adjoint(ds.pad(n0))
+    n0_image = ds.response_image / lambda0
+    n0_image -= image
+    return n0, n0_image
+
+
 @dataclass(frozen=True)
 class ReferenceSolution:
-    """A solved reference level: the dual point there and its normal.
+    """A solved reference level: the dual point there and its normal, with
+    their adjoint images ``image`` = X't theta0 and ``n0_image`` = X't n0,
+    each (d, T).
 
-    ``n0`` is None when the normal was numerically zero; ball construction
-    then falls back to the un-projected (larger but still valid) ball.
+    ``n0`` (and with it ``n0_image``) is None when the normal was numerically
+    zero; ball construction then falls back to the un-projected (larger but
+    still valid) ball.
     """
 
     lambda0: float
     theta0: DualPoint
     n0: np.ndarray | None
+    image: np.ndarray
+    n0_image: np.ndarray | None
 
     def __post_init__(self):
         if self.lambda0 <= 0:
             raise LambdaOutOfRange(f"reference level must be positive, got {self.lambda0}")
         if self.n0 is not None and len(self.n0) != len(self.theta0.theta):
             raise LambdaOutOfRange("normal and dual point lengths differ")
+        if (self.n0 is None) != (self.n0_image is None):
+            raise DimensionMismatch("a normal and its image come together")
 
     @classmethod
     def at_lambda_max(cls, ds):
@@ -187,8 +221,19 @@ class ReferenceSolution:
         lmax, _ = lambda_max(ds)
         y = stack_response(ds)
         theta0 = DualPoint(y / lmax, ds.n_per_task)
-        n0 = normal_vector(ds, theta0, lmax)
-        return cls(lambda0=lmax, theta0=theta0, n0=n0)
+        image = ds.response_image / lmax
+        n0, n0_image = _normal_with_image(ds, theta0, lmax, image)
+        return cls(lambda0=lmax, theta0=theta0, n0=n0, image=image, n0_image=n0_image)
+
+    @classmethod
+    def _at_dual_point(cls, ds, lambda0, theta0, image):
+        """Reference at a dual point whose image is known; no normal (None)
+        when it is numerically zero."""
+        try:
+            n0, n0_image = _normal_with_image(ds, theta0, lambda0, image)
+        except ZeroNormal:
+            n0 = n0_image = None
+        return cls(lambda0=lambda0, theta0=theta0, n0=n0, image=image, n0_image=n0_image)
 
     @classmethod
     def from_primal(cls, ds, W, lambda0):
@@ -196,13 +241,13 @@ class ReferenceSolution:
 
         Raises NegativeInnerProduct when the normal points away from the
         response: at an optimum <y, n0> >= 0, so such weights are no solve.
+        Below the threshold the one adjoint product made here is the dual
+        point's image; the normal's image is X't y / lambda0 minus it.
         """
         lambda0 = float(lambda0)
         theta0 = dual_from_primal(ds, W, lambda0)
-        try:
-            n0 = normal_vector(ds, theta0, lambda0)
-        except ZeroNormal:
-            n0 = None
+        ref = cls._at_dual_point(ds, lambda0, theta0, ds.adjoint(ds.pad(theta0)))
+        n0 = ref.n0
         if n0 is not None:
             y = stack_response(ds)
             inner = float(np.dot(y, n0))
@@ -212,17 +257,19 @@ class ReferenceSolution:
                     f"<response, normal> = {inner:.3e} below -{bound:.3e}; "
                     "reference solution looks inconsistent"
                 )
-        return cls(lambda0=lambda0, theta0=theta0, n0=n0)
+        return ref
 
 
 @dataclass(frozen=True)
 class DualBall:
-    """Certified region containing the exact dual optimum at level ``lam``."""
+    """Certified region containing the exact dual optimum at level ``lam``;
+    ``image`` is the (d, T) adjoint image X't center."""
 
     center: np.ndarray
     radius: float
     lam: float
     lambda0: float
+    image: np.ndarray
 
     def __post_init__(self):
         if self.radius < 0:
@@ -242,6 +289,8 @@ def dual_ball(ds, ref, lam):
     the sign condition <r, n0> >= 0 beyond -1e-9*||r||*||n0|| raises
     NegativeInnerProduct. Without a usable normal (ref.n0 is None) the
     un-projected ball (center theta0 + r/2, radius ||r||/2) is returned.
+    The center's image is the same combination of X't y and the reference's
+    images, so no product is made here.
     """
     lam = float(lam)
     if lam <= 0:
@@ -253,6 +302,9 @@ def dual_ball(ds, ref, lam):
     y = stack_response(ds)
     th0 = as_dual_vector(ref.theta0, ds.N)
     r = y / lam - th0
+    # X't center by the same steps, in place (each is a d x T array)
+    image = ds.response_image / lam
+    image -= ref.image
     if ref.n0 is None:
         r_perp = r
     else:
@@ -266,6 +318,15 @@ def dual_ball(ds, ref, lam):
             )
         coef = max(0.0, inner) / float(np.dot(n0, n0))
         r_perp = r - coef * n0
+        image -= coef * ref.n0_image
+    image *= 0.5
+    image += ref.image
     center = th0 + 0.5 * r_perp
     radius = 0.5 * float(np.linalg.norm(r_perp))
-    return DualBall(center=center, radius=radius, lam=lam, lambda0=ref.lambda0)
+    return DualBall(
+        center=center,
+        radius=radius,
+        lam=lam,
+        lambda0=ref.lambda0,
+        image=image,
+    )

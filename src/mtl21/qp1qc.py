@@ -97,10 +97,21 @@ class Qp1qcSolution:
     converged: bool
 
 
+def _cached(ds, key, compute):
+    """A per-dataset constant, computed on first use (the data is frozen)."""
+    if key not in ds._cache:
+        ds._cache[key] = compute()
+    return ds._cache[key]
+
+
 def build_instances(ds, ball):
-    """Reduced data of every feature at once: (d,T) arrays A, B, C and delta."""
-    A = ds.col_norms**2
-    C = ds.adjoint(ds.pad(ball.center))
+    """Reduced data of every feature at once: (d,T) arrays A, B, C and delta.
+
+    C is the ball's carried center image; A depends on the data alone and is
+    computed once per dataset.
+    """
+    A = _cached(ds, "col_norms_sq", lambda: ds.col_norms**2)
+    C = ball.image
     B = ds.col_norms * np.abs(C)
     return A, B, C, float(ball.radius)
 
@@ -291,10 +302,8 @@ def screening_scores(ds, ball):
     for a fraction of its cost, but entries below 1 may exceed the true
     maximum. Use :func:`screening_bounds` when the values themselves matter.
     """
-    key = "col_norm_max"
-    if key not in ds._cache:
-        ds._cache[key] = ds.col_norms.max(axis=1)
-    rho_root = ds._cache[key]  # sqrt(rho): column norms are non-negative
+    # sqrt(rho): column norms are non-negative
+    rho_root = _cached(ds, "col_norm_max", lambda: ds.col_norms.max(axis=1))
     A, B, C, delta = build_instances(ds, ball)
     cnorm = np.sqrt(np.einsum("ij,ij->i", C, C))
     scores = (cnorm + rho_root * delta) ** 2

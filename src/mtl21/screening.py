@@ -33,12 +33,10 @@ from .core import (
 from .dual import (
     ReferenceSolution,
     dual_ball,
-    dual_feasibility_violation,
-    dual_from_primal,
+    dual_feasibility_violation,  # noqa: F401  perfbench/spans.py wraps this name
     lambda_max,
-    normal_vector,
 )
-from .errors import LambdaOutOfRange, MaxItersExceeded, SolverFailure, ZeroNormal
+from .errors import LambdaOutOfRange, MaxItersExceeded, SolverFailure
 from .qp1qc import screening_scores
 from .solver import FitResult, SolverConfig, fit, objective
 
@@ -130,18 +128,15 @@ def _boundary_reference(ds, ref, viol):
     projection-style normal is recomputed at the scaled point. The containment
     argument behind the ball needs a feasible reference point, not an exact
     solve, so this keeps screening valid under ordinary convergence slack.
+    The point's image scales with it.
     """
     scale = 1.0 / np.sqrt(1.0 + viol)
     theta0 = DualPoint(ref.theta0.theta * scale, ds.n_per_task)
-    try:
-        n0 = normal_vector(ds, theta0, ref.lambda0)
-    except ZeroNormal:
-        n0 = None
-    return ReferenceSolution(lambda0=ref.lambda0, theta0=theta0, n0=n0)
+    return ReferenceSolution._at_dual_point(ds, ref.lambda0, theta0, ref.image * scale)
 
 
 def _head_record(ds, lam, lmax, screen):
-    W = WeightMatrix(np.zeros((ds.d, ds.T)))
+    W = np.zeros((ds.d, ds.T))
     y = stack_response(ds)
     obj = 0.5 * float(np.dot(y, y))
     return W, PathRecord(
@@ -206,7 +201,7 @@ def _walk(ds, grid, solver_handle, keep_weights, screen):
 
     W_full, head = _head_record(ds, float(grid.values[0]), lmax, screen)
     if keep_weights:
-        head.weights = W_full
+        head.weights = WeightMatrix(W_full)
     report.records.append(head)
     ref_max = ReferenceSolution.at_lambda_max(ds) if screen else None
     ref = ref_max
@@ -223,7 +218,9 @@ def _walk(ds, grid, solver_handle, keep_weights, screen):
         if screen:
             step_ref = ref
             if step_ref is not ref_max:
-                viol = dual_feasibility_violation(ds, step_ref.theta0)
+                # dual_feasibility_violation(ds, theta0), from the carried image
+                g_max = float((step_ref.image**2).sum(axis=1).max(initial=0.0))
+                viol = max(0.0, g_max - 1.0)
                 trust = max(REF_FEASIBILITY_TOL, prev_cert * (2.0 + prev_cert) + 1e-13)
                 if viol > trust:
                     # worse than the certificate can explain: distrust entirely
@@ -240,10 +237,10 @@ def _walk(ds, grid, solver_handle, keep_weights, screen):
         t1 = time.perf_counter()
         if keep.any():
             if n_screened == 0:
-                sub, warm = ds, W_full.values
+                sub, warm = ds, W_full
             else:
                 sub = MultiTaskDataset([(X[:, keep], y) for X, y in zip(ds.X, ds.y)])
-                warm = W_full.values[keep]
+                warm = W_full[keep]
             try:
                 res = run_solver(sub, lam, warm)
             except MaxItersExceeded as e:
@@ -268,18 +265,17 @@ def _walk(ds, grid, solver_handle, keep_weights, screen):
                     report=report,
                     failed_lambda=lam,
                 ) from e
-            V = np.zeros((ds.d, ds.T))
-            V[keep] = res.weights.values
-            W_full = WeightMatrix(V)
+            W_full = np.zeros((ds.d, ds.T))
+            W_full[keep] = res.weights.values
             # screened rows are exact zeros, so the reduced objective is the full one
             obj, n_iters, kkt = res.objective, res.n_iters, res.kkt_residual
+            n_inact = n_screened + int((res.weights.row_norms() <= ROW_ZERO_TOL).sum())
         else:
-            W_full = WeightMatrix(np.zeros((ds.d, ds.T)))
+            W_full = np.zeros((ds.d, ds.T))
             obj, n_iters, kkt = objective(ds, W_full, lam), 0, 0.0
+            n_inact = ds.d
         t_solve = time.perf_counter() - t1
 
-        rn = W_full.row_norms()
-        n_inact = int((rn <= ROW_ZERO_TOL).sum())
         rej = n_screened / n_inact if screen and n_inact > 0 else float("nan")
         rec = PathRecord(
             lam=lam,
@@ -296,7 +292,7 @@ def _walk(ds, grid, solver_handle, keep_weights, screen):
             ref_fallback=fallback,
         )
         if keep_weights:
-            rec.weights = W_full
+            rec.weights = WeightMatrix(W_full)
         report.records.append(rec)
         if screen:
             ref = ReferenceSolution.from_primal(ds, W_full, lam)

@@ -11,6 +11,13 @@ Convergence is certified on the stationarity residual rather than objective
 stall: at a solution, each nonzero row of M = [X_t' theta_t] (theta the dual
 point induced by W) equals the unit row direction, and zero rows of W need
 ||m_l|| <= 1. The residual reported is the max over rows of the violation.
+
+Each iteration makes one forward product per step trial (the candidate's
+residual rows) and one adjoint (the accepted iterate's gradient). The
+momentum point's residual rows and gradient are the same linear combination
+of the last two accepted iterates' images, so they cost no product; the
+certificate is always evaluated from the fresh forward and adjoint products
+of the accepted iterate itself.
 """
 
 from __future__ import annotations
@@ -149,9 +156,11 @@ def fit(ds, lam, cfg=None):
     """Minimize the row-sparse objective at one regularization level.
 
     Returns a :class:`FitResult` whose ``kkt_residual`` is the certificate at
-    the returned iterate. Raises :class:`MaxItersExceeded` (carrying the best
-    iterate and its residual) if the tolerance is not met in
-    ``cfg.max_iters`` iterations.
+    the returned iterate, computed from fresh products of that iterate. An
+    iteration costs one forward product per step trial and one adjoint, so
+    a fit makes ``n_iters + 1`` adjoints in all. Raises
+    :class:`MaxItersExceeded` (carrying the best iterate and its residual)
+    if the tolerance is not met in ``cfg.max_iters`` iterations.
     """
     t0 = time.perf_counter()
     cfg = cfg or SolverConfig()
@@ -184,38 +193,37 @@ def fit(ds, lam, cfg=None):
                 return cand, Rc, loss_c, L
             L *= 2.0
 
-    R_acc = ds.forward(W) - ds.y_stack
-    F = _loss(R_acc) + lam * l21_norm(W)
-    V = W
-    RV = R_acc
-    FV_loss = _loss(R_acc)
+    # accepted iterate W: its residual rows R = X.W - y, loss and gradient G;
+    # V is the momentum point, with its residual rows, loss and gradient
+    R = ds.forward(W) - ds.y_stack
+    loss = _loss(R)
+    G = ds.adjoint(R)
+    F = loss + lam * l21_norm(W)
+    V, RV, FV_loss, GV = W, R, loss, G
     t_k = 1.0
     best_resid = np.inf
-    best_W = W.copy()
+    best_W = W  # iterates are fresh arrays that are never written to
 
     for k in range(1, cfg.max_iters + 1):
-        G = ds.adjoint(RV)  # gradient of the loss at V
-        cand, Rc, loss_c, L = prox_step(V, G, FV_loss, L)
+        cand, Rc, loss_c, L = prox_step(V, GV, FV_loss, L)
         F_cand = loss_c + lam * l21_norm(cand)
         if F_cand > F:
             # momentum overshot: retake the step from the last accepted point
             t_k = 1.0
             V = W
-            RV = R_acc
-            FV_loss = _loss(R_acc)
-            G = ds.adjoint(RV)
-            cand, Rc, loss_c, L = prox_step(V, G, FV_loss, L)
+            cand, Rc, loss_c, L = prox_step(W, G, loss, L)
             F_cand = loss_c + lam * l21_norm(cand)
-        W_prev, W = W, cand
-        R_acc = Rc
+        W_prev, R_prev, G_prev = W, R, G
+        W, R, loss = cand, Rc, loss_c
+        G = ds.adjoint(R)
         F = min(F, F_cand)
 
-        # stationarity certificate at the accepted iterate (reuses Rc)
-        M = -ds.adjoint(Rc) / lam
-        resid = _kkt_from_M(M, W)
+        # stationarity certificate at the accepted iterate, from the fresh
+        # forward and adjoint products of W itself
+        resid = _kkt_from_M(-G / lam, W)
         if resid < best_resid:
             best_resid = resid
-            best_W = W.copy()
+            best_W = W
         if resid <= cfg.kkt_tol:
             return FitResult(
                 weights=WeightMatrix(W),
@@ -229,14 +237,16 @@ def fit(ds, lam, cfg=None):
         if float(np.einsum("ij,ij->", V - W, W - W_prev)) > 0.0:
             # update direction opposes the momentum step: drop the inertia
             t_k = 1.0
-            V = W
-            RV = Rc
-            FV_loss = loss_c
+            V, RV, FV_loss, GV = W, R, loss, G
         else:
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
-            V = W + ((t_k - 1.0) / t_next) * (W - W_prev)
+            beta = (t_k - 1.0) / t_next
             t_k = t_next
-            RV = ds.forward(V) - ds.y_stack
+            # both products are linear, so the images of V are the same
+            # combination of the two accepted iterates' fresh images
+            V = W + beta * (W - W_prev)
+            RV = R + beta * (R - R_prev)
+            GV = G + beta * (G - G_prev)
             FV_loss = _loss(RV)
         L *= 0.97
 

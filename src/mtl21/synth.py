@@ -46,6 +46,8 @@ class SynthConfig:
             raise ValueError(
                 f"support_fraction must be in (0, 1], got {self.support_fraction}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.noise_scale < 0.0:
             raise ValueError(f"noise_scale must be >= 0, got {self.noise_scale}")
         if self.support_mode not in ("shared", "per-task"):

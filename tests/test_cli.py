@@ -273,13 +273,28 @@ class TestBadInputExits2:
 
     @pytest.mark.parametrize(
         "flag,value",
-        [("--kkt-tol", "0"), ("--kkt-tol", "-1"), ("--kkt-tol", "nan"), ("--cases", "-5")],
+        [
+            ("--kkt-tol", "0"),
+            ("--kkt-tol", "-1"),
+            ("--kkt-tol", "nan"),
+            ("--cases", "-5"),
+            ("--seed", "-1"),
+        ],
     )
     def test_bad_verify_setting(self, flag, value, dataset_dir, capsys):
         rc = main(["verify", str(dataset_dir), "--suite", "qp1qc", flag, value])
         self.assert_one_error_line(capsys, rc, flag[2:].replace("-", "_"))
         # rejected before any suite ran: no result table was printed
         assert capsys.readouterr().out == ""
+
+    def test_negative_synth_seed(self, tmp_path, capsys):
+        out = tmp_path / "neg"
+        rc = main(
+            ["synth", "--kind", "s1", "--tasks", "2", "--n", "5", "--d", "10",
+             "--seed", "-1", "--out", str(out)]
+        )
+        self.assert_one_error_line(capsys, rc, "seed")
+        assert not out.exists()
 
 
 class TestVerify:

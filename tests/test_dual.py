@@ -226,60 +226,74 @@ class TestReferenceSolution:
             ReferenceSolution.from_primal(ds, np.array([[-1.0], [0.0]]), 1.0)
 
     def test_rejects_non_positive_level(self):
+        ds = hand_dataset()
+        theta0 = DualPoint([1.0, 0.0], [2])
         with pytest.raises(LambdaOutOfRange):
-            ReferenceSolution(lambda0=0.0, theta0=DualPoint([1.0], [1]), n0=None)
+            ReferenceSolution(
+                lambda0=0.0,
+                theta0=theta0,
+                n0=None,
+                image=ds.adjoint(ds.pad(theta0)),
+                n0_image=None,
+            )
 
 
 class TestDualBall:
-    def ref(self, n0):
+    def ref(self, ds, n0):
+        theta0 = DualPoint([1.0, 0.0], [2])
+        n0 = None if n0 is None else np.asarray(n0, dtype=float)
         return ReferenceSolution(
             lambda0=1.0,
-            theta0=DualPoint([1.0, 0.0], [2]),
-            n0=None if n0 is None else np.asarray(n0, dtype=float),
+            theta0=theta0,
+            n0=n0,
+            image=ds.adjoint(ds.pad(theta0)),
+            n0_image=None if n0 is None else ds.adjoint(ds.pad(n0)),
         )
 
     def test_aligned_normal_gives_zero_radius(self):
         # residual parallel to the normal: the whole gap is projected away
         ds = hand_dataset()
-        ball = dual_ball(ds, self.ref([1.0, 0.0]), 0.5)
+        ball = dual_ball(ds, self.ref(ds, [1.0, 0.0]), 0.5)
         np.testing.assert_allclose(ball.center, [1.0, 0.0])
         assert ball.radius == 0.0
 
     def test_orthogonal_normal_keeps_residual(self):
         ds = hand_dataset()
-        ball = dual_ball(ds, self.ref([0.0, 1.0]), 0.5)
+        ball = dual_ball(ds, self.ref(ds, [0.0, 1.0]), 0.5)
         np.testing.assert_allclose(ball.center, [2.5, 0.0])
         assert math.isclose(ball.radius, 1.5, rel_tol=1e-15)
 
     def test_oblique_normal_hand_value(self):
         ds = hand_dataset()
-        ball = dual_ball(ds, self.ref([1.0, 1.0]), 0.5)
+        ball = dual_ball(ds, self.ref(ds, [1.0, 1.0]), 0.5)
         np.testing.assert_allclose(ball.center, [1.75, -0.75], rtol=1e-15)
         assert math.isclose(ball.radius, 3.0 * math.sqrt(2.0) / 4.0, rel_tol=1e-13)
 
     def test_no_normal_falls_back_to_unprojected(self):
         ds = hand_dataset()
-        ball = dual_ball(ds, self.ref(None), 0.5)
+        ball = dual_ball(ds, self.ref(ds, None), 0.5)
         np.testing.assert_allclose(ball.center, [2.5, 0.0])
         assert math.isclose(ball.radius, 1.5, rel_tol=1e-15)
 
     def test_negative_inner_product(self):
         ds = hand_dataset()
         with pytest.raises(NegativeInnerProduct):
-            dual_ball(ds, self.ref([-1.0, 0.0]), 0.5)
+            dual_ball(ds, self.ref(ds, [-1.0, 0.0]), 0.5)
 
     def test_target_must_be_below_reference(self):
         ds = hand_dataset()
         with pytest.raises(LambdaOutOfRange):
-            dual_ball(ds, self.ref([1.0, 0.0]), 1.0)
+            dual_ball(ds, self.ref(ds, [1.0, 0.0]), 1.0)
         with pytest.raises(NonPositiveLambda):
-            dual_ball(ds, self.ref([1.0, 0.0]), 0.0)
+            dual_ball(ds, self.ref(ds, [1.0, 0.0]), 0.0)
 
     def test_ball_type_invariants(self):
+        ds = hand_dataset()
+        image = ds.adjoint(ds.pad(np.zeros(2)))
         with pytest.raises(LambdaOutOfRange):
-            DualBall(center=np.zeros(2), radius=-0.1, lam=0.5, lambda0=1.0)
+            DualBall(center=np.zeros(2), radius=-0.1, lam=0.5, lambda0=1.0, image=image)
         with pytest.raises(LambdaOutOfRange):
-            DualBall(center=np.zeros(2), radius=0.1, lam=1.0, lambda0=1.0)
+            DualBall(center=np.zeros(2), radius=0.1, lam=1.0, lambda0=1.0, image=image)
 
 
 class TestContainment:

@@ -1,22 +1,36 @@
-"""The stacked forward/adjoint operator on tasks of unequal size.
+"""The stacked forward/adjoint operator on tasks of unequal size, and the
+budget of products the solver and the path walk make with it.
 
 Every reference below is a per-task loop over ``ds.X[t]`` and the length-N
 dual vector split at the task offsets, so a padded row that leaks into a
-product or a dual vector shows up as a mismatch.
+product or a dual vector shows up as a mismatch. The carried adjoint images
+of references and balls are checked against fresh products.
 """
 
-import numpy as np
+import dataclasses
 
+import numpy as np
+import pytest
+
+import mtl21.screening
 from mtl21.core import DualPoint, LambdaGrid, MultiTaskDataset
 from mtl21.dual import (
     DualBall,
+    ReferenceSolution,
+    dual_ball,
     dual_from_primal,
     feature_constraint_all,
     lambda_max,
 )
 from mtl21.qp1qc import Qp1qcInstance, screening_scores, solve
-from mtl21.screening import ROW_ZERO_TOL, sequential_path, unscreened_path
+from mtl21.screening import (
+    ROW_ZERO_TOL,
+    _boundary_reference,
+    sequential_path,
+    unscreened_path,
+)
 from mtl21.solver import SolverConfig, fit, kkt_residual
+from mtl21.synth import SynthConfig, generate
 
 SIZES = (3, 5, 2, 8)
 
@@ -65,6 +79,18 @@ class TestProducts:
         rng = np.random.default_rng(2)
         ds = uneven_dataset(rng)
         W = rng.standard_normal((ds.d, ds.T))
+        F = ds.forward(W)
+        for t, n in enumerate(SIZES):
+            assert_rel(F[t, :n], ds.X[t] @ W[:, t], 1e-14)
+            assert np.all(F[t, n:] == 0.0)
+
+    def test_forward_of_row_sparse_weights(self):
+        # few nonzero rows take the column-gathering product; none gives zeros
+        rng = np.random.default_rng(9)
+        ds = uneven_dataset(rng, d=20)
+        W = np.zeros((ds.d, ds.T))
+        assert np.array_equal(ds.forward(W), np.zeros((ds.T, max(SIZES))))
+        W[[3, 11]] = rng.standard_normal((2, ds.T))
         F = ds.forward(W)
         for t, n in enumerate(SIZES):
             assert_rel(F[t, :n], ds.X[t] @ W[:, t], 1e-14)
@@ -120,8 +146,13 @@ class TestCallers:
     def test_screening_scores(self):
         rng = np.random.default_rng(7)
         ds = uneven_dataset(rng, d=25)
+        center = rng.standard_normal(ds.N) * 0.2
         ball = DualBall(
-            center=rng.standard_normal(ds.N) * 0.2, radius=0.05, lam=1.0, lambda0=2.0
+            center=center,
+            radius=0.05,
+            lam=1.0,
+            lambda0=2.0,
+            image=ds.adjoint(ds.pad(center)),
         )
         centers = blocks(ds, ball.center)
         scores = screening_scores(ds, ball)
@@ -159,5 +190,96 @@ def test_paths_agree_on_unequal_sizes():
     for a, b in zip(scr.records, plain.records):
         assert a.lam == b.lam
         assert abs(a.objective - b.objective) <= 1e-8 * max(1.0, abs(b.objective))
+        active = b.weights.row_norms() > ROW_ZERO_TOL
+        assert not (a.mask.inactive & active).any()
+
+
+class Counter:
+    """Counts the calls of ``forward`` and ``adjoint`` on one dataset."""
+
+    def __init__(self, ds):
+        self.calls = {"forward": 0, "adjoint": 0}
+        for name in self.calls:
+            setattr(ds, name, self._counted(name, getattr(ds, name)))
+
+    def _counted(self, name, fn):
+        def counted(*args):
+            self.calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+
+class TestProductBudget:
+    def test_fit_makes_one_adjoint_per_iteration(self):
+        ds, _ = generate(SynthConfig(kind="s1", tasks=4, n_per_task=20, d=80, seed=5))
+        lam = 0.2 * lambda_max(ds)[0]
+        count = Counter(ds)
+        res = fit(ds, lam, SolverConfig(kkt_tol=1e-8))
+        assert res.n_iters > 10
+        # the start point's gradient, then one per accepted iterate
+        assert count.calls["adjoint"] == res.n_iters + 1
+
+    def test_screened_walk_makes_one_full_adjoint_per_level(self):
+        ds, _ = generate(SynthConfig(kind="s1", tasks=5, n_per_task=30, d=300, seed=4))
+        grid = LambdaGrid.log_spaced(lambda_max(ds)[0], 20, 0.05)
+        count = Counter(ds)
+        ReferenceSolution.at_lambda_max(ds)
+        head = count.calls["adjoint"]
+        count.calls["adjoint"] = 0
+        report = sequential_path(ds, grid, SolverConfig())
+        # every level screens something, so fit only ever sees copied subsets
+        assert all(r.n_screened > 0 for r in report.records[1:])
+        # the threshold reference once, then one per sequential reference
+        assert count.calls["adjoint"] == head + len(report.records) - 1
+
+
+def assert_image(ds, image, v):
+    fresh = ds.adjoint(ds.pad(v))
+    assert image.shape == fresh.shape
+    assert np.abs(image - fresh).max() <= 1e-12 * max(1.0, np.abs(fresh).max())
+
+
+@pytest.mark.parametrize("sizes", [(6, 6, 6, 6), SIZES], ids=["equal", "unequal"])
+def test_carried_images_match_fresh_products(sizes):
+    rng = np.random.default_rng(10)
+    ds = uneven_dataset(rng, d=30, sizes=sizes)
+    lmax, _ = lambda_max(ds)
+    W0 = fit(ds, 0.6 * lmax, SolverConfig(kkt_tol=1e-8)).weights
+    seq = ReferenceSolution.from_primal(ds, W0, 0.6 * lmax)
+    refs = {
+        "threshold": ReferenceSolution.at_lambda_max(ds),
+        "zero weights at the threshold": ReferenceSolution.from_primal(
+            ds, np.zeros((ds.d, ds.T)), lmax
+        ),
+        "sequential": seq,
+        "boundary": _boundary_reference(ds, seq, 0.25),
+    }
+    for name, ref in refs.items():
+        assert ref.n0 is not None, name
+        assert_image(ds, ref.image, ref.theta0)
+        assert_image(ds, ref.n0_image, ref.n0)
+        ball = dual_ball(ds, ref, 0.4 * lmax)
+        assert_image(ds, ball.image, ball.center)
+
+
+def test_s2_walk_masks_match_fresh_images(monkeypatch):
+    ds, _ = generate(SynthConfig(kind="s2", tasks=4, n_per_task=20, d=150, seed=6))
+    grid = LambdaGrid.log_spaced(lambda_max(ds)[0], 15, 0.05)
+    scored = []
+
+    def scores_both_ways(ds, ball):
+        carried = screening_scores(ds, ball)
+        fresh_ball = dataclasses.replace(ball, image=ds.adjoint(ds.pad(ball.center)))
+        fresh = screening_scores(ds, fresh_ball)
+        assert np.array_equal(carried < 1.0, fresh < 1.0)
+        scored.append(int((carried < 1.0).sum()))
+        return carried
+
+    monkeypatch.setattr(mtl21.screening, "screening_scores", scores_both_ways)
+    report = sequential_path(ds, grid, SolverConfig())
+    assert len(scored) == len(grid) - 1 and sum(scored) > 0
+    tight = unscreened_path(ds, grid, SolverConfig(kkt_tol=1e-9), keep_weights=True)
+    for a, b in zip(report.records, tight.records):
         active = b.weights.row_norms() > ROW_ZERO_TOL
         assert not (a.mask.inactive & active).any()

@@ -77,18 +77,19 @@ class TestInstance:
 
 
 class TestBuildInstance:
-    def ball(self, center, radius):
+    def ball(self, ds, center, radius):
         class _B:
             pass
 
         b = _B()
         b.center = np.asarray(center, dtype=float)
         b.radius = float(radius)
+        b.image = ds.adjoint(ds.pad(b.center))
         return b
 
     def test_hand_value(self):
         ds = MultiTaskDataset([(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2))])
-        inst = instance_of(ds, self.ball([0.5, 7.0], 0.3), 0)
+        inst = instance_of(ds, self.ball(ds, [0.5, 7.0], 0.3), 0)
         np.testing.assert_allclose(inst.a, [1.0])
         np.testing.assert_allclose(inst.b, [0.5])
         np.testing.assert_allclose(inst.c, [0.5])
@@ -96,7 +97,7 @@ class TestBuildInstance:
 
     def test_zero_feature(self):
         ds = MultiTaskDataset([(np.array([[0.0, 1.0], [0.0, 2.0]]), np.zeros(2))])
-        inst = instance_of(ds, self.ball([0.5, 7.0], 0.3), 0)
+        inst = instance_of(ds, self.ball(ds, [0.5, 7.0], 0.3), 0)
         assert inst.a[0] == 0.0
         assert inst.b[0] == 0.0
         assert inst.c[0] == 0.0
@@ -107,7 +108,7 @@ class TestBuildInstance:
             [(rng.standard_normal((5, 6)), rng.standard_normal(5)) for _ in range(3)]
         )
         center = rng.standard_normal(ds.N)
-        A, B, C, delta = build_instances(ds, self.ball(center, 0.7))
+        A, B, C, delta = build_instances(ds, self.ball(ds, center, 0.7))
         assert A.shape == B.shape == C.shape == (6, 3)
         assert delta == 0.7
         for ell in range(6):
@@ -330,10 +331,13 @@ class TestScreeningBounds:
     def make_ball(self, rng, ds, radius):
         from mtl21.core import DualPoint
 
+        theta0 = DualPoint(rng.standard_normal(ds.N) * 0.1, ds.n_per_task)
         ref = ReferenceSolution(
             lambda0=2.0,
-            theta0=DualPoint(rng.standard_normal(ds.N) * 0.1, ds.n_per_task),
+            theta0=theta0,
             n0=None,
+            image=ds.adjoint(ds.pad(theta0)),
+            n0_image=None,
         )
         return dual_ball(ds, ref, 1.0)
 
@@ -372,10 +376,13 @@ class TestScreeningScores:
     def make_ball(self, rng, ds, scale):
         from mtl21.core import DualPoint
 
+        theta0 = DualPoint(rng.standard_normal(ds.N) * scale, ds.n_per_task)
         ref = ReferenceSolution(
             lambda0=2.0,
-            theta0=DualPoint(rng.standard_normal(ds.N) * scale, ds.n_per_task),
+            theta0=theta0,
             n0=None,
+            image=ds.adjoint(ds.pad(theta0)),
+            n0_image=None,
         )
         return dual_ball(ds, ref, 1.0)
 
@@ -421,10 +428,13 @@ class TestScreeningScores:
             [(rng.standard_normal((5, 8)), rng.standard_normal(5)) for _ in range(2)]
         )
         lam = 1.3
+        theta0 = DualPoint(stack_response(ds) / lam, ds.n_per_task)
         ref = ReferenceSolution(
             lambda0=2.0,
-            theta0=DualPoint(stack_response(ds) / lam, ds.n_per_task),
+            theta0=theta0,
             n0=None,
+            image=ds.adjoint(ds.pad(theta0)),
+            n0_image=None,
         )
         ball = dual_ball(ds, ref, lam)
         assert ball.radius == 0.0
