@@ -90,9 +90,13 @@ def feature_constraint_grad(ds, theta, ell):
     """Gradient of one feature's constraint value; block t is
     2 <x_l_t, theta_t> x_l_t."""
     ell = _check_ell(ds, ell)
-    # the forward image of a weight matrix whose only nonzero row is ell
+    return _one_row_image(ds, ell, 2.0 * ds.adjoint(ds.pad(theta))[ell])
+
+
+def _one_row_image(ds, ell, row):
+    """Length-N forward image of the weights whose only nonzero row, ell, is row."""
     W = np.zeros((ds.d, ds.T))
-    W[ell] = 2.0 * ds.adjoint(ds.pad(theta))[ell]
+    W[ell] = row
     return ds.unpad(ds.forward(W))
 
 
@@ -166,7 +170,9 @@ def normal_vector(ds, theta0, lambda0):
             raise LambdaOutOfRange(
                 "at the all-zero threshold the reference dual point must be y/lambda_max"
             )
-        n = feature_constraint_grad(ds, expected, ell_star)
+        # the witness's constraint gradient, with its row of X't y/lambda_max
+        # read from the cached response image
+        n = _one_row_image(ds, ell_star, 2.0 * ds.response_image[ell_star] / lmax)
     else:
         n = y / lambda0 - th
     if float(np.linalg.norm(n)) < ZERO_NORMAL_RTOL * float(np.linalg.norm(y)) / lambda0:
@@ -302,9 +308,9 @@ def dual_ball(ds, ref, lam):
     y = stack_response(ds)
     th0 = as_dual_vector(ref.theta0, ds.N)
     r = y / lam - th0
-    # X't center by the same steps, in place (each is a d x T array)
-    image = ds.response_image / lam
-    image -= ref.image
+    # X't center = 0.5 X't y / lam + 0.5 X't theta0 - 0.5 coef X't n0
+    image = ds.response_image * (0.5 / lam)
+    image += 0.5 * ref.image
     if ref.n0 is None:
         r_perp = r
     else:
@@ -318,9 +324,7 @@ def dual_ball(ds, ref, lam):
             )
         coef = max(0.0, inner) / float(np.dot(n0, n0))
         r_perp = r - coef * n0
-        image -= coef * ref.n0_image
-    image *= 0.5
-    image += ref.image
+        image -= (0.5 * coef) * ref.n0_image
     center = th0 + 0.5 * r_perp
     radius = 0.5 * float(np.linalg.norm(r_perp))
     return DualBall(

@@ -104,16 +104,21 @@ def _cached(ds, key, compute):
     return ds._cache[key]
 
 
-def build_instances(ds, ball):
-    """Reduced data of every feature at once: (d,T) arrays A, B, C and delta.
+def _instance_rows(ds, ball, rows):
+    """A, B, C of the features ``rows`` selects (an index, mask or slice).
 
-    C is the ball's carried center image; A depends on the data alone and is
-    computed once per dataset.
+    C is read from the ball's carried center image; A depends on the data
+    alone and is computed once per dataset.
     """
-    A = _cached(ds, "col_norms_sq", lambda: ds.col_norms**2)
-    C = ball.image
-    B = ds.col_norms * np.abs(C)
-    return A, B, C, float(ball.radius)
+    A = _cached(ds, "col_norms_sq", lambda: ds.col_norms**2)[rows]
+    C = ball.image[rows]
+    B = ds.col_norms[rows] * np.abs(C)
+    return A, B, C
+
+
+def build_instances(ds, ball):
+    """Reduced data of every feature at once: (d,T) arrays A, B, C and delta."""
+    return (*_instance_rows(ds, ball, slice(None)), float(ball.radius))
 
 
 def solve_batch(A, B, C, delta, strict=True):
@@ -304,13 +309,12 @@ def screening_scores(ds, ball):
     """
     # sqrt(rho): column norms are non-negative
     rho_root = _cached(ds, "col_norm_max", lambda: ds.col_norms.max(axis=1))
-    A, B, C, delta = build_instances(ds, ball)
-    cnorm = np.sqrt(np.einsum("ij,ij->i", C, C))
+    delta = float(ball.radius)
+    cnorm = np.sqrt(np.einsum("ij,ij->i", ball.image, ball.image))
     scores = (cnorm + rho_root * delta) ** 2
-    contested = scores >= 1.0
-    if contested.any():
-        s, _, _, _, _, _ = solve_batch(
-            A[contested], B[contested], C[contested], delta, strict=False
-        )
+    contested = np.flatnonzero(scores >= 1.0)
+    if contested.size:
+        A, B, C = _instance_rows(ds, ball, contested)
+        s, _, _, _, _, _ = solve_batch(A, B, C, delta, strict=False)
         scores[contested] = s
     return scores

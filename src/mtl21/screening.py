@@ -208,7 +208,8 @@ def _walk(ds, grid, solver_handle, keep_weights, screen):
 
     prev_cert = 0.0  # certificate of the solve the current reference came from
 
-    for lam in grid.values[1:]:
+    last = len(grid.values) - 1
+    for i, lam in enumerate(grid.values[1:], start=1):
         lam = float(lam)
         fallback = False
         mask = None
@@ -294,7 +295,8 @@ def _walk(ds, grid, solver_handle, keep_weights, screen):
         if keep_weights:
             rec.weights = WeightMatrix(W_full)
         report.records.append(rec)
-        if screen:
+        if screen and i < last:
+            # the next level's reference; the last level has none to serve
             ref = ReferenceSolution.from_primal(ds, W_full, lam)
             prev_cert = float(kkt)
     return report

@@ -10,7 +10,16 @@ well defined downstream.
 Convergence is certified on the stationarity residual rather than objective
 stall: at a solution, each nonzero row of M = [X_t' theta_t] (theta the dual
 point induced by W) equals the unit row direction, and zero rows of W need
-||m_l|| <= 1. The residual reported is the max over rows of the violation.
+||m_l|| <= 1. The residual reported is the max over rows of the violation,
+evaluated in one masked pass over the rows from the accepted iterate's row
+norms, the same ones that give its l2,1 term.
+
+The backtracking step starts from 1/L with L = max_t ||X_t||_F^2 / 8 summed
+over the columns of the start point's nonzero rows (over every column when
+it is zero), so a warm start inside a small active set begins with a step
+suited to those columns rather than to the whole design. L is only a guess:
+it doubles until the step decreases the objective enough and decays by 0.97
+per iteration, and ``kkt <= kkt_tol`` stays the only acceptance rule.
 
 Each iteration makes one forward product per step trial (the candidate's
 residual rows) and one adjoint (the accepted iterate's gradient). The
@@ -82,9 +91,12 @@ def _loss(R):
     return 0.5 * float(np.einsum("ij,ij->", R, R))
 
 
+def _row_norms(V):
+    return np.sqrt(np.einsum("ij,ij->i", V, V))
+
+
 def l21_norm(W):
-    V = as_weight_values(W)
-    return float(np.sqrt(np.einsum("ij,ij->i", V, V)).sum())
+    return float(_row_norms(as_weight_values(W)).sum())
 
 
 def objective(ds, W, lam):
@@ -102,25 +114,23 @@ def _row_prox(G, thresh):
     boundary can survive with entries on the order of 1e-18 instead of the
     exact zero the boundary case calls for.
     """
-    rn = np.sqrt(np.einsum("ij,ij->i", G, G))
+    rn = _row_norms(G)
     cut = thresh * (1.0 + 8.0 * np.finfo(np.float64).eps)
     with np.errstate(divide="ignore", invalid="ignore"):
         factor = np.where(rn > cut, 1.0 - thresh / np.where(rn == 0.0, 1.0, rn), 0.0)
     return factor[:, None] * G
 
 
-def _kkt_from_M(M, V):
-    """Stationarity residual given M = [X_t' theta_t] and the weights."""
-    rn = np.sqrt(np.einsum("ij,ij->i", V, V))
+def _kkt_from_M(M, V, rn):
+    """Stationarity residual given M = [X_t' theta_t], the weights and their
+    row norms, in one masked pass over the rows: a nonzero row is compared
+    with its unit direction, and a zero row (divided by 1, so it stays an
+    exact zero) leaves ||m_l|| - 1, the amount by which m_l leaves the unit
+    ball."""
     nz = rn > 0
-    resid = 0.0
-    if nz.any():
-        diff = M[nz] - V[nz] / rn[nz, None]
-        resid = float(np.sqrt(np.einsum("ij,ij->i", diff, diff)).max())
-    if (~nz).any():
-        mn = np.sqrt(np.einsum("ij,ij->i", M[~nz], M[~nz]))
-        resid = max(resid, float(np.maximum(0.0, mn - 1.0).max()))
-    return resid
+    diff = M - V / np.where(nz, rn, 1.0)[:, None]
+    dn = _row_norms(diff)
+    return float(np.where(nz, dn, dn - 1.0).max(initial=0.0))
 
 
 def kkt_residual(ds, W, lam):
@@ -130,7 +140,7 @@ def kkt_residual(ds, W, lam):
         raise NonPositiveLambda(f"lam must be positive, got {lam}")
     V = as_weight_values(W, ds.d, ds.T)
     M = ds.adjoint((ds.y_stack - ds.forward(V)) / lam)
-    return _kkt_from_M(M, V)
+    return _kkt_from_M(M, V, _row_norms(V))
 
 
 def duality_gap(ds, W, lam):
@@ -156,9 +166,12 @@ def fit(ds, lam, cfg=None):
     """Minimize the row-sparse objective at one regularization level.
 
     Returns a :class:`FitResult` whose ``kkt_residual`` is the certificate at
-    the returned iterate, computed from fresh products of that iterate. An
-    iteration costs one forward product per step trial and one adjoint, so
-    a fit makes ``n_iters + 1`` adjoints in all. Raises
+    the returned iterate, computed from fresh products of that iterate and
+    its row norms. The first step size comes from the squared norms of the
+    columns the warm start's nonzero rows use (all columns without a warm
+    start) and is corrected by backtracking. An iteration costs one forward
+    product per step trial and one adjoint, so a fit makes ``n_iters + 1``
+    adjoints in all. Raises
     :class:`MaxItersExceeded` (carrying the best iterate and its residual)
     if the tolerance is not met in ``cfg.max_iters`` iterations.
     """
@@ -175,8 +188,11 @@ def fit(ds, lam, cfg=None):
     else:
         W = np.zeros((d, T))
 
-    # max_t ||X_t||_F^2 bounds the Lipschitz constant from above
-    L = max(float((ds.col_norms**2).sum(axis=0).max()), 1e-12) / 8.0
+    # max_t ||X_t||_F^2 / 8 over the columns the start point uses (all of
+    # them from zero); backtracking corrects a guess that is too small
+    support = (W != 0.0).any(axis=1)
+    cn = ds.col_norms[support] if support.any() else ds.col_norms
+    L = max(float((cn**2).sum(axis=0).max()), 1e-12) / 8.0
 
     def prox_step(V, G, FV_loss, L):
         # backtracked proximal step; L only ever grows inside one step
@@ -190,7 +206,9 @@ def fit(ds, lam, cfg=None):
                 np.einsum("ij,ij->", diff, diff)
             )
             if loss_c <= quad + 1e-12 * max(1.0, abs(quad)):
-                return cand, Rc, loss_c, L
+                rn_c = _row_norms(cand)
+                F_c = loss_c + lam * float(rn_c.sum())
+                return cand, Rc, loss_c, rn_c, F_c, L
             L *= 2.0
 
     # accepted iterate W: its residual rows R = X.W - y, loss and gradient G;
@@ -205,14 +223,12 @@ def fit(ds, lam, cfg=None):
     best_W = W  # iterates are fresh arrays that are never written to
 
     for k in range(1, cfg.max_iters + 1):
-        cand, Rc, loss_c, L = prox_step(V, GV, FV_loss, L)
-        F_cand = loss_c + lam * l21_norm(cand)
+        cand, Rc, loss_c, rn_c, F_cand, L = prox_step(V, GV, FV_loss, L)
         if F_cand > F:
             # momentum overshot: retake the step from the last accepted point
             t_k = 1.0
             V = W
-            cand, Rc, loss_c, L = prox_step(W, G, loss, L)
-            F_cand = loss_c + lam * l21_norm(cand)
+            cand, Rc, loss_c, rn_c, F_cand, L = prox_step(W, G, loss, L)
         W_prev, R_prev, G_prev = W, R, G
         W, R, loss = cand, Rc, loss_c
         G = ds.adjoint(R)
@@ -220,7 +236,7 @@ def fit(ds, lam, cfg=None):
 
         # stationarity certificate at the accepted iterate, from the fresh
         # forward and adjoint products of W itself
-        resid = _kkt_from_M(-G / lam, W)
+        resid = _kkt_from_M(-G / lam, W, rn_c)
         if resid < best_resid:
             best_resid = resid
             best_W = W
@@ -234,7 +250,8 @@ def fit(ds, lam, cfg=None):
                 wall_time=time.perf_counter() - t0,
             )
 
-        if float(np.einsum("ij,ij->", V - W, W - W_prev)) > 0.0:
+        dW = W - W_prev
+        if float(np.einsum("ij,ij->", V - W, dW)) > 0.0:
             # update direction opposes the momentum step: drop the inertia
             t_k = 1.0
             V, RV, FV_loss, GV = W, R, loss, G
@@ -244,7 +261,7 @@ def fit(ds, lam, cfg=None):
             t_k = t_next
             # both products are linear, so the images of V are the same
             # combination of the two accepted iterates' fresh images
-            V = W + beta * (W - W_prev)
+            V = W + beta * dW
             RV = R + beta * (R - R_prev)
             GV = G + beta * (G - G_prev)
             FV_loss = _loss(RV)

@@ -220,6 +220,16 @@ class TestProductBudget:
         # the start point's gradient, then one per accepted iterate
         assert count.calls["adjoint"] == res.n_iters + 1
 
+    @pytest.mark.parametrize("sizes", [(6, 6, 6, 6), SIZES], ids=["equal", "unequal"])
+    def test_threshold_reference_makes_one_adjoint(self, sizes):
+        ds = uneven_dataset(np.random.default_rng(3), d=30, sizes=sizes)
+        lambda_max(ds)  # caches X'y, as the walk does before its head
+        count = Counter(ds)
+        ref = ReferenceSolution.at_lambda_max(ds)
+        # the witness normal is one forward product; its image the one adjoint
+        assert count.calls == {"forward": 1, "adjoint": 1}
+        assert_image(ds, ref.n0_image, ref.n0)
+
     def test_screened_walk_makes_one_full_adjoint_per_level(self):
         ds, _ = generate(SynthConfig(kind="s1", tasks=5, n_per_task=30, d=300, seed=4))
         grid = LambdaGrid.log_spaced(lambda_max(ds)[0], 20, 0.05)
@@ -230,8 +240,9 @@ class TestProductBudget:
         report = sequential_path(ds, grid, SolverConfig())
         # every level screens something, so fit only ever sees copied subsets
         assert all(r.n_screened > 0 for r in report.records[1:])
-        # the threshold reference once, then one per sequential reference
-        assert count.calls["adjoint"] == head + len(report.records) - 1
+        # the threshold reference once, then one per sequential reference:
+        # every level but the head and the last
+        assert count.calls["adjoint"] == head + len(report.records) - 2
 
 
 def assert_image(ds, image, v):

@@ -200,6 +200,70 @@ class TestFitContract:
             SolverConfig(kkt_tol=float("nan"))
 
 
+LAYOUTS = {"equal": (20, 20, 20), "unequal": (12, 25, 7)}
+
+
+def scaled_dataset(rng, sizes, scales):
+    """Tasks of the given row counts whose column j is scaled by scales[j]."""
+    tasks = []
+    for n in sizes:
+        X = rng.standard_normal((n, len(scales))) * scales
+        tasks.append((X, X[:, -3:].sum(axis=1) + 0.1 * rng.standard_normal(n)))
+    return MultiTaskDataset(tasks)
+
+
+def counted_fit(ds, lam, cfg):
+    """fit, and the number of adjoint products it made (ds keeps counting)."""
+    calls = []
+    adjoint = ds.adjoint
+
+    def counted(R):
+        calls.append(1)
+        return adjoint(R)
+
+    ds.adjoint = counted
+    res = fit(ds, lam, cfg)
+    return res, len(calls)
+
+
+@pytest.mark.parametrize("sizes", LAYOUTS.values(), ids=LAYOUTS.keys())
+class TestStepStart:
+    """The first step size comes from the columns the warm start uses; any
+    start is only a guess that backtracking corrects."""
+
+    def test_zero_norm_support_certifies(self, sizes):
+        scales = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 1.0, 3.0])
+        ds = scaled_dataset(np.random.default_rng(8), sizes, scales)
+        assert not ds.col_norms[:2].any()
+        warm = np.zeros((ds.d, ds.T))
+        warm[:2] = 1.0  # the restricted sum is 0, so the 1e-12 floor applies
+        lam = 0.2 * lambda_max(ds)[0]
+        res, adjoints = counted_fit(ds, lam, SolverConfig(kkt_tol=1e-8, warm_start=warm))
+        assert res.converged
+        assert kkt_residual(ds, res.weights, lam) <= 2e-8
+        assert not res.weights.values[:2].any()
+        assert adjoints == res.n_iters + 1
+
+    def test_start_below_curvature_backtracks_to_the_optimum(self, sizes):
+        scales = np.array([0.05, 0.05, 0.05, 1.0, 1.0, 6.0, 6.0, 6.0])
+        ds = scaled_dataset(np.random.default_rng(9), sizes, scales)
+        warm = np.zeros((ds.d, ds.T))
+        warm[:3] = 0.5
+        lam = 0.1 * lambda_max(ds)[0]
+        cold = fit(ds, lam, SolverConfig(kkt_tol=1e-10, max_iters=100000))
+        active = cold.weights.row_norms() > 0
+        assert active[5:].all()
+        # the start's guess is below the curvature of the active columns
+        start = (ds.col_norms[:3] ** 2).sum(axis=0).max() / 8.0
+        curvature = max(np.linalg.norm(X[:, active], 2) ** 2 for X in ds.X)
+        assert start < 1e-2 * curvature
+        res, adjoints = counted_fit(ds, lam, SolverConfig(kkt_tol=1e-8, warm_start=warm))
+        assert res.converged
+        assert kkt_residual(ds, res.weights, lam) <= 2e-8
+        assert math.isclose(res.objective, cold.objective, rel_tol=1e-8)
+        assert adjoints == res.n_iters + 1
+
+
 class TestDualityGap:
     def test_zero_gap_at_threshold(self):
         # at the all-zero level the induced dual point is itself optimal
