@@ -9,10 +9,11 @@ and zero responses; zero rows change neither a product nor a norm, and the
 padded entries of every dual quantity stay zero.
 
 The dataset holds the only implementation of the two products every layer is
-built from, ``forward`` (every X_t w_t) and ``adjoint`` (every X_t' theta_t),
-the cached image of the responses (``response_image``, every X_t' y_t),
-and the one conversion between the public length-N dual vector and the padded
-rows (``pad``/``unpad``). Construction rejects tasks that cannot be stacked
+built from, ``forward`` (every X_t w_t) and ``adjoint`` (every X_t' theta_t,
+or just the rows of given features), the cached image of the responses
+(``response_image``, every X_t' y_t), and the one conversion between the
+public length-N dual vector and the padded rows (``pad``/``unpad``).
+Construction rejects tasks that cannot be stacked
 (different column counts) but is otherwise permissive, so that invalid data
 can be held and then reported by :func:`validate_dataset`; numerical code is
 expected to validate first.
@@ -108,6 +109,8 @@ class MultiTaskDataset:
         self.y_stack.setflags(write=False)
         self.X = tuple(self.X_stack[t, : n[t]] for t in range(len(n)))
         self.y = tuple(self.y_stack[t, : n[t]] for t in range(len(n)))
+        self.n_per_task = tuple(n)
+        self.N = sum(n)
         # True on the real rows of the padded (T, n_max) layout
         self._rows = np.arange(n_max) < np.array(n, dtype=int)[:, None]
         self._cache = {}
@@ -120,14 +123,6 @@ class MultiTaskDataset:
     def d(self):
         return self.X_stack.shape[2]
 
-    @property
-    def n_per_task(self):
-        return tuple(X.shape[0] for X in self.X)
-
-    @property
-    def N(self):
-        return sum(self.n_per_task)
-
     def forward(self, W):
         """(T, n_max) rows X_t w_t of a (d, T) weight matrix; padding rows are 0.
 
@@ -139,12 +134,21 @@ class MultiTaskDataset:
         if 4 * np.count_nonzero(W) > W.size:
             return np.matmul(self.X_stack, W.T[:, :, None])[:, :, 0]
         rows = np.flatnonzero(W.any(axis=1))
-        cols = np.swapaxes(self.X_stack, 1, 2)[:, rows, :]
+        cols = np.take(np.swapaxes(self.X_stack, 1, 2), rows, axis=1)
         return np.matmul(W[rows].T[:, None, :], cols)[:, 0, :]
 
-    def adjoint(self, R):
-        """(d, T) matrix with columns X_t' R[t] of (T, n_max) padded rows."""
-        return np.matmul(np.swapaxes(self.X_stack, 1, 2), R[:, :, None])[:, :, 0].T
+    def adjoint(self, R, rows=None):
+        """(d, T) matrix with columns X_t' R[t] of (T, n_max) padded rows.
+
+        With ``rows`` (feature indices) only those rows of the image, in that
+        order; at most a quarter of d of them are formed from their gathered
+        columns alone, more from the full product, which is cheaper there.
+        """
+        XT = np.swapaxes(self.X_stack, 1, 2)
+        if rows is not None and 4 * len(rows) <= self.d:
+            return np.matmul(np.take(XT, rows, axis=1), R[:, :, None])[:, :, 0].T
+        image = np.matmul(XT, R[:, :, None])[:, :, 0].T
+        return image if rows is None else image[rows]
 
     def pad(self, theta):
         """(T, n_max) padded rows of a length-N dual vector (DualPoint or array)."""
@@ -164,6 +168,17 @@ class MultiTaskDataset:
             cn = np.sqrt(np.einsum("tij,tij->jt", self.X_stack, self.X_stack, order="C"))
             cn.setflags(write=False)
             self._cache[key] = cn
+        return self._cache[key]
+
+    @property
+    def col_norm_max(self):
+        """(d,) largest per-task column norm of each feature, sqrt(rho_l): the
+        norm of the map theta -> (<x_l_t, theta_t>)_t."""
+        key = "col_norm_max"
+        if key not in self._cache:
+            cm = self.col_norms.max(axis=1)
+            cm.setflags(write=False)
+            self._cache[key] = cm
         return self._cache[key]
 
     @property
@@ -214,8 +229,14 @@ def validate_dataset(ds):
 
 
 def stack_response(ds):
-    """Concatenate the per-task responses into one length-N vector."""
-    return np.concatenate(ds.y)
+    """The per-task responses concatenated into one read-only length-N
+    vector, computed once per dataset."""
+    key = "stacked_response"
+    if key not in ds._cache:
+        y = np.concatenate(ds.y)
+        y.setflags(write=False)
+        ds._cache[key] = y
+    return ds._cache[key]
 
 
 class WeightMatrix:

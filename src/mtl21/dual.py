@@ -15,12 +15,21 @@ optimum lies in the ball centered at theta0 + r_perp/2 with radius
 ``norm(r_perp)/2``.
 
 Carried images: a reference also holds the adjoint images X't theta0 and
-X't n0, and a ball holds X't center, each a (d, T) array whose row l is the
-per-task inner products of feature l with that vector. Screening needs only
-these rows, and the adjoint is linear, so each image is formed with the same
-linear combination as its vector, from the cached response image X't y and
-the reference's own images: a sequential reference costs one full-width
-adjoint (of its dual point), and a ball costs none.
+X't n0, and a ball holds X't center, each with one row per feature it covers
+holding the per-task inner products of that feature with the vector.
+Screening needs only these rows, and the adjoint is linear, so each image is
+formed with the same linear combination as its vector, from the cached
+response image X't y and the reference's own images.
+
+Carried bounds: along a path, :class:`ScoreBounds` carries for every feature
+an upper bound on the largest ||X_l' theta|| over the last ball, and moves it
+to the next ball (or to a point) by the triangle inequality, inflated by a
+forward-error margin. Only the features whose moved bound reaches 1 need
+image rows. A sequential reference takes its dual point, and the image rows
+of the features its solve kept, from the solve's last residual and gradient;
+the other rows it and its ball need take one column-gathered adjoint each,
+so a level reads the columns of the features that can still matter and no
+others.
 """
 
 from __future__ import annotations
@@ -55,6 +64,7 @@ __all__ = [
     "lambda_max",
     "dual_from_primal",
     "normal_vector",
+    "ScoreBounds",
     "ReferenceSolution",
     "DualBall",
     "dual_ball",
@@ -66,6 +76,12 @@ LAMBDA_EQ_RTOL = 1e-12
 ZERO_NORMAL_RTOL = 1e-14
 # sign checks tolerate this times the product of operand norms
 SIGN_RTOL = 1e-9
+EPS = float(np.finfo(np.float64).eps)
+
+
+def _norm(v):
+    """Euclidean norm of a vector, as np.linalg.norm computes it."""
+    return math.sqrt(float(np.dot(v, v)))
 
 
 def _check_ell(ds, ell):
@@ -126,12 +142,20 @@ def lambda_max(ds):
     return ds._cache[key]
 
 
-def dual_from_primal(ds, W, lam):
-    """Dual point induced by a primal iterate: block t is (y_t - X_t w_t)/lam."""
+def dual_from_primal(ds, W, lam, support=None):
+    """Dual point induced by a primal iterate: block t is (y_t - X_t w_t)/lam.
+
+    With ``support`` (feature indices), W holds just those features' rows;
+    every other row is zero.
+    """
     lam = float(lam)
     if lam <= 0:
         raise NonPositiveLambda(f"lam must be positive, got {lam}")
-    V = as_weight_values(W, ds.d, ds.T)
+    if support is None:
+        V = as_weight_values(W, ds.d, ds.T)
+    else:
+        V = np.zeros((ds.d, ds.T))
+        V[support] = as_weight_values(W, len(support), ds.T)
     theta = ds.unpad((ds.y_stack - ds.forward(V)) / lam)
     return DualPoint(theta, ds.n_per_task)
 
@@ -165,8 +189,8 @@ def normal_vector(ds, theta0, lambda0):
     th = as_dual_vector(theta0, ds.N)
     if _at_threshold(ds, lambda0):
         expected = y / lmax
-        scale = float(np.linalg.norm(expected))
-        if float(np.linalg.norm(th - expected)) > 1e-8 * max(scale, 1.0):
+        scale = _norm(expected)
+        if _norm(th - expected) > 1e-8 * max(scale, 1.0):
             raise LambdaOutOfRange(
                 "at the all-zero threshold the reference dual point must be y/lambda_max"
             )
@@ -175,31 +199,108 @@ def normal_vector(ds, theta0, lambda0):
         n = _one_row_image(ds, ell_star, 2.0 * ds.response_image[ell_star] / lmax)
     else:
         n = y / lambda0 - th
-    if float(np.linalg.norm(n)) < ZERO_NORMAL_RTOL * float(np.linalg.norm(y)) / lambda0:
+    if _norm(n) < ZERO_NORMAL_RTOL * _norm(y) / lambda0:
         raise ZeroNormal("reference normal vector is numerically zero")
     return n
 
 
-def _normal_with_image(ds, theta0, lambda0, image):
-    """:func:`normal_vector` and its image X't n0, given image = X't theta0.
+def _take(image, rows):
+    """The rows ``rows`` of a (d, T) image; all of it when rows is None."""
+    return image if rows is None else image[rows]
+
+
+def _image_rows(ds, theta, rows, held, image):
+    """Rows ``rows`` (None: all d) of X't theta, given its rows ``held``
+    (increasing indices; None for all d) in ``image``; the others take one
+    column-gathered adjoint."""
+    if held is None:
+        return _take(image, rows)
+    if rows is None:
+        rows = np.arange(ds.d)
+    pos = np.searchsorted(held, rows)
+    have = pos < len(held)
+    have[have] = held[pos[have]] == rows[have]
+    if have.all():
+        return image[pos]
+    out = np.empty((len(rows), ds.T))
+    out[have] = image[pos[have]]
+    out[~have] = ds.adjoint(ds.pad(theta), rows[~have])
+    return out
+
+
+def _normal_image(ds, lambda0, n0, image, rows, response=None):
+    """Rows ``rows`` of X't n0 given the same rows of X't theta0 (and,
+    optionally, of X't y in ``response``).
 
     Below the threshold n0 = y/lambda0 - theta0, so its image is the same
     combination of the cached X't y and ``image``; the threshold's witness
     normal takes one adjoint product.
     """
-    n0 = normal_vector(ds, theta0, lambda0)
     if _at_threshold(ds, lambda0):
-        return n0, ds.adjoint(ds.pad(n0))
-    n0_image = ds.response_image / lambda0
+        return ds.adjoint(ds.pad(n0), rows)
+    if response is None:
+        response = _take(ds.response_image, rows)
+    n0_image = response / lambda0
     n0_image -= image
-    return n0, n0_image
+    return n0_image
+
+
+def _normal_with_image(ds, theta0, lambda0, image, rows=None):
+    """:func:`normal_vector` and rows ``rows`` of its image X't n0, given the
+    same rows of X't theta0."""
+    n0 = normal_vector(ds, theta0, lambda0)
+    return n0, _normal_image(ds, lambda0, n0, image, rows)
+
+
+def _carry_rtol(ds):
+    """Relative forward-error margin of one move of the carried bounds.
+
+    A move rounds an N-term norm (the center shift), the n_max-term column
+    norms behind sqrt(rho), a few additions whose terms, times sqrt(rho_l),
+    are each at most the moved bound (a valid u_l is at least sqrt(rho_l)
+    times the old radius), and the square root the next bound is read back
+    through; by the standard summation bound (Higham, Accuracy and
+    Stability of Numerical Algorithms, section 3.1) their relative error
+    stays below (N + n_max + 16) eps, and the margin is four times that.
+    """
+    return 4.0 * (ds.N + ds.X_stack.shape[1] + 16) * EPS
+
+
+@dataclass(frozen=True)
+class ScoreBounds:
+    """Per-feature upper bounds carried from one ball to the next.
+
+    ``u[l]`` bounds the largest ||X_l' theta|| over the ball (``center``,
+    ``radius``), the square root of feature l's largest constraint value
+    there; a feature whose bound stays below 1 is inactive there.
+    """
+
+    center: np.ndarray
+    radius: float
+    u: np.ndarray
+
+    def over(self, ds, center, radius=0.0):
+        """The bounds moved onto the ball (``center``, ``radius``); a point
+        when the radius is 0.
+
+        Every point of the new ball lies within ||center - self.center|| +
+        radius of the old center, so within the positive part s of that minus
+        self.radius of the old ball, and theta -> X_l' theta has norm
+        sqrt(rho_l) = max_t ||x_l_t||: u_l + sqrt(rho_l) * s bounds the new
+        ball. The result is inflated by :func:`_carry_rtol`, so a bound that
+        rounds to just below 1 still reaches it.
+        """
+        dist = _norm(center - self.center) + radius - self.radius
+        u = self.u + ds.col_norm_max * max(0.0, dist)
+        u *= 1.0 + _carry_rtol(ds)
+        return u
 
 
 @dataclass(frozen=True)
 class ReferenceSolution:
     """A solved reference level: the dual point there and its normal, with
-    their adjoint images ``image`` = X't theta0 and ``n0_image`` = X't n0,
-    each (d, T).
+    their adjoint images ``image`` = X't theta0 and ``n0_image`` = X't n0 on
+    the features ``rows`` (increasing indices; None for all d), one row each.
 
     ``n0`` (and with it ``n0_image``) is None when the normal was numerically
     zero; ball construction then falls back to the un-projected (larger but
@@ -211,6 +312,7 @@ class ReferenceSolution:
     n0: np.ndarray | None
     image: np.ndarray
     n0_image: np.ndarray | None
+    rows: np.ndarray | None = None
 
     def __post_init__(self):
         if self.lambda0 <= 0:
@@ -219,6 +321,8 @@ class ReferenceSolution:
             raise LambdaOutOfRange("normal and dual point lengths differ")
         if (self.n0 is None) != (self.n0_image is None):
             raise DimensionMismatch("a normal and its image come together")
+        if self.rows is not None and len(self.image) != len(self.rows):
+            raise DimensionMismatch("an image needs one row per feature it covers")
 
     @classmethod
     def at_lambda_max(cls, ds):
@@ -232,32 +336,57 @@ class ReferenceSolution:
         return cls(lambda0=lmax, theta0=theta0, n0=n0, image=image, n0_image=n0_image)
 
     @classmethod
-    def _at_dual_point(cls, ds, lambda0, theta0, image):
-        """Reference at a dual point whose image is known; no normal (None)
-        when it is numerically zero."""
+    def _at_dual_point(cls, ds, lambda0, theta0, image, rows=None):
+        """Reference at a dual point whose image rows are known; no normal
+        (None) when it is numerically zero."""
         try:
-            n0, n0_image = _normal_with_image(ds, theta0, lambda0, image)
+            n0, n0_image = _normal_with_image(ds, theta0, lambda0, image, rows)
         except ZeroNormal:
             n0 = n0_image = None
-        return cls(lambda0=lambda0, theta0=theta0, n0=n0, image=image, n0_image=n0_image)
+        return cls(lambda0, theta0, n0, image, n0_image, rows)
 
     @classmethod
-    def from_primal(cls, ds, W, lambda0):
+    def from_primal(cls, ds, W, lambda0, bounds=None, support=None, solve=None):
         """Reference built from a solved primal iterate at ``lambda0``.
 
         Raises NegativeInnerProduct when the normal points away from the
         response: at an optimum <y, n0> >= 0, so such weights are no solve.
-        Below the threshold the one adjoint product made here is the dual
-        point's image; the normal's image is X't y / lambda0 minus it.
+        ``support`` is as in :func:`dual_from_primal`. When ``solve``, the
+        :class:`~mtl21.solver.FitResult` the weights come from, kept its
+        last products, the dual point is its residual rows over -lambda0 and
+        the support's rows of the dual point's image are its gradient over
+        -lambda0; otherwise both take products here. Below the threshold the
+        normal's image is X't y / lambda0 minus the dual point's.
+
+        Without ``bounds`` the image covers every feature. With the
+        :class:`ScoreBounds` of the last ball, it covers the support and the
+        features whose bound, moved to theta0, reaches 1: every other feature
+        has a constraint value below 1 there, so the rows formed hold the
+        dual point's whole feasibility violation.
         """
         lambda0 = float(lambda0)
-        theta0 = dual_from_primal(ds, W, lambda0)
-        ref = cls._at_dual_point(ds, lambda0, theta0, ds.adjoint(ds.pad(theta0)))
+        products = solve is not None and solve.residual is not None and solve.gradient is not None
+        if products:
+            theta0 = DualPoint(ds.unpad(solve.residual / -lambda0), ds.n_per_task)
+            held = np.arange(ds.d) if support is None else np.asarray(support)
+        else:
+            theta0 = dual_from_primal(ds, W, lambda0, support)
+        rows = None
+        if bounds is not None:
+            refresh = bounds.over(ds, theta0.theta) >= 1.0
+            if products:
+                refresh[held] = True
+            rows = np.flatnonzero(refresh)
+        if products:
+            image = _image_rows(ds, theta0, rows, held, solve.gradient / -lambda0)
+        else:
+            image = ds.adjoint(ds.pad(theta0), rows)
+        ref = cls._at_dual_point(ds, lambda0, theta0, image, rows)
         n0 = ref.n0
         if n0 is not None:
             y = stack_response(ds)
             inner = float(np.dot(y, n0))
-            bound = SIGN_RTOL * float(np.linalg.norm(y)) * float(np.linalg.norm(n0))
+            bound = SIGN_RTOL * _norm(y) * _norm(n0)
             if inner < -bound:
                 raise NegativeInnerProduct(
                     f"<response, normal> = {inner:.3e} below -{bound:.3e}; "
@@ -268,14 +397,22 @@ class ReferenceSolution:
 
 @dataclass(frozen=True)
 class DualBall:
-    """Certified region containing the exact dual optimum at level ``lam``;
-    ``image`` is the (d, T) adjoint image X't center."""
+    """Certified region containing the exact dual optimum at level ``lam``.
+
+    ``image`` holds rows of the adjoint image X't center: every feature's
+    when ``rows`` is None, else those of the features ``rows``, and then
+    ``bound`` holds for every feature an upper bound on its largest
+    ||X_l' theta|| over the ball (the :class:`ScoreBounds` of the last ball
+    moved here), which stays below 1 off ``rows``.
+    """
 
     center: np.ndarray
     radius: float
     lam: float
     lambda0: float
     image: np.ndarray
+    rows: np.ndarray | None = None
+    bound: np.ndarray | None = None
 
     def __post_init__(self):
         if self.radius < 0:
@@ -284,9 +421,13 @@ class DualBall:
             raise LambdaOutOfRange(
                 f"need 0 < lam < lambda0, got lam={self.lam}, lambda0={self.lambda0}"
             )
+        if (self.rows is None) != (self.bound is None):
+            raise DimensionMismatch("image rows and carried bounds come together")
+        if self.rows is not None and len(self.image) != len(self.rows):
+            raise DimensionMismatch("an image needs one row per feature it covers")
 
 
-def dual_ball(ds, ref, lam):
+def dual_ball(ds, ref, lam, bounds=None):
     """Ball containing the exact dual optimum at ``lam`` given a reference.
 
     With r = y/lam - theta0: the component of r along the reference normal is
@@ -295,8 +436,12 @@ def dual_ball(ds, ref, lam):
     the sign condition <r, n0> >= 0 beyond -1e-9*||r||*||n0|| raises
     NegativeInnerProduct. Without a usable normal (ref.n0 is None) the
     un-projected ball (center theta0 + r/2, radius ||r||/2) is returned.
+
     The center's image is the same combination of X't y and the reference's
-    images, so no product is made here.
+    images. Without ``bounds`` it covers every feature; with the
+    :class:`ScoreBounds` of the last ball, only the features whose bound,
+    moved onto this ball, reaches 1 (their rows the reference lacks take one
+    column-gathered adjoint), and the moved bounds ride on the ball.
     """
     lam = float(lam)
     if lam <= 0:
@@ -308,15 +453,13 @@ def dual_ball(ds, ref, lam):
     y = stack_response(ds)
     th0 = as_dual_vector(ref.theta0, ds.N)
     r = y / lam - th0
-    # X't center = 0.5 X't y / lam + 0.5 X't theta0 - 0.5 coef X't n0
-    image = ds.response_image * (0.5 / lam)
-    image += 0.5 * ref.image
+    coef = 0.0
     if ref.n0 is None:
         r_perp = r
     else:
         n0 = ref.n0
         inner = float(np.dot(n0, r))
-        bound = SIGN_RTOL * float(np.linalg.norm(r)) * float(np.linalg.norm(n0))
+        bound = SIGN_RTOL * _norm(r) * _norm(n0)
         if inner < -bound:
             raise NegativeInnerProduct(
                 f"<residual, normal> = {inner:.3e} below -{bound:.3e}; "
@@ -324,13 +467,29 @@ def dual_ball(ds, ref, lam):
             )
         coef = max(0.0, inner) / float(np.dot(n0, n0))
         r_perp = r - coef * n0
-        image -= (0.5 * coef) * ref.n0_image
     center = th0 + 0.5 * r_perp
-    radius = 0.5 * float(np.linalg.norm(r_perp))
+    radius = 0.5 * _norm(r_perp)
+    rows = moved = None
+    if bounds is not None:
+        moved = bounds.over(ds, center, radius)
+        rows = np.flatnonzero(moved >= 1.0)
+    image0 = _image_rows(ds, ref.theta0, rows, ref.rows, ref.image)
+    response = _take(ds.response_image, rows)
+    # X't center = 0.5 X't y / lam + 0.5 X't theta0 - 0.5 coef X't n0
+    image = response * (0.5 / lam)
+    image += 0.5 * image0
+    if ref.n0 is not None:
+        if ref.rows is None:
+            n0_image = _take(ref.n0_image, rows)
+        else:
+            n0_image = _normal_image(ds, ref.lambda0, ref.n0, image0, rows, response)
+        image -= (0.5 * coef) * n0_image
     return DualBall(
         center=center,
         radius=radius,
         lam=lam,
         lambda0=ref.lambda0,
         image=image,
+        rows=rows,
+        bound=moved,
     )

@@ -64,12 +64,14 @@ class NoConvergence(MtlError, RuntimeError):
 
 
 class MaxItersExceeded(MtlError, RuntimeError):
-    """Solver hit its iteration cap; carries the best iterate found."""
+    """Solver hit its iteration cap; carries the best iterate found, its
+    residual and the iterations spent (0 when the solver does not say)."""
 
-    def __init__(self, message, weights=None, residual=None):
+    def __init__(self, message, weights=None, residual=None, n_iters=0):
         super().__init__(message)
         self.weights = weights
         self.residual = residual
+        self.n_iters = n_iters
 
 
 class SolverFailure(MtlError, RuntimeError):

@@ -46,6 +46,9 @@ FAIL_RTOL = 1e-10
 MAX_ITERS = 50
 # switch to pure bisection after this many Newton steps without convergence
 BISECT_AFTER = 10
+# screening_scores decides a feature from its bracket only when the bracket
+# clears 1 by more than this times (T + 4), the rounding of either end
+BRACKET_RTOL = 16.0 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -104,21 +107,49 @@ def _cached(ds, key, compute):
     return ds._cache[key]
 
 
-def _instance_rows(ds, ball, rows):
-    """A, B, C of the features ``rows`` selects (an index, mask or slice).
-
-    C is read from the ball's carried center image; A depends on the data
-    alone and is computed once per dataset.
-    """
-    A = _cached(ds, "col_norms_sq", lambda: ds.col_norms**2)[rows]
-    C = ball.image[rows]
-    B = ds.col_norms[rows] * np.abs(C)
+def _instance_rows(ds, features, C):
+    """A, B, C of the features ``features`` (an index array or slice), given
+    their rows C of the center image; A depends on the data alone and is
+    computed once per dataset."""
+    A = _cached(ds, "col_norms_sq", lambda: ds.col_norms**2)[features]
+    B = ds.col_norms[features] * np.abs(C)
     return A, B, C
 
 
 def build_instances(ds, ball):
-    """Reduced data of every feature at once: (d,T) arrays A, B, C and delta."""
-    return (*_instance_rows(ds, ball, slice(None)), float(ball.radius))
+    """Reduced data of every feature at once: (d,T) arrays A, B, C and delta.
+
+    Needs a ball whose image covers every feature.
+    """
+    if ball.image.shape[0] != ds.d:
+        raise DimensionMismatch("the ball's image does not cover every feature")
+    return (*_instance_rows(ds, slice(None), ball.image), float(ball.radius))
+
+
+def _bracket(A, B, csum, delta):
+    """Lower and upper bounds on each instance's maximum, without iterating.
+
+    Below: the objective at the boundary point u = delta * b / ||b||,
+    csum + 2 delta ||b|| + delta^2 sum_t a_t b_t^2 / ||b||^2. Above: the
+    multiplier dual value at alpha = 2 rho + 2 ||b|| / delta, the top of the
+    Newton bracket. The two differ by at most about rho delta^2. Without
+    b (then C vanishes too) both are the exact maximum csum + rho delta^2.
+    """
+    if delta == 0.0:
+        return csum, csum
+    rho = A.max(axis=1)
+    q2 = np.einsum("ij,ij->i", B, B)
+    q = np.sqrt(q2)
+    alpha = 2.0 * rho + 2.0 * q / delta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lower = csum + 2.0 * delta * q + delta * delta * np.einsum("ij,ij->i", A, B * B) / q2
+        upper = csum + 0.5 * alpha * delta * delta + 2.0 * np.einsum(
+            "ij,ij->i", B, B / (alpha[:, None] - 2.0 * A)
+        )
+    flat = q2 == 0.0
+    if flat.any():
+        lower[flat] = upper[flat] = csum[flat] + rho[flat] * delta * delta
+    return lower, upper
 
 
 def solve_batch(A, B, C, delta, strict=True):
@@ -296,25 +327,45 @@ def screening_bounds(ds, ball):
 def screening_scores(ds, ball):
     """Certified screening scores for every feature; (d,) array.
 
-    Two stages. A coarse bound (||c|| + sqrt(rho) * Delta)^2 with
-    rho = max_t a_t dominates the exact ball maximum: the vector of per-task
-    column/point inner products moves by at most sqrt(rho) * Delta in
-    Euclidean norm as the point ranges over the ball, so the triangle
-    inequality applies. Features it already places below 1 are settled;
-    only the contested ones get the exact maximization.
+    Three stages, each certifying an upper bound on the feature's maximum
+    constraint value over the ball. A coarse bound (||c|| + sqrt(rho) *
+    Delta)^2 with rho = max_t a_t dominates the exact maximum: the vector of
+    per-task column/point inner products moves by at most sqrt(rho) * Delta
+    in Euclidean norm as the point ranges over the ball, so the triangle
+    inequality applies. Features it places below 1 are settled. Each
+    contested feature is bracketed without iterating (:func:`_bracket`) and
+    scores the upper end; a bracket that lies on one side of 1, by more than
+    its rounding, decides the feature as its exact maximum would. Only the
+    features whose bracket straddles 1 get the exact maximization.
+
+    A ball that carries bounds from the last one (``ball.rows`` set) gets
+    these stages only on its ``rows``; every other feature scores the square
+    of its carried bound, which the ball's moves inflated by a forward-error
+    margin and which stays below 1.
 
     Thresholding at 1 therefore gives the same mask as :func:`screening_bounds`
-    for a fraction of its cost, but entries below 1 may exceed the true
-    maximum. Use :func:`screening_bounds` when the values themselves matter.
+    for a fraction of its cost, but a score may exceed the true maximum. Use
+    :func:`screening_bounds` when the values themselves matter.
     """
-    # sqrt(rho): column norms are non-negative
-    rho_root = _cached(ds, "col_norm_max", lambda: ds.col_norms.max(axis=1))
+    rows = slice(None) if ball.rows is None else ball.rows
     delta = float(ball.radius)
-    cnorm = np.sqrt(np.einsum("ij,ij->i", ball.image, ball.image))
-    scores = (cnorm + rho_root * delta) ** 2
-    contested = np.flatnonzero(scores >= 1.0)
+    csum = np.einsum("ij,ij->i", ball.image, ball.image)
+    fresh = (np.sqrt(csum) + ds.col_norm_max[rows] * delta) ** 2
+    contested = np.flatnonzero(fresh >= 1.0)
     if contested.size:
-        A, B, C = _instance_rows(ds, ball, contested)
-        s, _, _, _, _, _ = solve_batch(A, B, C, delta, strict=False)
-        scores[contested] = s
+        features = contested if ball.rows is None else ball.rows[contested]
+        A, B, C = _instance_rows(ds, features, ball.image[contested])
+        lower, upper = _bracket(A, B, csum[contested], delta)
+        fresh[contested] = upper
+        # rows whose bracket leaves 1 undecided, by more than its rounding,
+        # get the exact maximum
+        tight = BRACKET_RTOL * (ds.T + 4)
+        open_ = (lower <= 1.0 + tight) & (upper >= 1.0 - tight)
+        if open_.any():
+            s, _, _, _, _, _ = solve_batch(A[open_], B[open_], C[open_], delta, strict=False)
+            fresh[contested[open_]] = s
+    if ball.rows is None:
+        return fresh
+    scores = ball.bound**2
+    scores[rows] = fresh
     return scores

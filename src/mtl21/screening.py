@@ -7,6 +7,18 @@ can be removed before solving. ``sequential_path`` walks a decreasing grid,
 screening each level against the previous solution, solving the reduced
 problem, and re-embedding (screened rows are exact zeros).
 
+Along the walk each feature carries an upper bound on its score from one
+ball to the next (:class:`~mtl21.dual.ScoreBounds`): moved onto the next
+ball by the triangle inequality and inflated by a forward-error margin, a
+bound still below 1 screens the feature without reading its columns. Only
+features whose bound reaches 1 are refreshed: their image rows come from the
+solve's last gradient (the features it kept) or a column-gathered adjoint,
+then the staged score of :func:`~mtl21.qp1qc.screening_scores`. The first
+screened level carries nothing, so it refreshes every feature, exactly as
+:func:`screen_at` does.
+A level's ``t_screen`` covers all of this screening work, including building
+its reference from the previous level's solve.
+
 The grid head needs no screening or solving: at and above the all-zero
 threshold the solution is identically zero, so the head record certifies all
 features inactive by that closed form. Its stored mask carries sentinel
@@ -32,6 +44,7 @@ from .core import (
 )
 from .dual import (
     ReferenceSolution,
+    ScoreBounds,
     dual_ball,
     dual_feasibility_violation,  # noqa: F401  perfbench/spans.py wraps this name
     lambda_max,
@@ -101,14 +114,19 @@ def screen_at(ds, ref, lam):
     a certified upper bound on its maximum constraint value over the ball,
     is < 1. The target must lie strictly below the reference level.
     """
+    return _screen(ds, ref, lam)[1]
+
+
+def _screen(ds, ref, lam, bounds=None):
+    """The ball at ``lam`` and its mask; ``bounds`` are the score bounds
+    carried from the last ball, None to score every feature afresh."""
     lam = float(lam)
     if lam >= ref.lambda0:
         raise LambdaOutOfRange(
             f"screening target {lam} must lie below the reference level {ref.lambda0}"
         )
-    ball = dual_ball(ds, ref, lam)
-    scores = screening_scores(ds, ball)
-    return ScreeningMask(scores, lam)
+    ball = dual_ball(ds, ref, lam, bounds)
+    return ball, ScreeningMask(screening_scores(ds, ball), lam)
 
 
 def _coerce_solver(solver_handle):
@@ -128,11 +146,13 @@ def _boundary_reference(ds, ref, viol):
     projection-style normal is recomputed at the scaled point. The containment
     argument behind the ball needs a feasible reference point, not an exact
     solve, so this keeps screening valid under ordinary convergence slack.
-    The point's image scales with it.
+    The point's image rows scale with it.
     """
     scale = 1.0 / np.sqrt(1.0 + viol)
     theta0 = DualPoint(ref.theta0.theta * scale, ds.n_per_task)
-    return ReferenceSolution._at_dual_point(ds, ref.lambda0, theta0, ref.image * scale)
+    return ReferenceSolution._at_dual_point(
+        ds, ref.lambda0, theta0, ref.image * scale, ref.rows
+    )
 
 
 def _head_record(ds, lam, lmax, screen):
@@ -205,6 +225,8 @@ def _walk(ds, grid, solver_handle, keep_weights, screen):
     report.records.append(head)
     ref_max = ReferenceSolution.at_lambda_max(ds) if screen else None
     ref = ref_max
+    bounds = None  # score bounds carried from the last ball
+    t_ref = 0.0  # time spent building the current reference
 
     prev_cert = 0.0  # certificate of the solve the current reference came from
 
@@ -215,11 +237,13 @@ def _walk(ds, grid, solver_handle, keep_weights, screen):
         mask = None
         n_screened = 0
         t_screen = 0.0
-        keep = np.ones(ds.d, dtype=bool)
+        kept = np.arange(ds.d)
         if screen:
+            t0 = time.perf_counter()
             step_ref = ref
             if step_ref is not ref_max:
-                # dual_feasibility_violation(ds, theta0), from the carried image
+                # dual_feasibility_violation(ds, theta0), from the carried
+                # image: its rows cover every feature that can reach 1
                 g_max = float((step_ref.image**2).sum(axis=1).max(initial=0.0))
                 viol = max(0.0, g_max - 1.0)
                 trust = max(REF_FEASIBILITY_TOL, prev_cert * (2.0 + prev_cert) + 1e-13)
@@ -229,19 +253,18 @@ def _walk(ds, grid, solver_handle, keep_weights, screen):
                     fallback = True
                 elif viol > 0.0:
                     step_ref = _boundary_reference(ds, step_ref, viol)
-            t0 = time.perf_counter()
-            mask = screen_at(ds, step_ref, lam)
-            t_screen = time.perf_counter() - t0
-            keep = ~mask.inactive
-            n_screened = int(mask.inactive.sum())
+            ball, mask = _screen(ds, step_ref, lam, bounds)
+            t_screen = t_ref + (time.perf_counter() - t0)
+            kept = np.flatnonzero(~mask.inactive)
+            n_screened = ds.d - len(kept)
 
         t1 = time.perf_counter()
-        if keep.any():
+        if len(kept):
             if n_screened == 0:
                 sub, warm = ds, W_full
             else:
-                sub = MultiTaskDataset([(X[:, keep], y) for X, y in zip(ds.X, ds.y)])
-                warm = W_full[keep]
+                sub = MultiTaskDataset([(X[:, kept], y) for X, y in zip(ds.X, ds.y)])
+                warm = W_full[kept]
             try:
                 res = run_solver(sub, lam, warm)
             except MaxItersExceeded as e:
@@ -254,7 +277,7 @@ def _walk(ds, grid, solver_handle, keep_weights, screen):
                     rejection_ratio=float("nan"),
                     objective=float("nan"),
                     kkt_residual=float(e.residual) if e.residual is not None else float("nan"),
-                    n_iters=0,
+                    n_iters=e.n_iters,
                     t_screen=t_screen,
                     t_solve=time.perf_counter() - t1,
                     status="solver-failure",
@@ -266,13 +289,14 @@ def _walk(ds, grid, solver_handle, keep_weights, screen):
                     report=report,
                     failed_lambda=lam,
                 ) from e
+            W_keep = res.weights.values
             W_full = np.zeros((ds.d, ds.T))
-            W_full[keep] = res.weights.values
+            W_full[kept] = W_keep
             # screened rows are exact zeros, so the reduced objective is the full one
             obj, n_iters, kkt = res.objective, res.n_iters, res.kkt_residual
             n_inact = n_screened + int((res.weights.row_norms() <= ROW_ZERO_TOL).sum())
         else:
-            W_full = np.zeros((ds.d, ds.T))
+            res, W_keep, W_full = None, np.zeros((0, ds.T)), np.zeros((ds.d, ds.T))
             obj, n_iters, kkt = objective(ds, W_full, lam), 0, 0.0
             n_inact = ds.d
         t_solve = time.perf_counter() - t1
@@ -296,7 +320,13 @@ def _walk(ds, grid, solver_handle, keep_weights, screen):
             rec.weights = WeightMatrix(W_full)
         report.records.append(rec)
         if screen and i < last:
-            # the next level's reference; the last level has none to serve
-            ref = ReferenceSolution.from_primal(ds, W_full, lam)
+            # the next level's reference, from the solve's last products; the
+            # last level has none to serve. Its time is screening work.
+            t2 = time.perf_counter()
+            bounds = ScoreBounds(ball.center, ball.radius, np.sqrt(mask.scores))
+            ref = ReferenceSolution.from_primal(
+                ds, W_keep, lam, bounds=bounds, support=kept, solve=res
+            )
             prev_cert = float(kkt)
+            t_ref = time.perf_counter() - t2
     return report

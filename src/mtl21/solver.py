@@ -78,12 +78,19 @@ class SolverConfig:
 
 @dataclass
 class FitResult:
+    """A certified solve. ``residual`` holds the (T, n_max) padded rows
+    X_t w_t - y_t of the returned weights and ``gradient`` their adjoint
+    image, the solver's last products; a solver that does not keep them
+    leaves both None."""
+
     weights: WeightMatrix
     n_iters: int
     kkt_residual: float
     objective: float
     converged: bool
     wall_time: float
+    residual: np.ndarray | None = None
+    gradient: np.ndarray | None = None
 
 
 def _loss(R):
@@ -172,8 +179,9 @@ def fit(ds, lam, cfg=None):
     start) and is corrected by backtracking. An iteration costs one forward
     product per step trial and one adjoint, so a fit makes ``n_iters + 1``
     adjoints in all. Raises
-    :class:`MaxItersExceeded` (carrying the best iterate and its residual)
-    if the tolerance is not met in ``cfg.max_iters`` iterations.
+    :class:`MaxItersExceeded` (carrying the best iterate, its residual and
+    the iterations spent) if the tolerance is not met in ``cfg.max_iters``
+    iterations.
     """
     t0 = time.perf_counter()
     cfg = cfg or SolverConfig()
@@ -248,6 +256,8 @@ def fit(ds, lam, cfg=None):
                 objective=F_cand,
                 converged=True,
                 wall_time=time.perf_counter() - t0,
+                residual=R,
+                gradient=G,
             )
 
         dW = W - W_prev
@@ -272,6 +282,7 @@ def fit(ds, lam, cfg=None):
         f"(best residual {best_resid:.3e})",
         weights=WeightMatrix(best_W),
         residual=float(best_resid),
+        n_iters=cfg.max_iters,
     )
 
 

@@ -4,7 +4,9 @@ budget of products the solver and the path walk make with it.
 Every reference below is a per-task loop over ``ds.X[t]`` and the length-N
 dual vector split at the task offsets, so a padded row that leaks into a
 product or a dual vector shows up as a mismatch. The carried adjoint images
-of references and balls are checked against fresh products.
+of references and balls are checked against fresh products on the rows they
+form, and a walk that carries score bounds against one that scores every
+ball on every feature.
 """
 
 import dataclasses
@@ -17,6 +19,7 @@ from mtl21.core import DualPoint, LambdaGrid, MultiTaskDataset
 from mtl21.dual import (
     DualBall,
     ReferenceSolution,
+    ScoreBounds,
     dual_ball,
     dual_from_primal,
     feature_constraint_all,
@@ -105,6 +108,18 @@ class TestProducts:
         for t, b in enumerate(blocks(ds, theta)):
             assert_rel(M[:, t], ds.X[t].T @ b, 1e-14)
 
+    @pytest.mark.parametrize("n_rows", [0, 3, 12], ids=["none", "gathered", "batched"])
+    def test_adjoint_on_given_rows(self, n_rows):
+        # up to a quarter of d rows are gathered, more take the full product;
+        # both give those rows of the full image, in the order given
+        rng = np.random.default_rng(11)
+        ds = uneven_dataset(rng, d=20)
+        rows = rng.choice(ds.d, size=n_rows, replace=False)
+        R = ds.pad(rng.standard_normal(ds.N))
+        image = ds.adjoint(R, rows)
+        assert image.shape == (n_rows, ds.T)
+        assert np.abs(image - ds.adjoint(R)[rows]).max(initial=0.0) <= 1e-14 * np.abs(R).sum()
+
 
 class TestCallers:
     def test_dual_from_primal(self):
@@ -156,19 +171,29 @@ class TestCallers:
         )
         centers = blocks(ds, ball.center)
         scores = screening_scores(ds, ball)
-        settled = 0
+        delta = ball.radius
+        settled = bracketed = 0
         for ell in range(ds.d):
             a = np.array([X[:, ell] @ X[:, ell] for X in ds.X])
             c = np.array([X[:, ell] @ o for X, o in zip(ds.X, centers)])
-            coarse = (np.linalg.norm(c) + np.sqrt(a.max()) * ball.radius) ** 2
+            b = np.sqrt(a) * np.abs(c)
+            coarse = (np.linalg.norm(c) + np.sqrt(a.max()) * delta) ** 2
+            q = np.linalg.norm(b)
+            lower = c @ c + 2 * delta * q + delta**2 * (a @ b**2) / q**2
+            alpha = 2 * a.max() + 2 * q / delta
+            upper = c @ c + 0.5 * alpha * delta**2 + np.sum(2 * b**2 / (alpha - 2 * a))
             if coarse < 1.0:
                 settled += 1
                 expected = coarse
+            elif lower > 1.0 + 1e-9 or upper < 1.0 - 1e-9:
+                bracketed += 1
+                expected = upper
             else:
-                inst = Qp1qcInstance(a=a, b=np.sqrt(a) * np.abs(c), c=c, delta=ball.radius)
+                inst = Qp1qcInstance(a=a, b=b, c=c, delta=delta)
                 expected = solve(inst).s_value
             assert abs(scores[ell] - expected) <= 1e-12 * max(expected, 1.0)
         assert 0 < settled < ds.d
+        assert bracketed > 0
 
 
 def test_paths_agree_on_unequal_sizes():
@@ -195,16 +220,22 @@ def test_paths_agree_on_unequal_sizes():
 
 
 class Counter:
-    """Counts the calls of ``forward`` and ``adjoint`` on one dataset."""
+    """Counts the calls of ``forward`` and ``adjoint`` on one dataset and
+    logs the rows each call was given (None for every row). By the
+    operator's switch, a call given at most a quarter of d rows reads just
+    their columns, and any other call reads all d."""
 
     def __init__(self, ds):
         self.calls = {"forward": 0, "adjoint": 0}
+        self.rows = {"forward": [], "adjoint": []}
         for name in self.calls:
             setattr(ds, name, self._counted(name, getattr(ds, name)))
 
     def _counted(self, name, fn):
         def counted(*args):
             self.calls[name] += 1
+            rows = args[1] if len(args) > 1 else None
+            self.rows[name].append(None if rows is None else np.array(rows))
             return fn(*args)
 
         return counted
@@ -230,25 +261,64 @@ class TestProductBudget:
         assert count.calls == {"forward": 1, "adjoint": 1}
         assert_image(ds, ref.n0_image, ref.n0)
 
-    def test_screened_walk_makes_one_full_adjoint_per_level(self):
-        ds, _ = generate(SynthConfig(kind="s1", tasks=5, n_per_task=30, d=300, seed=4))
-        grid = LambdaGrid.log_spaced(lambda_max(ds)[0], 20, 0.05)
+    def test_screened_walk_reads_refreshed_and_kept_columns(self, monkeypatch):
+        ds, _ = generate(SynthConfig(kind="s1", tasks=4, n_per_task=20, d=2000, seed=4))
+        grid = LambdaGrid.log_spaced(lambda_max(ds)[0], 40, 0.05)
+        levels = []  # per sequential reference: its rows, its ball's, the kept
+        from_primal = ReferenceSolution.from_primal
+
+        def logged_from_primal(ds_, W, lam, **kwargs):
+            start = len(count.rows["adjoint"])
+            ref = from_primal(ds_, W, lam, **kwargs)
+            levels.append({"ref": ref.rows, "kept": kwargs["support"], "start": start})
+            return ref
+
+        def logged_ball(ds_, ref, lam, bounds=None):
+            ball = dual_ball(ds_, ref, lam, bounds)
+            if levels:
+                levels[-1]["ball"] = ball.rows
+            return ball
+
+        lambda_max(ds)
         count = Counter(ds)
-        ReferenceSolution.at_lambda_max(ds)
-        head = count.calls["adjoint"]
-        count.calls["adjoint"] = 0
+        monkeypatch.setattr(
+            mtl21.screening.ReferenceSolution, "from_primal", staticmethod(logged_from_primal)
+        )
+        monkeypatch.setattr(mtl21.screening, "dual_ball", logged_ball)
         report = sequential_path(ds, grid, SolverConfig())
         # every level screens something, so fit only ever sees copied subsets
         assert all(r.n_screened > 0 for r in report.records[1:])
-        # the threshold reference once, then one per sequential reference:
-        # every level but the head and the last
-        assert count.calls["adjoint"] == head + len(report.records) - 2
+        # the threshold reference's witness normal is the one full-width
+        # product; a sequential dual point and its kept rows come from the
+        # solve's last residual and gradient
+        assert count.calls["forward"] == 1 and count.rows["adjoint"][0] is None
+        assert len(levels) == len(report.records) - 2
+        small = 0
+        for k, level in enumerate(levels):
+            kept = level["kept"]
+            assert np.array_equal(kept, np.flatnonzero(~report.records[1 + k].mask.inactive))
+            assert np.isin(kept, level["ref"]).all()
+            # the reference's refreshed columns, then its ball's missing ones,
+            # each read once, and no kept column
+            end = levels[k + 1]["start"] if k + 1 < len(levels) else None
+            read = count.rows["adjoint"][level["start"]:end]
+            assert all(rows is not None for rows in read)
+            joined = np.sort(np.concatenate(read)) if read else np.zeros(0, dtype=int)
+            refreshed = np.union1d(level["ref"], level["ball"])
+            assert np.array_equal(joined, np.setdiff1d(refreshed, kept))
+            if 4 * len(refreshed) <= ds.d:
+                # so no adjoint of this level reads all d columns
+                small += 1
+                assert all(4 * len(rows) <= ds.d for rows in read)
+        assert small > len(levels) // 2
 
 
-def assert_image(ds, image, v):
+def assert_image(ds, image, v, rows=None):
     fresh = ds.adjoint(ds.pad(v))
+    if rows is not None:
+        fresh = fresh[rows]
     assert image.shape == fresh.shape
-    assert np.abs(image - fresh).max() <= 1e-12 * max(1.0, np.abs(fresh).max())
+    assert np.abs(image - fresh).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(fresh).max(initial=0.0))
 
 
 @pytest.mark.parametrize("sizes", [(6, 6, 6, 6), SIZES], ids=["equal", "unequal"])
@@ -258,6 +328,26 @@ def test_carried_images_match_fresh_products(sizes):
     lmax, _ = lambda_max(ds)
     W0 = fit(ds, 0.6 * lmax, SolverConfig(kkt_tol=1e-8)).weights
     seq = ReferenceSolution.from_primal(ds, W0, 0.6 * lmax)
+    # score bounds of a ball at the reference level, carried to the next one
+    first = dual_ball(ds, ReferenceSolution.at_lambda_max(ds), 0.6 * lmax)
+    bounds = ScoreBounds(first.center, first.radius, np.sqrt(screening_scores(ds, first)))
+    support = np.flatnonzero(W0.values.any(axis=1))
+    partial = ReferenceSolution.from_primal(
+        ds, W0.values[support], 0.6 * lmax, bounds=bounds, support=support
+    )
+    assert partial.rows is not None and np.array_equal(partial.theta0.theta, seq.theta0.theta)
+    # a solve on the kept columns, whose last products give the dual point
+    # and the kept rows of its image
+    kept = np.flatnonzero(screening_scores(ds, first) >= 1.0)
+    sub = MultiTaskDataset([(X[:, kept], y) for X, y in zip(ds.X, ds.y)])
+    solve = fit(sub, 0.6 * lmax, SolverConfig(kkt_tol=1e-8))
+    solved = ReferenceSolution.from_primal(
+        ds, solve.weights.values, 0.6 * lmax, bounds=bounds, support=kept, solve=solve
+    )
+    W_full = np.zeros((ds.d, ds.T))
+    W_full[kept] = solve.weights.values
+    assert_rel(solved.theta0.theta, dual_from_primal(ds, W_full, 0.6 * lmax).theta, 1e-12)
+    assert np.isin(kept, solved.rows).all()
     refs = {
         "threshold": ReferenceSolution.at_lambda_max(ds),
         "zero weights at the threshold": ReferenceSolution.from_primal(
@@ -265,13 +355,18 @@ def test_carried_images_match_fresh_products(sizes):
         ),
         "sequential": seq,
         "boundary": _boundary_reference(ds, seq, 0.25),
+        "carried": partial,
+        "carried boundary": _boundary_reference(ds, partial, 0.25),
+        "from a solve": solved,
     }
     for name, ref in refs.items():
         assert ref.n0 is not None, name
-        assert_image(ds, ref.image, ref.theta0)
-        assert_image(ds, ref.n0_image, ref.n0)
-        ball = dual_ball(ds, ref, 0.4 * lmax)
-        assert_image(ds, ball.image, ball.center)
+        assert_image(ds, ref.image, ref.theta0, ref.rows)
+        assert_image(ds, ref.n0_image, ref.n0, ref.rows)
+        for carried in (None, bounds):
+            ball = dual_ball(ds, ref, 0.4 * lmax, carried)
+            assert (ball.rows is None) == (carried is None)
+            assert_image(ds, ball.image, ball.center, ball.rows)
 
 
 def test_s2_walk_masks_match_fresh_images(monkeypatch):
@@ -281,7 +376,10 @@ def test_s2_walk_masks_match_fresh_images(monkeypatch):
 
     def scores_both_ways(ds, ball):
         carried = screening_scores(ds, ball)
-        fresh_ball = dataclasses.replace(ball, image=ds.adjoint(ds.pad(ball.center)))
+        assert_image(ds, ball.image, ball.center, ball.rows)
+        fresh_ball = dataclasses.replace(
+            ball, image=ds.adjoint(ds.pad(ball.center)), rows=None, bound=None
+        )
         fresh = screening_scores(ds, fresh_ball)
         assert np.array_equal(carried < 1.0, fresh < 1.0)
         scored.append(int((carried < 1.0).sum()))
@@ -294,3 +392,33 @@ def test_s2_walk_masks_match_fresh_images(monkeypatch):
     for a, b in zip(report.records, tight.records):
         active = b.weights.row_norms() > ROW_ZERO_TOL
         assert not (a.mask.inactive & active).any()
+
+
+@pytest.mark.parametrize(
+    "kind,sizes", [("s1", None), ("s2", SIZES)], ids=["s1-equal", "s2-unequal"]
+)
+def test_carried_walk_matches_full_pass(monkeypatch, kind, sizes):
+    # the same walk with every reference and ball formed on every feature,
+    # and so every ball scored afresh on every feature, as before bounds were
+    # carried: the masks, references and solves must not change
+    ds, _ = generate(SynthConfig(kind=kind, tasks=4, n_per_task=20, d=200, seed=7))
+    if sizes is not None:
+        ds = MultiTaskDataset([(X[:n], y[:n]) for X, y, n in zip(ds.X, ds.y, (20, 13, 17, 9))])
+    grid = LambdaGrid.log_spaced(lambda_max(ds)[0], 25, 0.02)
+    carried = sequential_path(ds, grid, SolverConfig())
+    from_primal = ReferenceSolution.from_primal
+
+    def full_reference(ds_, W, lam, bounds=None, **kwargs):
+        return from_primal(ds_, W, lam, **kwargs)
+
+    monkeypatch.setattr(
+        mtl21.screening.ReferenceSolution, "from_primal", staticmethod(full_reference)
+    )
+    monkeypatch.setattr(
+        mtl21.screening, "dual_ball", lambda ds_, ref, lam, bounds=None: dual_ball(ds_, ref, lam)
+    )
+    full = sequential_path(ds, grid, SolverConfig())
+    assert sum(r.n_screened for r in carried.records[1:]) > 0
+    for a, b in zip(carried.records, full.records, strict=True):
+        assert np.array_equal(a.mask.inactive, b.mask.inactive)
+        assert (a.ref_fallback, a.n_iters, a.objective) == (b.ref_fallback, b.n_iters, b.objective)

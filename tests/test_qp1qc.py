@@ -7,7 +7,9 @@ from mtl21.core import MultiTaskDataset
 from mtl21.dual import ReferenceSolution, dual_ball, feature_constraint
 from mtl21.errors import DimensionMismatch, NoConvergence
 from mtl21.qp1qc import (
+    BRACKET_RTOL,
     Qp1qcInstance,
+    _bracket,
     build_instances,
     screening_bounds,
     screening_scores,
@@ -372,6 +374,35 @@ class TestScreeningBounds:
                 assert val <= s_all[ell] * (1.0 + 1e-9) + 1e-12
 
 
+class TestBracket:
+    def test_encloses_the_exact_maximum(self):
+        rng = np.random.default_rng(700)
+        for _ in range(300):
+            T = int(rng.choice([1, 2, 3, 5]))
+            a = rng.uniform(0.0, 4.0, T) * (rng.random(T) > 0.2)
+            c = rng.standard_normal(T) * (a > 0) * (rng.random(T) > 0.2)
+            b = np.sqrt(a) * np.abs(c)
+            delta = float(rng.uniform(0.0, 1.5))
+            lower, upper = _bracket(a[None], b[None], np.array([c @ c]), delta)
+            exact = solve(Qp1qcInstance(a=a, b=b, c=c, delta=delta)).s_value
+            assert lower[0] <= exact * (1.0 + 1e-12) + 1e-15
+            assert upper[0] >= exact * (1.0 - 1e-12) - 1e-15
+            # the ends differ by at most about rho * delta^2
+            assert upper[0] - lower[0] <= a.max() * delta * delta * (1.0 + 1e-9) + 1e-12
+
+    def test_closed_cases_are_exact(self):
+        a = np.array([[1.0, 3.0], [2.0, 0.5]])
+        b = np.array([[0.0, 0.0], [0.4, 0.1]])
+        c = np.array([[0.0, 0.0], [np.sqrt(0.08), np.sqrt(0.02)]])
+        csum = (c * c).sum(axis=1)
+        # a point ball is its center; a row without b is csum + rho delta^2
+        lower, upper = _bracket(a, b, csum, 0.0)
+        np.testing.assert_array_equal(lower, csum)
+        np.testing.assert_array_equal(upper, csum)
+        lower, upper = _bracket(a, b, csum, 0.5)
+        assert lower[0] == upper[0] == 3.0 * 0.25
+
+
 class TestScreeningScores:
     def make_ball(self, rng, ds, scale):
         from mtl21.core import DualPoint
@@ -388,7 +419,8 @@ class TestScreeningScores:
 
     def test_same_mask_as_exact_and_never_below(self):
         # masks must coincide with exact thresholding; each score must
-        # dominate the exact maximum, and contested entries must equal it
+        # dominate the exact maximum, and a contested entry must be the top
+        # of its bracket, or the exact maximum where the bracket straddles 1
         for trial in range(10):
             rng = np.random.default_rng(600 + trial)
             ds = MultiTaskDataset(
@@ -404,8 +436,13 @@ class TestScreeningScores:
             assert np.all(scores >= exact * (1.0 - 1e-12) - 1e-15)
             assert np.array_equal(scores < 1.0, exact < 1.0)
             hot = scores >= 1.0
+            A, B, C, delta = build_instances(ds, ball)
+            lower, upper = _bracket(A, B, np.einsum("ij,ij->i", C, C), delta)
+            tight = BRACKET_RTOL * (ds.T + 4)
+            straddles = (lower <= 1.0 + tight) & (upper >= 1.0 - tight)
+            expected = np.where(straddles, exact, upper)
             if hot.any():
-                np.testing.assert_allclose(scores[hot], exact[hot], rtol=1e-12)
+                np.testing.assert_allclose(scores[hot], expected[hot], rtol=1e-12)
 
     def test_zero_column_screened(self):
         rng = np.random.default_rng(610)

@@ -1,16 +1,22 @@
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
 
-from mtl21.core import LambdaGrid, MultiTaskDataset, ScreeningMask
+import mtl21.screening
+from mtl21.core import LambdaGrid, MultiTaskDataset, ScreeningMask, WeightMatrix
 from mtl21.dual import (
     ReferenceSolution,
+    ScoreBounds,
+    dual_ball,
     dual_from_primal,
     feature_constraint_all,
     lambda_max,
 )
-from mtl21.errors import LambdaOutOfRange, SolverFailure
+from mtl21.errors import LambdaOutOfRange, MaxItersExceeded, SolverFailure
+from mtl21.qp1qc import screening_bounds, screening_scores
 from mtl21.screening import (
     REF_FEASIBILITY_TOL,
     ROW_ZERO_TOL,
@@ -20,6 +26,7 @@ from mtl21.screening import (
     unscreened_path,
 )
 from mtl21.solver import FitResult, SolverConfig, fit, kkt_residual, objective
+from mtl21.synth import SynthConfig, generate
 
 
 def random_dataset(rng, T=3, d=30, n=20):
@@ -279,3 +286,158 @@ class TestUnscreenedPath:
         for rec in rep.records[1:]:
             rn = rec.weights.row_norms()
             assert rec.n_truly_inactive == int((rn <= ROW_ZERO_TOL).sum())
+
+
+class TestFailedLevel:
+    @pytest.mark.parametrize("walk", [sequential_path, unscreened_path])
+    def test_failed_level_reports_the_iterations_it_spent(self, walk):
+        rng = np.random.default_rng(18)
+        ds = random_dataset(rng, T=3, d=40, n=15)
+        with pytest.raises(SolverFailure) as ei:
+            walk(ds, grid_for(ds, points=6), SolverConfig(max_iters=3, kkt_tol=1e-12))
+        last = ei.value.report.records[-1]
+        assert last.status == "solver-failure"
+        assert last.n_iters == 3
+
+    def test_custom_solver_without_a_count_reports_zero(self):
+        rng = np.random.default_rng(19)
+        ds = random_dataset(rng, T=2, d=20, n=12)
+
+        def failing(sub_ds, lam, warm):
+            raise MaxItersExceeded("no certificate", residual=0.5)
+
+        with pytest.raises(SolverFailure) as ei:
+            sequential_path(ds, grid_for(ds, points=4), failing)
+        last = ei.value.report.records[-1]
+        assert (last.n_iters, last.kkt_residual) == (0, 0.5)
+
+
+class TestScreenTime:
+    def test_reference_is_charged_to_the_level_it_serves(self, monkeypatch):
+        delay = 0.05
+        built = []
+        from_primal = ReferenceSolution.from_primal
+
+        def slow(ds_, W, lam, **kwargs):
+            built.append(lam)
+            time.sleep(delay)
+            return from_primal(ds_, W, lam, **kwargs)
+
+        monkeypatch.setattr(mtl21.screening.ReferenceSolution, "from_primal", staticmethod(slow))
+        rng = np.random.default_rng(20)
+        ds = sparse_dataset(rng, T=3, d=30, n=20)
+        grid = grid_for(ds, points=6)
+        records = sequential_path(ds, grid, SolverConfig()).records
+        # level 1 screens against the threshold reference; level k+1's
+        # reference is built after level k's solve, and none after the last
+        assert built == [r.lam for r in records[1:-1]]
+        assert records[1].t_screen < delay
+        assert all(r.t_screen >= delay for r in records[2:])
+        assert sum(r.t_screen for r in records) < (len(built) + 1) * delay
+        plain = unscreened_path(ds, grid, SolverConfig())
+        assert len(built) == len(records) - 2
+        assert all(r.t_screen == 0.0 for r in plain.records)
+
+
+def checked_walk(monkeypatch, ds, grid, solver):
+    """A screened walk in which every carried bound is held against the
+    exact maximum over its ball, and every reference's uncovered features
+    against their constraint values at its dual point."""
+    seen = {"balls": 0, "carried": 0}
+    scores = mtl21.screening.screening_scores
+    from_primal = ReferenceSolution.from_primal
+
+    def checked_scores(ds_, ball):
+        if ball.rows is not None:
+            full = dataclasses.replace(
+                ball, image=ds_.adjoint(ds_.pad(ball.center)), rows=None, bound=None
+            )
+            carried = np.ones(ds_.d, dtype=bool)
+            carried[ball.rows] = False
+            exact = screening_bounds(ds_, full)
+            assert np.all(ball.bound[carried] ** 2 >= exact[carried])
+            assert np.all(ball.bound[carried] < 1.0)
+            seen["balls"] += 1
+            seen["carried"] += int(carried.sum())
+        return scores(ds_, ball)
+
+    def checked_reference(ds_, W, lam, **kwargs):
+        ref = from_primal(ds_, W, lam, **kwargs)
+        uncovered = np.ones(ds_.d, dtype=bool)
+        uncovered[ref.rows] = False
+        assert np.all(feature_constraint_all(ds_, ref.theta0)[uncovered] < 1.0)
+        return ref
+
+    monkeypatch.setattr(mtl21.screening, "screening_scores", checked_scores)
+    monkeypatch.setattr(
+        mtl21.screening.ReferenceSolution, "from_primal", staticmethod(checked_reference)
+    )
+    report = sequential_path(ds, grid, solver)
+    # every ball after the first carries bounds, and some stay unrefreshed
+    assert seen["balls"] == len(grid) - 2 and seen["carried"] > 0
+    return report
+
+
+class TestCarriedBounds:
+    @pytest.mark.parametrize("kkt_tol", [1e-6, 1e-3])
+    @pytest.mark.parametrize("sizes", [None, (20, 11, 16, 7)], ids=["equal", "unequal"])
+    @pytest.mark.parametrize("kind", ["s1", "s2"])
+    def test_unrefreshed_bounds_dominate_the_exact_maximum(
+        self, monkeypatch, kind, sizes, kkt_tol
+    ):
+        ds, _ = generate(SynthConfig(kind=kind, tasks=4, n_per_task=20, d=150, seed=21))
+        if sizes is not None:
+            ds = MultiTaskDataset([(X[:n], y[:n]) for X, y, n in zip(ds.X, ds.y, sizes)])
+        report = checked_walk(monkeypatch, ds, grid_for(ds, points=20), SolverConfig(kkt_tol=kkt_tol))
+        assert sum(r.n_screened for r in report.records[1:]) > 0
+
+    def test_fallback_and_fully_screened_levels(self, monkeypatch):
+        # at level 1 the solver returns weights that fit (1 - beta) y exactly
+        # and claims a tight certificate: its dual point beta y / lam1 is
+        # deep inside the feasible set and the next ball shrinks onto it, so
+        # level 2 screens every feature; the zero weights there leave y / lam2
+        # as level 3's dual point, far outside, so level 3 falls back
+        rng = np.random.default_rng(22)
+        ds = sparse_dataset(rng, T=3, d=60, n=8, k=4)
+        lmax, _ = lambda_max(ds)
+        grid = LambdaGrid(lmax * np.array([1.0, 0.5, 0.45, 0.4, 0.38, 0.36, 0.34, 0.32, 0.3]))
+        beta = 0.1
+
+        def lying_solver(sub_ds, lam, warm):
+            if lam != grid.values[1]:
+                return fit(sub_ds, lam, SolverConfig(warm_start=warm))
+            W = np.column_stack(
+                [np.linalg.lstsq(X, (1.0 - beta) * y, rcond=None)[0] for X, y in zip(sub_ds.X, sub_ds.y)]
+            )
+            return FitResult(
+                weights=WeightMatrix(W),
+                n_iters=1,
+                kkt_residual=1e-12,
+                objective=objective(sub_ds, W, lam),
+                converged=True,
+                wall_time=0.0,
+            )
+
+        report = checked_walk(monkeypatch, ds, grid, lying_solver)
+        records = report.records
+        assert records[1].n_screened < ds.d
+        assert records[2].n_screened == ds.d
+        assert records[3].ref_fallback
+
+    def test_bound_just_below_one_is_refreshed(self):
+        # a bound a few ulps below 1 may be a rounded value of 1 or more:
+        # the forward-error margin sends it to the exact pass
+        rng = np.random.default_rng(23)
+        ds = random_dataset(rng, T=3, d=30, n=20)
+        ref = ReferenceSolution.at_lambda_max(ds)
+        lam = 0.7 * ref.lambda0
+        ball = dual_ball(ds, ref, lam)
+        scores = screening_scores(ds, ball)
+        ell = int(np.argmax(np.where(scores < 1.0, scores, -1.0)))
+        assert 0.0 < scores[ell] < 1.0
+        u = np.sqrt(scores)
+        u[ell] = np.nextafter(np.nextafter(1.0, 0.0), 0.0)
+        # the same ball again: no move, so only the margin can lift it
+        again = dual_ball(ds, ref, lam, ScoreBounds(ball.center, ball.radius, u))
+        assert ell in again.rows
+        assert screening_scores(ds, again)[ell] == scores[ell]
