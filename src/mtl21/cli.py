@@ -141,6 +141,16 @@ def build_parser():
     return p
 
 
+def _check_writable(path):
+    """Raise OSError unless the file ``path`` can be written; an existing
+    file is left as it is, and no new one is left behind."""
+    existed = os.path.exists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def _load_validated(path):
     from .core import load_dataset, validate_dataset
 
@@ -166,7 +176,11 @@ def cmd_synth(args):
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    ds, _ = write_benchmark(cfg, args.out)
+    try:
+        ds, _ = write_benchmark(cfg, args.out)
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     print(f"wrote {args.out}: T={ds.T}, d={ds.d}, n={ds.n_per_task[0]} per task")
     return 0
 
@@ -195,8 +209,8 @@ def _path_inputs(args):
     """Validated dataset, grid and solver config of a path run.
 
     Every bad-input error (unreadable or invalid data, a dataset with no
-    all-zero threshold, out-of-range grid or solver settings) raises here,
-    before any fitting starts.
+    all-zero threshold, out-of-range grid or solver settings, an output
+    file that cannot be written) raises here, before any fitting starts.
     """
     from .core import LambdaGrid
     from .dual import lambda_max
@@ -206,6 +220,9 @@ def _path_inputs(args):
     lmax, _ = lambda_max(ds)
     grid = LambdaGrid.log_spaced(lmax, n_points=args.grid_points, min_ratio=args.grid_min)
     cfg = SolverConfig(kkt_tol=args.kkt_tol, max_iters=args.max_iters)
+    for out in (args.out, getattr(args, "json_out", None)):
+        if out is not None:
+            _check_writable(out)
     return ds, meta, grid, cfg
 
 
@@ -222,7 +239,7 @@ def cmd_path(args):
 
     try:
         ds, _, grid, cfg = _path_inputs(args)
-    except (MtlError, ValueError) as e:
+    except (MtlError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:
@@ -245,7 +262,7 @@ def cmd_bench(args):
 
     try:
         ds, meta, grid, cfg = _path_inputs(args)
-    except (MtlError, ValueError) as e:
+    except (MtlError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if args.reps < 1:

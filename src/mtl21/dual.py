@@ -14,18 +14,20 @@ component along n0 and the orthogonal remainder r_perp; the exact dual
 optimum lies in the ball centered at theta0 + r_perp/2 with radius
 ``norm(r_perp)/2``.
 
-Carried images: a reference also holds the adjoint images X't theta0 and
-X't n0, and a ball holds X't center, each with one row per feature it covers
+Carried images: a reference holds the adjoint image X't theta0, and a ball
+X't center, on an increasing index array ``rows`` of features, one row each
 holding the per-task inner products of that feature with the vector.
 Screening needs only these rows, and the adjoint is linear, so each image is
 formed with the same linear combination as its vector, from the cached
-response image X't y and the reference's own images.
+response image X't y, the reference's image and, at the threshold, the
+witness normal's image, a per-dataset constant.
 
 Carried bounds: along a path, :class:`ScoreBounds` carries for every feature
 an upper bound on the largest ||X_l' theta|| over the last ball, and moves it
 to the next ball (or to a point) by the triangle inequality, inflated by a
 forward-error margin. Only the features whose moved bound reaches 1 need
-image rows. A sequential reference takes its dual point, and the image rows
+image rows; with nothing carried every bound is +inf, so every feature is
+refreshed. A sequential reference takes its dual point, and the image rows
 of the features its solve kept, from the solve's last residual and gradient;
 the other rows it and its ball need take one column-gathered adjoint each,
 so a level reads the columns of the features that can still matter and no
@@ -142,6 +144,20 @@ def lambda_max(ds):
     return ds._cache[key]
 
 
+def _witness_normal(ds):
+    """The threshold's normal (see :func:`normal_vector`) and its image
+    X't n: one forward product and one adjoint per dataset, cached."""
+    key = "witness_normal"
+    if key not in ds._cache:
+        lmax, ell_star = lambda_max(ds)
+        n = _one_row_image(ds, ell_star, 2.0 * ds.response_image[ell_star] / lmax)
+        image = ds.adjoint(ds.pad(n))
+        n.setflags(write=False)
+        image.setflags(write=False)
+        ds._cache[key] = (n, image)
+    return ds._cache[key]
+
+
 def dual_from_primal(ds, W, lam, support=None):
     """Dual point induced by a primal iterate: block t is (y_t - X_t w_t)/lam.
 
@@ -170,7 +186,7 @@ def normal_vector(ds, theta0, lambda0):
     Below the all-zero threshold this is y/lambda0 - theta0. At the threshold
     itself that difference vanishes, so the constraint gradient of the witness
     feature at y/lambda_max is used instead (its t-th block is
-    2 <x_w_t, y_t/lambda_max> x_w_t).
+    2 <x_w_t, y_t/lambda_max> x_w_t), computed once per dataset.
 
     Errors
     ------
@@ -180,7 +196,7 @@ def normal_vector(ds, theta0, lambda0):
         (below 1e-14 * ||y|| / lambda0).
     """
     lambda0 = float(lambda0)
-    lmax, ell_star = lambda_max(ds)
+    lmax, _ = lambda_max(ds)
     if lambda0 <= 0 or lambda0 > lmax * (1 + LAMBDA_EQ_RTOL):
         raise LambdaOutOfRange(
             f"reference level {lambda0} outside (0, {lmax}]"
@@ -194,9 +210,7 @@ def normal_vector(ds, theta0, lambda0):
             raise LambdaOutOfRange(
                 "at the all-zero threshold the reference dual point must be y/lambda_max"
             )
-        # the witness's constraint gradient, with its row of X't y/lambda_max
-        # read from the cached response image
-        n = _one_row_image(ds, ell_star, 2.0 * ds.response_image[ell_star] / lmax)
+        n = _witness_normal(ds)[0]
     else:
         n = y / lambda0 - th
     if _norm(n) < ZERO_NORMAL_RTOL * _norm(y) / lambda0:
@@ -204,19 +218,18 @@ def normal_vector(ds, theta0, lambda0):
     return n
 
 
-def _take(image, rows):
-    """The rows ``rows`` of a (d, T) image; all of it when rows is None."""
-    return image if rows is None else image[rows]
+def _normal_or_none(ds, theta0, lambda0):
+    """:func:`normal_vector`, or None when it is numerically zero."""
+    try:
+        return normal_vector(ds, theta0, lambda0)
+    except ZeroNormal:
+        return None
 
 
 def _image_rows(ds, theta, rows, held, image):
-    """Rows ``rows`` (None: all d) of X't theta, given its rows ``held``
-    (increasing indices; None for all d) in ``image``; the others take one
-    column-gathered adjoint."""
-    if held is None:
-        return _take(image, rows)
-    if rows is None:
-        rows = np.arange(ds.d)
+    """Rows ``rows`` of X't theta, given its rows ``held`` in ``image`` (both
+    increasing index arrays); the rows not held take one column-gathered
+    adjoint."""
     pos = np.searchsorted(held, rows)
     have = pos < len(held)
     have[have] = held[pos[have]] == rows[have]
@@ -226,30 +239,6 @@ def _image_rows(ds, theta, rows, held, image):
     out[have] = image[pos[have]]
     out[~have] = ds.adjoint(ds.pad(theta), rows[~have])
     return out
-
-
-def _normal_image(ds, lambda0, n0, image, rows, response=None):
-    """Rows ``rows`` of X't n0 given the same rows of X't theta0 (and,
-    optionally, of X't y in ``response``).
-
-    Below the threshold n0 = y/lambda0 - theta0, so its image is the same
-    combination of the cached X't y and ``image``; the threshold's witness
-    normal takes one adjoint product.
-    """
-    if _at_threshold(ds, lambda0):
-        return ds.adjoint(ds.pad(n0), rows)
-    if response is None:
-        response = _take(ds.response_image, rows)
-    n0_image = response / lambda0
-    n0_image -= image
-    return n0_image
-
-
-def _normal_with_image(ds, theta0, lambda0, image, rows=None):
-    """:func:`normal_vector` and rows ``rows`` of its image X't n0, given the
-    same rows of X't theta0."""
-    n0 = normal_vector(ds, theta0, lambda0)
-    return n0, _normal_image(ds, lambda0, n0, image, rows)
 
 
 def _carry_rtol(ds):
@@ -298,20 +287,20 @@ class ScoreBounds:
 
 @dataclass(frozen=True)
 class ReferenceSolution:
-    """A solved reference level: the dual point there and its normal, with
-    their adjoint images ``image`` = X't theta0 and ``n0_image`` = X't n0 on
-    the features ``rows`` (increasing indices; None for all d), one row each.
+    """A solved reference level: the dual point ``theta0`` there, its normal
+    ``n0`` (:func:`normal_vector`), and the adjoint image ``image`` =
+    X't theta0 on the features ``rows``, an increasing index array with one
+    image row per feature (every feature when built without ``rows``). The
+    rows cover every feature whose constraint value at theta0 can reach 1.
 
-    ``n0`` (and with it ``n0_image``) is None when the normal was numerically
-    zero; ball construction then falls back to the un-projected (larger but
-    still valid) ball.
+    ``n0`` is None when the normal was numerically zero; ball construction
+    then falls back to the un-projected (larger but still valid) ball.
     """
 
     lambda0: float
     theta0: DualPoint
     n0: np.ndarray | None
     image: np.ndarray
-    n0_image: np.ndarray | None
     rows: np.ndarray | None = None
 
     def __post_init__(self):
@@ -319,31 +308,35 @@ class ReferenceSolution:
             raise LambdaOutOfRange(f"reference level must be positive, got {self.lambda0}")
         if self.n0 is not None and len(self.n0) != len(self.theta0.theta):
             raise LambdaOutOfRange("normal and dual point lengths differ")
-        if (self.n0 is None) != (self.n0_image is None):
-            raise DimensionMismatch("a normal and its image come together")
-        if self.rows is not None and len(self.image) != len(self.rows):
+        if self.rows is None:
+            object.__setattr__(self, "rows", np.arange(len(self.image)))
+        elif len(self.image) != len(self.rows):
             raise DimensionMismatch("an image needs one row per feature it covers")
+
+    @property
+    def violation(self):
+        """max(0, max_l g_l(theta0) - 1), read from the image rows; zero
+        means theta0 is dual feasible."""
+        g_max = float((self.image**2).sum(axis=1).max(initial=0.0))
+        return max(0.0, g_max - 1.0)
+
+    def on_boundary(self, ds):
+        """The reference with its dual point, and image rows, divided by
+        sqrt(1 + violation) = sqrt(max_l g_l): the constraints are
+        quadratically homogeneous, so this lands the point exactly on the
+        feasible boundary. The normal is recomputed there."""
+        scale = 1.0 / np.sqrt(1.0 + self.violation)
+        theta0 = DualPoint(self.theta0.theta * scale, ds.n_per_task)
+        n0 = _normal_or_none(ds, theta0, self.lambda0)
+        return ReferenceSolution(self.lambda0, theta0, n0, self.image * scale, self.rows)
 
     @classmethod
     def at_lambda_max(cls, ds):
         """Reference at the all-zero threshold, where the dual point is known
         in closed form (y/lambda_max)."""
         lmax, _ = lambda_max(ds)
-        y = stack_response(ds)
-        theta0 = DualPoint(y / lmax, ds.n_per_task)
-        image = ds.response_image / lmax
-        n0, n0_image = _normal_with_image(ds, theta0, lmax, image)
-        return cls(lambda0=lmax, theta0=theta0, n0=n0, image=image, n0_image=n0_image)
-
-    @classmethod
-    def _at_dual_point(cls, ds, lambda0, theta0, image, rows=None):
-        """Reference at a dual point whose image rows are known; no normal
-        (None) when it is numerically zero."""
-        try:
-            n0, n0_image = _normal_with_image(ds, theta0, lambda0, image, rows)
-        except ZeroNormal:
-            n0 = n0_image = None
-        return cls(lambda0, theta0, n0, image, n0_image, rows)
+        theta0 = DualPoint(stack_response(ds) / lmax, ds.n_per_task)
+        return cls(lmax, theta0, normal_vector(ds, theta0, lmax), ds.response_image / lmax)
 
     @classmethod
     def from_primal(cls, ds, W, lambda0, bounds=None, support=None, solve=None):
@@ -354,35 +347,30 @@ class ReferenceSolution:
         ``support`` is as in :func:`dual_from_primal`. When ``solve``, the
         :class:`~mtl21.solver.FitResult` the weights come from, kept its
         last products, the dual point is its residual rows over -lambda0 and
-        the support's rows of the dual point's image are its gradient over
-        -lambda0; otherwise both take products here. Below the threshold the
-        normal's image is X't y / lambda0 minus the dual point's.
+        the support's image rows are its gradient over -lambda0; otherwise
+        the dual point comes from :func:`dual_from_primal` and no row is
+        held.
 
-        Without ``bounds`` the image covers every feature. With the
-        :class:`ScoreBounds` of the last ball, it covers the support and the
-        features whose bound, moved to theta0, reaches 1: every other feature
-        has a constraint value below 1 there, so the rows formed hold the
-        dual point's whole feasibility violation.
+        The image covers the held rows and the features whose bound, moved
+        to theta0, reaches 1 (every feature without ``bounds``, the
+        :class:`ScoreBounds` of the last ball): every other feature has a
+        constraint value below 1 there. Rows not held take one
+        column-gathered adjoint.
         """
         lambda0 = float(lambda0)
-        products = solve is not None and solve.residual is not None and solve.gradient is not None
-        if products:
+        if solve is not None and solve.residual is not None and solve.gradient is not None:
             theta0 = DualPoint(ds.unpad(solve.residual / -lambda0), ds.n_per_task)
             held = np.arange(ds.d) if support is None else np.asarray(support)
+            held_image = solve.gradient / -lambda0
         else:
             theta0 = dual_from_primal(ds, W, lambda0, support)
-        rows = None
-        if bounds is not None:
-            refresh = bounds.over(ds, theta0.theta) >= 1.0
-            if products:
-                refresh[held] = True
-            rows = np.flatnonzero(refresh)
-        if products:
-            image = _image_rows(ds, theta0, rows, held, solve.gradient / -lambda0)
-        else:
-            image = ds.adjoint(ds.pad(theta0), rows)
-        ref = cls._at_dual_point(ds, lambda0, theta0, image, rows)
-        n0 = ref.n0
+            held, held_image = np.zeros(0, dtype=int), np.zeros((0, ds.T))
+        moved = np.full(ds.d, np.inf) if bounds is None else bounds.over(ds, theta0.theta)
+        refresh = moved >= 1.0
+        refresh[held] = True
+        rows = np.flatnonzero(refresh)
+        image = _image_rows(ds, theta0, rows, held, held_image)
+        n0 = _normal_or_none(ds, theta0, lambda0)
         if n0 is not None:
             y = stack_response(ds)
             inner = float(np.dot(y, n0))
@@ -392,18 +380,18 @@ class ReferenceSolution:
                     f"<response, normal> = {inner:.3e} below -{bound:.3e}; "
                     "reference solution looks inconsistent"
                 )
-        return ref
+        return cls(lambda0, theta0, n0, image, rows)
 
 
 @dataclass(frozen=True)
 class DualBall:
     """Certified region containing the exact dual optimum at level ``lam``.
 
-    ``image`` holds rows of the adjoint image X't center: every feature's
-    when ``rows`` is None, else those of the features ``rows``, and then
-    ``bound`` holds for every feature an upper bound on its largest
-    ||X_l' theta|| over the ball (the :class:`ScoreBounds` of the last ball
-    moved here), which stays below 1 off ``rows``.
+    ``image`` holds the adjoint image X't center on the features ``rows``
+    (as in :class:`ReferenceSolution`), and ``bound`` for every feature an
+    upper bound on its largest ||X_l' theta|| over the ball, below 1 off
+    ``rows``: carried from the last ball, or +inf. Built without both, the
+    image covers every feature and every bound is +inf.
     """
 
     center: np.ndarray
@@ -423,7 +411,10 @@ class DualBall:
             )
         if (self.rows is None) != (self.bound is None):
             raise DimensionMismatch("image rows and carried bounds come together")
-        if self.rows is not None and len(self.image) != len(self.rows):
+        if self.rows is None:
+            object.__setattr__(self, "rows", np.arange(len(self.image)))
+            object.__setattr__(self, "bound", np.full(len(self.image), np.inf))
+        elif len(self.image) != len(self.rows):
             raise DimensionMismatch("an image needs one row per feature it covers")
 
 
@@ -437,11 +428,10 @@ def dual_ball(ds, ref, lam, bounds=None):
     NegativeInnerProduct. Without a usable normal (ref.n0 is None) the
     un-projected ball (center theta0 + r/2, radius ||r||/2) is returned.
 
-    The center's image is the same combination of X't y and the reference's
-    images. Without ``bounds`` it covers every feature; with the
-    :class:`ScoreBounds` of the last ball, only the features whose bound,
-    moved onto this ball, reaches 1 (their rows the reference lacks take one
-    column-gathered adjoint), and the moved bounds ride on the ball.
+    The ball's bounds are the :class:`ScoreBounds` of the last ball moved
+    onto it, or +inf without ``bounds``. Its image covers the features whose
+    bound reaches 1, formed like the center from X't y and the reference's
+    image; rows the reference lacks take one column-gathered adjoint.
     """
     lam = float(lam)
     if lam <= 0:
@@ -469,27 +459,19 @@ def dual_ball(ds, ref, lam, bounds=None):
         r_perp = r - coef * n0
     center = th0 + 0.5 * r_perp
     radius = 0.5 * _norm(r_perp)
-    rows = moved = None
-    if bounds is not None:
-        moved = bounds.over(ds, center, radius)
-        rows = np.flatnonzero(moved >= 1.0)
+    moved = np.full(ds.d, np.inf) if bounds is None else bounds.over(ds, center, radius)
+    rows = np.flatnonzero(moved >= 1.0)
     image0 = _image_rows(ds, ref.theta0, rows, ref.rows, ref.image)
-    response = _take(ds.response_image, rows)
+    response = ds.response_image[rows]
     # X't center = 0.5 X't y / lam + 0.5 X't theta0 - 0.5 coef X't n0
     image = response * (0.5 / lam)
     image += 0.5 * image0
     if ref.n0 is not None:
-        if ref.rows is None:
-            n0_image = _take(ref.n0_image, rows)
+        # X't n0: below the threshold n0 = y/lambda0 - theta0, at it the
+        # witness normal
+        if _at_threshold(ds, ref.lambda0):
+            n0_image = _witness_normal(ds)[1][rows]
         else:
-            n0_image = _normal_image(ds, ref.lambda0, ref.n0, image0, rows, response)
+            n0_image = response / ref.lambda0 - image0
         image -= (0.5 * coef) * n0_image
-    return DualBall(
-        center=center,
-        radius=radius,
-        lam=lam,
-        lambda0=ref.lambda0,
-        image=image,
-        rows=rows,
-        bound=moved,
-    )
+    return DualBall(center, radius, lam, ref.lambda0, image, rows, moved)

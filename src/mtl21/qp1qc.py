@@ -100,20 +100,11 @@ class Qp1qcSolution:
     converged: bool
 
 
-def _cached(ds, key, compute):
-    """A per-dataset constant, computed on first use (the data is frozen)."""
-    if key not in ds._cache:
-        ds._cache[key] = compute()
-    return ds._cache[key]
-
-
 def _instance_rows(ds, features, C):
     """A, B, C of the features ``features`` (an index array or slice), given
-    their rows C of the center image; A depends on the data alone and is
-    computed once per dataset."""
-    A = _cached(ds, "col_norms_sq", lambda: ds.col_norms**2)[features]
-    B = ds.col_norms[features] * np.abs(C)
-    return A, B, C
+    their rows C of the center image."""
+    cn = ds.col_norms[features]
+    return cn**2, cn * np.abs(C), C
 
 
 def build_instances(ds, ball):
@@ -121,7 +112,7 @@ def build_instances(ds, ball):
 
     Needs a ball whose image covers every feature.
     """
-    if ball.image.shape[0] != ds.d:
+    if len(ball.rows) != ds.d:
         raise DimensionMismatch("the ball's image does not cover every feature")
     return (*_instance_rows(ds, slice(None), ball.image), float(ball.radius))
 
@@ -338,23 +329,22 @@ def screening_scores(ds, ball):
     its rounding, decides the feature as its exact maximum would. Only the
     features whose bracket straddles 1 get the exact maximization.
 
-    A ball that carries bounds from the last one (``ball.rows`` set) gets
-    these stages only on its ``rows``; every other feature scores the square
-    of its carried bound, which the ball's moves inflated by a forward-error
-    margin and which stays below 1.
+    The stages run on the ball's image rows only; every other feature scores
+    the square of its carried bound, which the ball's moves inflated by a
+    forward-error margin and which stays below 1. A ball that carries
+    nothing has every bound +inf and every feature on its rows.
 
     Thresholding at 1 therefore gives the same mask as :func:`screening_bounds`
     for a fraction of its cost, but a score may exceed the true maximum. Use
     :func:`screening_bounds` when the values themselves matter.
     """
-    rows = slice(None) if ball.rows is None else ball.rows
+    rows = ball.rows
     delta = float(ball.radius)
     csum = np.einsum("ij,ij->i", ball.image, ball.image)
     fresh = (np.sqrt(csum) + ds.col_norm_max[rows] * delta) ** 2
     contested = np.flatnonzero(fresh >= 1.0)
     if contested.size:
-        features = contested if ball.rows is None else ball.rows[contested]
-        A, B, C = _instance_rows(ds, features, ball.image[contested])
+        A, B, C = _instance_rows(ds, rows[contested], ball.image[contested])
         lower, upper = _bracket(A, B, csum[contested], delta)
         fresh[contested] = upper
         # rows whose bracket leaves 1 undecided, by more than its rounding,
@@ -364,8 +354,6 @@ def screening_scores(ds, ball):
         if open_.any():
             s, _, _, _, _, _ = solve_batch(A[open_], B[open_], C[open_], delta, strict=False)
             fresh[contested[open_]] = s
-    if ball.rows is None:
-        return fresh
     scores = ball.bound**2
     scores[rows] = fresh
     return scores

@@ -14,8 +14,8 @@ bound still below 1 screens the feature without reading its columns. Only
 features whose bound reaches 1 are refreshed: their image rows come from the
 solve's last gradient (the features it kept) or a column-gathered adjoint,
 then the staged score of :func:`~mtl21.qp1qc.screening_scores`. The first
-screened level carries nothing, so it refreshes every feature, exactly as
-:func:`screen_at` does.
+screened level carries nothing, so every bound is +inf and every feature is
+refreshed, by the same code as :func:`screen_at` and a fallback level.
 A level's ``t_screen`` covers all of this screening work, including building
 its reference from the previous level's solve.
 
@@ -34,7 +34,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (
-    DualPoint,
     LambdaGrid,
     MultiTaskDataset,
     ScreeningMask,
@@ -138,23 +137,6 @@ def _coerce_solver(solver_handle):
     return solver_handle
 
 
-def _boundary_reference(ds, ref, viol):
-    """Reference with its dual point pulled back onto the feasible boundary.
-
-    Dividing the point by sqrt(max_l g_l) lands it exactly on the constraint
-    boundary (the constraints are quadratically homogeneous), and the
-    projection-style normal is recomputed at the scaled point. The containment
-    argument behind the ball needs a feasible reference point, not an exact
-    solve, so this keeps screening valid under ordinary convergence slack.
-    The point's image rows scale with it.
-    """
-    scale = 1.0 / np.sqrt(1.0 + viol)
-    theta0 = DualPoint(ref.theta0.theta * scale, ds.n_per_task)
-    return ReferenceSolution._at_dual_point(
-        ds, ref.lambda0, theta0, ref.image * scale, ref.rows
-    )
-
-
 def _head_record(ds, lam, lmax, screen):
     W = np.zeros((ds.d, ds.T))
     y = stack_response(ds)
@@ -242,17 +224,15 @@ def _walk(ds, grid, solver_handle, keep_weights, screen):
             t0 = time.perf_counter()
             step_ref = ref
             if step_ref is not ref_max:
-                # dual_feasibility_violation(ds, theta0), from the carried
-                # image: its rows cover every feature that can reach 1
-                g_max = float((step_ref.image**2).sum(axis=1).max(initial=0.0))
-                viol = max(0.0, g_max - 1.0)
+                viol = step_ref.violation
                 trust = max(REF_FEASIBILITY_TOL, prev_cert * (2.0 + prev_cert) + 1e-13)
                 if viol > trust:
                     # worse than the certificate can explain: distrust entirely
                     step_ref = ref_max
                     fallback = True
                 elif viol > 0.0:
-                    step_ref = _boundary_reference(ds, step_ref, viol)
+                    # feasibility is all the uncut ball needs of its reference
+                    step_ref = step_ref.on_boundary(ds)
             ball, mask = _screen(ds, step_ref, lam, bounds)
             t_screen = t_ref + (time.perf_counter() - t0)
             kept = np.flatnonzero(~mask.inactive)

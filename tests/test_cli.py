@@ -2,11 +2,22 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mtl21
 from mtl21.cli import BENCH_COLUMNS, PATH_COLUMNS, main
+
+
+def child_env():
+    """The environment of a child Python that imports the mtl21 under test,
+    installed or not."""
+    src = str(Path(mtl21.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def read_csv(path):
@@ -287,6 +298,41 @@ class TestBadInputExits2:
         # rejected before any suite ran: no result table was printed
         assert capsys.readouterr().out == ""
 
+    @path_and_bench
+    @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+    def test_unwritable_out_exits_before_the_walk(
+        self, command, where, dataset_dir, tmp_path, capsys, monkeypatch
+    ):
+        import mtl21.cli
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("the path was walked before the output was checked")
+
+        monkeypatch.setattr(mtl21.cli, "_run_path", no_walk)
+        out = tmp_path / "missing" / "o.csv" if where == "missing-dir" else tmp_path
+        rc = main([command, str(dataset_dir), "--out", str(out)])
+        self.assert_one_error_line(capsys, rc, str(out))
+
+    def test_unwritable_json_leaves_the_csv_alone(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        out.write_text("kept\n")
+        fresh = tmp_path / "fresh.csv"
+        bad = str(tmp_path / "missing" / "s.json")
+        for csv in (out, fresh):
+            rc = main(["bench", str(dataset_dir), "--out", str(csv), "--json", bad])
+            self.assert_one_error_line(capsys, rc, bad)
+        assert out.read_text() == "kept\n"
+        assert not fresh.exists()
+
+    def test_unwritable_synth_out(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "data"
+        rc = main(
+            ["synth", "--kind", "s1", "--tasks", "2", "--n", "5", "--d", "10",
+             "--out", str(out)]
+        )
+        self.assert_one_error_line(capsys, rc, str(out))
+
     def test_negative_synth_seed(self, tmp_path, capsys):
         out = tmp_path / "neg"
         rc = main(
@@ -359,7 +405,9 @@ class TestThreads:
     def test_cli_import_loads_no_numpy(self):
         # the thread cap only takes effect if numpy is first imported after it
         code = "import sys, mtl21.cli; sys.exit('numpy' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
         assert proc.returncode == 0, proc.stderr or "numpy was imported"
 
     def test_nonpositive_thread_count_exits_2(self, dataset_dir, tmp_path, capsys):
@@ -401,6 +449,7 @@ class TestModuleDispatch:
             ],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert (out / "meta.json").is_file()

@@ -18,6 +18,7 @@ from mtl21.dual import (
 )
 from mtl21.errors import (
     DegenerateData,
+    DimensionMismatch,
     IndexOutOfRange,
     LambdaOutOfRange,
     NegativeInnerProduct,
@@ -234,7 +235,6 @@ class TestReferenceSolution:
                 theta0=theta0,
                 n0=None,
                 image=ds.adjoint(ds.pad(theta0)),
-                n0_image=None,
             )
 
 
@@ -247,7 +247,6 @@ class TestDualBall:
             theta0=theta0,
             n0=n0,
             image=ds.adjoint(ds.pad(theta0)),
-            n0_image=None if n0 is None else ds.adjoint(ds.pad(n0)),
         )
 
     def test_aligned_normal_gives_zero_radius(self):
@@ -294,6 +293,17 @@ class TestDualBall:
             DualBall(center=np.zeros(2), radius=-0.1, lam=0.5, lambda0=1.0, image=image)
         with pytest.raises(LambdaOutOfRange):
             DualBall(center=np.zeros(2), radius=0.1, lam=1.0, lambda0=1.0, image=image)
+        # rows and carried bounds come together; without both, the image
+        # covers every feature and every bound is +inf
+        ball = DualBall(center=np.zeros(2), radius=0.1, lam=0.5, lambda0=1.0, image=image)
+        np.testing.assert_array_equal(ball.rows, [0, 1])
+        assert np.isinf(ball.bound).all() and ball.bound.shape == (2,)
+        with pytest.raises(DimensionMismatch):
+            DualBall(np.zeros(2), 0.1, 0.5, 1.0, image[:1], rows=np.array([1]))
+        with pytest.raises(DimensionMismatch):
+            DualBall(np.zeros(2), 0.1, 0.5, 1.0, image, bound=np.zeros(2))
+        with pytest.raises(DimensionMismatch):
+            DualBall(np.zeros(2), 0.1, 0.5, 1.0, image, rows=np.array([1]), bound=np.zeros(2))
 
 
 class TestContainment:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import mtl21.screening
-from mtl21.core import DualPoint, LambdaGrid, MultiTaskDataset
+from mtl21.core import DualPoint, LambdaGrid, MultiTaskDataset, WeightMatrix
 from mtl21.dual import (
     DualBall,
     ReferenceSolution,
@@ -28,11 +28,11 @@ from mtl21.dual import (
 from mtl21.qp1qc import Qp1qcInstance, screening_scores, solve
 from mtl21.screening import (
     ROW_ZERO_TOL,
-    _boundary_reference,
+    screen_at,
     sequential_path,
     unscreened_path,
 )
-from mtl21.solver import SolverConfig, fit, kkt_residual
+from mtl21.solver import FitResult, SolverConfig, fit, kkt_residual, objective
 from mtl21.synth import SynthConfig, generate
 
 SIZES = (3, 5, 2, 8)
@@ -256,10 +256,46 @@ class TestProductBudget:
         ds = uneven_dataset(np.random.default_rng(3), d=30, sizes=sizes)
         lambda_max(ds)  # caches X'y, as the walk does before its head
         count = Counter(ds)
-        ref = ReferenceSolution.at_lambda_max(ds)
-        # the witness normal is one forward product; its image the one adjoint
+        lmax, _ = lambda_max(ds)
+        balls = [
+            dual_ball(ds, ReferenceSolution.at_lambda_max(ds), f * lmax) for f in (0.8, 0.5)
+        ]
+        # the witness normal is one forward product and its image the one
+        # adjoint, once per dataset however many references and balls use them
         assert count.calls == {"forward": 1, "adjoint": 1}
-        assert_image(ds, ref.n0_image, ref.n0)
+        for ball in balls:
+            assert_image(ds, ball.image, ball.center, ball.rows)
+
+    def test_basic_dpc_makes_no_product_after_the_reference(self):
+        ds, _ = generate(SynthConfig(kind="s1", tasks=4, n_per_task=20, d=400, seed=5))
+        grid = LambdaGrid.log_spaced(lambda_max(ds)[0], 20, 0.05)
+        count = Counter(ds)
+        ref = ReferenceSolution.at_lambda_max(ds)
+        masks = [screen_at(ds, ref, lam) for lam in grid.values[1:]]
+        # every ball takes its rows from the reference and the cached images
+        assert count.calls == {"forward": 1, "adjoint": 1}
+        assert len(masks) == 19 and sum(m.n_inactive for m in masks) > 0
+
+    def test_fallback_level_makes_no_adjoint(self, monkeypatch):
+        ds, _ = generate(SynthConfig(kind="s1", tasks=4, n_per_task=20, d=200, seed=7))
+        grid = LambdaGrid.log_spaced(lambda_max(ds)[0], 25, 0.02)
+        count = Counter(ds)
+        fallbacks = []
+
+        def logged_ball(ds_, ref, lam, bounds=None):
+            before = dict(count.calls)
+            ball = dual_ball(ds_, ref, lam, bounds)
+            if bounds is not None and ref.lambda0 == grid.values[0]:
+                fallbacks.append((before, dict(count.calls)))
+            return ball
+
+        monkeypatch.setattr(mtl21.screening, "dual_ball", logged_ball)
+        report = sequential_path(ds, grid, lying_solver(grid.values[1]))
+        assert [r.ref_fallback for r in report.records[:5]] == [False] * 3 + [True, False]
+        # the threshold reference holds every row of its dual point's image,
+        # and its normal's image is a cached constant
+        assert len(fallbacks) == sum(r.ref_fallback for r in report.records) > 0
+        assert all(before == after for before, after in fallbacks)
 
     def test_screened_walk_reads_refreshed_and_kept_columns(self, monkeypatch):
         ds, _ = generate(SynthConfig(kind="s1", tasks=4, n_per_task=20, d=2000, seed=4))
@@ -313,6 +349,34 @@ class TestProductBudget:
         assert small > len(levels) // 2
 
 
+def lying_solver(lam_lie, beta=0.1):
+    """A solver that at ``lam_lie`` returns the least-squares fit of
+    (1 - beta) y and claims a tight certificate, and solves elsewhere.
+
+    The lie leaves a dual point near beta y / lam_lie, deep inside the
+    feasible set, so the next ball shrinks onto it and screens every
+    feature; the zero weights there leave y / lam as the next dual point,
+    far outside, so the level after falls back to the threshold reference.
+    """
+
+    def solve_or_lie(sub_ds, lam, warm):
+        if lam != lam_lie:
+            return fit(sub_ds, lam, SolverConfig(warm_start=warm))
+        W = np.column_stack(
+            [np.linalg.lstsq(X, (1.0 - beta) * y, rcond=None)[0] for X, y in zip(sub_ds.X, sub_ds.y)]
+        )
+        return FitResult(
+            weights=WeightMatrix(W),
+            n_iters=1,
+            kkt_residual=1e-12,
+            objective=objective(sub_ds, W, lam),
+            converged=True,
+            wall_time=0.0,
+        )
+
+    return solve_or_lie
+
+
 def assert_image(ds, image, v, rows=None):
     fresh = ds.adjoint(ds.pad(v))
     if rows is not None:
@@ -335,7 +399,7 @@ def test_carried_images_match_fresh_products(sizes):
     partial = ReferenceSolution.from_primal(
         ds, W0.values[support], 0.6 * lmax, bounds=bounds, support=support
     )
-    assert partial.rows is not None and np.array_equal(partial.theta0.theta, seq.theta0.theta)
+    assert len(partial.rows) < ds.d and np.array_equal(partial.theta0.theta, seq.theta0.theta)
     # a solve on the kept columns, whose last products give the dual point
     # and the kept rows of its image
     kept = np.flatnonzero(screening_scores(ds, first) >= 1.0)
@@ -348,24 +412,41 @@ def test_carried_images_match_fresh_products(sizes):
     W_full[kept] = solve.weights.values
     assert_rel(solved.theta0.theta, dual_from_primal(ds, W_full, 0.6 * lmax).theta, 1e-12)
     assert np.isin(kept, solved.rows).all()
+
+    def on_boundary(ref):
+        # the dual point and its image doubled, well outside the feasible
+        # set, then pulled back onto its boundary
+        doubled = dataclasses.replace(
+            ref, theta0=DualPoint(2.0 * ref.theta0.theta, ds.n_per_task), image=2.0 * ref.image
+        )
+        assert doubled.violation > 1.0
+        pulled = doubled.on_boundary(ds)
+        assert pulled.violation <= 1e-12
+        return pulled
+
     refs = {
         "threshold": ReferenceSolution.at_lambda_max(ds),
         "zero weights at the threshold": ReferenceSolution.from_primal(
             ds, np.zeros((ds.d, ds.T)), lmax
         ),
         "sequential": seq,
-        "boundary": _boundary_reference(ds, seq, 0.25),
+        "boundary": on_boundary(seq),
         "carried": partial,
-        "carried boundary": _boundary_reference(ds, partial, 0.25),
+        "carried boundary": on_boundary(partial),
         "from a solve": solved,
     }
     for name, ref in refs.items():
         assert ref.n0 is not None, name
         assert_image(ds, ref.image, ref.theta0, ref.rows)
-        assert_image(ds, ref.n0_image, ref.n0, ref.rows)
         for carried in (None, bounds):
             ball = dual_ball(ds, ref, 0.4 * lmax, carried)
-            assert (ball.rows is None) == (carried is None)
+            # the radius is below the uncut one, so the center's image
+            # holds a nonzero multiple of the normal's
+            uncut = np.linalg.norm(ds.unpad(ds.y_stack) / (0.4 * lmax) - ref.theta0.theta)
+            assert ball.radius < 0.5 * uncut * (1.0 - 1e-9), name
+            assert np.isfinite(ball.bound).all() == (carried is not None)
+            if carried is None:
+                assert np.array_equal(ball.rows, np.arange(ds.d))
             assert_image(ds, ball.image, ball.center, ball.rows)
 
 
@@ -395,17 +476,23 @@ def test_s2_walk_masks_match_fresh_images(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "kind,sizes", [("s1", None), ("s2", SIZES)], ids=["s1-equal", "s2-unequal"]
+    "kind,sizes,lie",
+    [("s1", None, False), ("s2", SIZES, False), ("s1", None, True)],
+    ids=["s1-equal", "s2-unequal", "s1-fallback"],
 )
-def test_carried_walk_matches_full_pass(monkeypatch, kind, sizes):
+def test_carried_walk_matches_full_pass(monkeypatch, kind, sizes, lie):
     # the same walk with every reference and ball formed on every feature,
     # and so every ball scored afresh on every feature, as before bounds were
-    # carried: the masks, references and solves must not change
+    # carried: the masks, references and solves must not change. A lying
+    # solver makes a level fall back to the threshold reference while it
+    # carries bounds.
     ds, _ = generate(SynthConfig(kind=kind, tasks=4, n_per_task=20, d=200, seed=7))
     if sizes is not None:
         ds = MultiTaskDataset([(X[:n], y[:n]) for X, y, n in zip(ds.X, ds.y, (20, 13, 17, 9))])
     grid = LambdaGrid.log_spaced(lambda_max(ds)[0], 25, 0.02)
-    carried = sequential_path(ds, grid, SolverConfig())
+    solver = lying_solver(grid.values[1]) if lie else SolverConfig()
+    carried = sequential_path(ds, grid, solver)
+    assert any(r.ref_fallback for r in carried.records) == lie
     from_primal = ReferenceSolution.from_primal
 
     def full_reference(ds_, W, lam, bounds=None, **kwargs):
@@ -417,7 +504,7 @@ def test_carried_walk_matches_full_pass(monkeypatch, kind, sizes):
     monkeypatch.setattr(
         mtl21.screening, "dual_ball", lambda ds_, ref, lam, bounds=None: dual_ball(ds_, ref, lam)
     )
-    full = sequential_path(ds, grid, SolverConfig())
+    full = sequential_path(ds, grid, solver)
     assert sum(r.n_screened for r in carried.records[1:]) > 0
     for a, b in zip(carried.records, full.records, strict=True):
         assert np.array_equal(a.mask.inactive, b.mask.inactive)

@@ -87,6 +87,7 @@ class TestBuildInstance:
         b.center = np.asarray(center, dtype=float)
         b.radius = float(radius)
         b.image = ds.adjoint(ds.pad(b.center))
+        b.rows = np.arange(ds.d)
         return b
 
     def test_hand_value(self):
@@ -339,7 +340,6 @@ class TestScreeningBounds:
             theta0=theta0,
             n0=None,
             image=ds.adjoint(ds.pad(theta0)),
-            n0_image=None,
         )
         return dual_ball(ds, ref, 1.0)
 
@@ -413,7 +413,6 @@ class TestScreeningScores:
             theta0=theta0,
             n0=None,
             image=ds.adjoint(ds.pad(theta0)),
-            n0_image=None,
         )
         return dual_ball(ds, ref, 1.0)
 
@@ -471,7 +470,6 @@ class TestScreeningScores:
             theta0=theta0,
             n0=None,
             image=ds.adjoint(ds.pad(theta0)),
-            n0_image=None,
         )
         ball = dual_ball(ds, ref, lam)
         assert ball.radius == 0.0

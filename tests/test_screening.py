@@ -342,13 +342,18 @@ class TestScreenTime:
 def checked_walk(monkeypatch, ds, grid, solver):
     """A screened walk in which every carried bound is held against the
     exact maximum over its ball, and every reference's uncovered features
-    against their constraint values at its dual point."""
+    against their constraint values at its dual point. A ball carries
+    bounds when they are all finite; one that carries nothing has every
+    bound +inf and every feature on its rows."""
     seen = {"balls": 0, "carried": 0}
     scores = mtl21.screening.screening_scores
     from_primal = ReferenceSolution.from_primal
 
     def checked_scores(ds_, ball):
-        if ball.rows is not None:
+        if not np.isfinite(ball.bound).all():
+            assert np.isinf(ball.bound).all()
+            assert np.array_equal(ball.rows, np.arange(ds_.d))
+        else:
             full = dataclasses.replace(
                 ball, image=ds_.adjoint(ds_.pad(ball.center)), rows=None, bound=None
             )
