@@ -56,8 +56,6 @@ _EXPORTS = {
     "qp1qc": (
         "Qp1qcInstance",
         "Qp1qcSolution",
-        "build_instances",
-        "screening_bounds",
         "screening_scores",
         "solve",
         "solve_batch",

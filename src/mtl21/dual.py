@@ -8,11 +8,13 @@ level ``lambda_max``, dual recovery from a primal iterate, and a certified
 ball that contains the exact dual optimum at a target level given a solved
 reference level.
 
-Geometry of the ball: with reference point theta0 at level lambda0 and its
-outward normal n0, the residual r = y/lam - theta0 is split into the
-component along n0 and the orthogonal remainder r_perp; the exact dual
-optimum lies in the ball centered at theta0 + r_perp/2 with radius
-``norm(r_perp)/2``.
+Geometry of the ball: a reference is its level lambda0 and its solved dual
+point theta0. Its outward normal n0 follows from those and the dataset
+(y/lambda0 - theta0, or the witness feature's constraint gradient at the
+threshold) and is derived where the ball is cut. The residual
+r = y/lam - theta0 is split into the component along n0 and the orthogonal
+remainder r_perp; the exact dual optimum lies in the ball centered at
+theta0 + r_perp/2 with radius ``norm(r_perp)/2``.
 
 Carried images: a reference holds the adjoint image X't theta0, and a ball
 X't center, on an increasing index array ``rows`` of features, one row each
@@ -186,14 +188,15 @@ def normal_vector(ds, theta0, lambda0):
     Below the all-zero threshold this is y/lambda0 - theta0. At the threshold
     itself that difference vanishes, so the constraint gradient of the witness
     feature at y/lambda_max is used instead (its t-th block is
-    2 <x_w_t, y_t/lambda_max> x_w_t), computed once per dataset.
+    2 <x_w_t, y_t/lambda_max> x_w_t), computed once per dataset. That normal
+    is never zero: its inner product with y is 2 lambda_max > 0.
 
     Errors
     ------
     LambdaOutOfRange : lambda0 outside (0, lambda_max], or a threshold-level
         call whose theta0 is not y/lambda_max.
-    ZeroNormal : the normal is too small to define a direction
-        (below 1e-14 * ||y|| / lambda0).
+    ZeroNormal : below the threshold, the normal is too small to define a
+        direction (below 1e-14 * ||y|| / lambda0).
     """
     lambda0 = float(lambda0)
     lmax, _ = lambda_max(ds)
@@ -210,9 +213,8 @@ def normal_vector(ds, theta0, lambda0):
             raise LambdaOutOfRange(
                 "at the all-zero threshold the reference dual point must be y/lambda_max"
             )
-        n = _witness_normal(ds)[0]
-    else:
-        n = y / lambda0 - th
+        return _witness_normal(ds)[0]
+    n = y / lambda0 - th
     if _norm(n) < ZERO_NORMAL_RTOL * _norm(y) / lambda0:
         raise ZeroNormal("reference normal vector is numerically zero")
     return n
@@ -287,27 +289,22 @@ class ScoreBounds:
 
 @dataclass(frozen=True)
 class ReferenceSolution:
-    """A solved reference level: the dual point ``theta0`` there, its normal
-    ``n0`` (:func:`normal_vector`), and the adjoint image ``image`` =
-    X't theta0 on the features ``rows``, an increasing index array with one
-    image row per feature (every feature when built without ``rows``). The
-    rows cover every feature whose constraint value at theta0 can reach 1.
-
-    ``n0`` is None when the normal was numerically zero; ball construction
-    then falls back to the un-projected (larger but still valid) ball.
+    """A solved reference level: the dual point ``theta0`` there and the
+    adjoint image ``image`` = X't theta0 on the features ``rows``, an
+    increasing index array with one image row per feature (every feature
+    when built without ``rows``). The rows cover every feature whose
+    constraint value at theta0 can reach 1. Its normal is not stored: it is
+    fixed by theta0, lambda0 and the dataset (:func:`normal_vector`).
     """
 
     lambda0: float
     theta0: DualPoint
-    n0: np.ndarray | None
     image: np.ndarray
     rows: np.ndarray | None = None
 
     def __post_init__(self):
         if self.lambda0 <= 0:
             raise LambdaOutOfRange(f"reference level must be positive, got {self.lambda0}")
-        if self.n0 is not None and len(self.n0) != len(self.theta0.theta):
-            raise LambdaOutOfRange("normal and dual point lengths differ")
         if self.rows is None:
             object.__setattr__(self, "rows", np.arange(len(self.image)))
         elif len(self.image) != len(self.rows):
@@ -323,12 +320,12 @@ class ReferenceSolution:
     def on_boundary(self, ds):
         """The reference with its dual point, and image rows, divided by
         sqrt(1 + violation) = sqrt(max_l g_l): the constraints are
-        quadratically homogeneous, so this lands the point exactly on the
-        feasible boundary. The normal is recomputed there."""
+        quadratically homogeneous, so an infeasible point lands exactly on
+        the feasible boundary. A feasible one is divided by exactly 1.0, so
+        it stays as it is."""
         scale = 1.0 / np.sqrt(1.0 + self.violation)
         theta0 = DualPoint(self.theta0.theta * scale, ds.n_per_task)
-        n0 = _normal_or_none(ds, theta0, self.lambda0)
-        return ReferenceSolution(self.lambda0, theta0, n0, self.image * scale, self.rows)
+        return ReferenceSolution(self.lambda0, theta0, self.image * scale, self.rows)
 
     @classmethod
     def at_lambda_max(cls, ds):
@@ -336,7 +333,7 @@ class ReferenceSolution:
         in closed form (y/lambda_max)."""
         lmax, _ = lambda_max(ds)
         theta0 = DualPoint(stack_response(ds) / lmax, ds.n_per_task)
-        return cls(lmax, theta0, normal_vector(ds, theta0, lmax), ds.response_image / lmax)
+        return cls(lmax, theta0, ds.response_image / lmax)
 
     @classmethod
     def from_primal(cls, ds, W, lambda0, bounds=None, support=None, solve=None):
@@ -380,7 +377,7 @@ class ReferenceSolution:
                     f"<response, normal> = {inner:.3e} below -{bound:.3e}; "
                     "reference solution looks inconsistent"
                 )
-        return cls(lambda0, theta0, n0, image, rows)
+        return cls(lambda0, theta0, image, rows)
 
 
 @dataclass(frozen=True)
@@ -421,12 +418,14 @@ class DualBall:
 def dual_ball(ds, ref, lam, bounds=None):
     """Ball containing the exact dual optimum at ``lam`` given a reference.
 
-    With r = y/lam - theta0: the component of r along the reference normal is
-    removed (coefficient clamped at zero), and the ball is centered at
+    With r = y/lam - theta0 and n0 the reference's normal
+    (:func:`normal_vector`): the component of r along n0 is removed
+    (coefficient clamped at zero), and the ball is centered at
     theta0 + r_perp/2 with radius ||r_perp||/2. A near-orthogonal violation of
     the sign condition <r, n0> >= 0 beyond -1e-9*||r||*||n0|| raises
-    NegativeInnerProduct. Without a usable normal (ref.n0 is None) the
-    un-projected ball (center theta0 + r/2, radius ||r||/2) is returned.
+    NegativeInnerProduct. Where the normal is numerically zero (theta0 at
+    y/lambda0 below the threshold) the un-projected ball (center
+    theta0 + r/2, radius ||r||/2) is returned.
 
     The ball's bounds are the :class:`ScoreBounds` of the last ball moved
     onto it, or +inf without ``bounds``. Its image covers the features whose
@@ -443,11 +442,11 @@ def dual_ball(ds, ref, lam, bounds=None):
     y = stack_response(ds)
     th0 = as_dual_vector(ref.theta0, ds.N)
     r = y / lam - th0
+    n0 = _normal_or_none(ds, ref.theta0, ref.lambda0)
     coef = 0.0
-    if ref.n0 is None:
+    if n0 is None:
         r_perp = r
     else:
-        n0 = ref.n0
         inner = float(np.dot(n0, r))
         bound = SIGN_RTOL * _norm(r) * _norm(n0)
         if inner < -bound:
@@ -466,7 +465,7 @@ def dual_ball(ds, ref, lam, bounds=None):
     # X't center = 0.5 X't y / lam + 0.5 X't theta0 - 0.5 coef X't n0
     image = response * (0.5 / lam)
     image += 0.5 * image0
-    if ref.n0 is not None:
+    if n0 is not None:
         # X't n0: below the threshold n0 = y/lambda0 - theta0, at it the
         # witness normal
         if _at_threshold(ds, ref.lambda0):

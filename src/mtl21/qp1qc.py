@@ -32,10 +32,8 @@ from .errors import DimensionMismatch, NoConvergence
 __all__ = [
     "Qp1qcInstance",
     "Qp1qcSolution",
-    "build_instances",
     "solve",
     "solve_batch",
-    "screening_bounds",
     "screening_scores",
 ]
 
@@ -100,31 +98,18 @@ class Qp1qcSolution:
     converged: bool
 
 
-def _instance_rows(ds, features, C):
-    """A, B, C of the features ``features`` (an index array or slice), given
-    their rows C of the center image."""
-    cn = ds.col_norms[features]
-    return cn**2, cn * np.abs(C), C
-
-
-def build_instances(ds, ball):
-    """Reduced data of every feature at once: (d,T) arrays A, B, C and delta.
-
-    Needs a ball whose image covers every feature.
-    """
-    if len(ball.rows) != ds.d:
-        raise DimensionMismatch("the ball's image does not cover every feature")
-    return (*_instance_rows(ds, slice(None), ball.image), float(ball.radius))
-
-
 def _bracket(A, B, csum, delta):
     """Lower and upper bounds on each instance's maximum, without iterating.
 
     Below: the objective at the boundary point u = delta * b / ||b||,
     csum + 2 delta ||b|| + delta^2 sum_t a_t b_t^2 / ||b||^2. Above: the
-    multiplier dual value at alpha = 2 rho + 2 ||b|| / delta, the top of the
-    Newton bracket. The two differ by at most about rho delta^2. Without
-    b (then C vanishes too) both are the exact maximum csum + rho delta^2.
+    multiplier dual value at alpha = 2 rho + 2 ||b|| / delta, the smallest
+    alpha at which ||u(alpha)|| <= delta is guaranteed (each
+    alpha - 2 a_t is then at least 2 ||b|| / delta), so alpha >= alpha*.
+    (:func:`solve_batch` starts its Newton bracket higher, at
+    2 rho + 4 ||b|| / delta.) The two differ by at most about rho delta^2.
+    Without b (then C vanishes too) both are the exact maximum
+    csum + rho delta^2.
     """
     if delta == 0.0:
         return csum, csum
@@ -304,17 +289,6 @@ def solve(inst):
     )
 
 
-def screening_bounds(ds, ball):
-    """Maximum constraint value of every feature over the ball; (d,) array.
-
-    Non-strict: a feature whose boundary equation stalls keeps its dual-value
-    bound, which can only overestimate, so thresholding the result stays safe.
-    """
-    A, B, C, delta = build_instances(ds, ball)
-    s, _, _, _, _, _ = solve_batch(A, B, C, delta, strict=False)
-    return s
-
-
 def screening_scores(ds, ball):
     """Certified screening scores for every feature; (d,) array.
 
@@ -334,9 +308,10 @@ def screening_scores(ds, ball):
     forward-error margin and which stays below 1. A ball that carries
     nothing has every bound +inf and every feature on its rows.
 
-    Thresholding at 1 therefore gives the same mask as :func:`screening_bounds`
-    for a fraction of its cost, but a score may exceed the true maximum. Use
-    :func:`screening_bounds` when the values themselves matter.
+    Thresholding at 1 therefore gives the same mask as thresholding every
+    feature's exact maximum, for a fraction of its cost, but a score may
+    exceed the true maximum. Use :func:`solve_batch` (non-strict) on a
+    feature's reduced data when the values themselves matter.
     """
     rows = ball.rows
     delta = float(ball.radius)
@@ -344,7 +319,9 @@ def screening_scores(ds, ball):
     fresh = (np.sqrt(csum) + ds.col_norm_max[rows] * delta) ** 2
     contested = np.flatnonzero(fresh >= 1.0)
     if contested.size:
-        A, B, C = _instance_rows(ds, rows[contested], ball.image[contested])
+        C = ball.image[contested]
+        cn = ds.col_norms[rows[contested]]
+        A, B = cn**2, cn * np.abs(C)
         lower, upper = _bracket(A, B, csum[contested], delta)
         fresh[contested] = upper
         # rows whose bracket leaves 1 undecided, by more than its rounding,

@@ -16,8 +16,9 @@ solve's last gradient (the features it kept) or a column-gathered adjoint,
 then the staged score of :func:`~mtl21.qp1qc.screening_scores`. The first
 screened level carries nothing, so every bound is +inf and every feature is
 refreshed, by the same code as :func:`screen_at` and a fallback level.
-A level's ``t_screen`` covers all of this screening work, including building
-its reference from the previous level's solve.
+Each level builds its reference, the previous level's solved dual point,
+at the start of its own screening, so its ``t_screen`` covers all of this
+work; the reference's normal is derived where its ball is cut.
 
 The grid head needs no screening or solving: at and above the all-zero
 threshold the solution is identically zero, so the head record certifies all
@@ -206,37 +207,37 @@ def _walk(ds, grid, solver_handle, keep_weights, screen):
         head.weights = WeightMatrix(W_full)
     report.records.append(head)
     ref_max = ReferenceSolution.at_lambda_max(ds) if screen else None
-    ref = ref_max
-    bounds = None  # score bounds carried from the last ball
-    t_ref = 0.0  # time spent building the current reference
+    ball = mask = None  # the last level's ball and mask
 
-    prev_cert = 0.0  # certificate of the solve the current reference came from
-
-    last = len(grid.values) - 1
-    for i, lam in enumerate(grid.values[1:], start=1):
+    for lam in grid.values[1:]:
         lam = float(lam)
         fallback = False
-        mask = None
         n_screened = 0
         t_screen = 0.0
-        kept = np.arange(ds.d)
         if screen:
             t0 = time.perf_counter()
-            step_ref = ref
-            if step_ref is not ref_max:
-                viol = step_ref.violation
-                trust = max(REF_FEASIBILITY_TOL, prev_cert * (2.0 + prev_cert) + 1e-13)
-                if viol > trust:
+            ref, bounds = ref_max, None
+            if ball is not None:
+                # this level's reference, from the last level's solve, and
+                # the score bounds carried from its ball
+                bounds = ScoreBounds(ball.center, ball.radius, np.sqrt(mask.scores))
+                ref = ReferenceSolution.from_primal(
+                    ds, W_keep, ball.lam, bounds=bounds, support=kept, solve=res
+                )
+                # kkt: the last solve's certificate
+                trust = max(REF_FEASIBILITY_TOL, kkt * (2.0 + kkt) + 1e-13)
+                if ref.violation > trust:
                     # worse than the certificate can explain: distrust entirely
-                    step_ref = ref_max
-                    fallback = True
-                elif viol > 0.0:
+                    ref, fallback = ref_max, True
+                else:
                     # feasibility is all the uncut ball needs of its reference
-                    step_ref = step_ref.on_boundary(ds)
-            ball, mask = _screen(ds, step_ref, lam, bounds)
-            t_screen = t_ref + (time.perf_counter() - t0)
+                    ref = ref.on_boundary(ds)
+            ball, mask = _screen(ds, ref, lam, bounds)
+            t_screen = time.perf_counter() - t0
             kept = np.flatnonzero(~mask.inactive)
             n_screened = ds.d - len(kept)
+        else:
+            kept = np.arange(ds.d)
 
         t1 = time.perf_counter()
         if len(kept):
@@ -299,14 +300,4 @@ def _walk(ds, grid, solver_handle, keep_weights, screen):
         if keep_weights:
             rec.weights = WeightMatrix(W_full)
         report.records.append(rec)
-        if screen and i < last:
-            # the next level's reference, from the solve's last products; the
-            # last level has none to serve. Its time is screening work.
-            t2 = time.perf_counter()
-            bounds = ScoreBounds(ball.center, ball.radius, np.sqrt(mask.scores))
-            ref = ReferenceSolution.from_primal(
-                ds, W_keep, lam, bounds=bounds, support=kept, solve=res
-            )
-            prev_cert = float(kkt)
-            t_ref = time.perf_counter() - t2
     return report

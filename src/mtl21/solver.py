@@ -31,6 +31,7 @@ of the accepted iterate itself.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -72,8 +73,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.kkt_tol > 0:
-            raise ValueError(f"kkt_tol must be positive, got {self.kkt_tol}")
+        if not 0 < self.kkt_tol < math.inf:
+            raise ValueError(f"kkt_tol must be positive and finite, got {self.kkt_tol}")
 
 
 @dataclass

@@ -48,8 +48,8 @@ class SynthConfig:
             )
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.noise_scale < 0.0:
-            raise ValueError(f"noise_scale must be >= 0, got {self.noise_scale}")
+        if not 0.0 <= self.noise_scale < math.inf:
+            raise ValueError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
         if self.support_mode not in ("shared", "per-task"):
             raise ValueError(f"support_mode must be 'shared' or 'per-task', got {self.support_mode!r}")
 

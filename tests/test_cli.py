@@ -275,10 +275,14 @@ class TestBadInputExits2:
         assert not out.exists()
 
     @path_and_bench
-    @pytest.mark.parametrize("flag", ["--kkt-tol", "--max-iters"])
-    def test_nonpositive_solver_setting(self, command, flag, dataset_dir, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--kkt-tol", "0"), ("--max-iters", "0"), ("--kkt-tol", "inf")],
+        ids=["--kkt-tol", "--max-iters", "--kkt-tol-inf"],
+    )
+    def test_nonpositive_solver_setting(self, command, flag, value, dataset_dir, tmp_path, capsys):
         out = tmp_path / "o.csv"
-        rc = main([command, str(dataset_dir), "--out", str(out), flag, "0"])
+        rc = main([command, str(dataset_dir), "--out", str(out), flag, value])
         self.assert_one_error_line(capsys, rc, flag[2:].replace("-", "_"))
         assert not out.exists()
 
@@ -288,6 +292,7 @@ class TestBadInputExits2:
             ("--kkt-tol", "0"),
             ("--kkt-tol", "-1"),
             ("--kkt-tol", "nan"),
+            ("--kkt-tol", "inf"),
             ("--cases", "-5"),
             ("--seed", "-1"),
         ],
@@ -343,6 +348,17 @@ class TestBadInputExits2:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_noise_scale(self, value, tmp_path, capsys):
+        out = tmp_path / "noisy"
+        rc = main(
+            ["synth", "--kind", "s1", "--tasks", "2", "--n", "5", "--d", "10",
+             "--noise-scale", value, "--out", str(out)]
+        )
+        self.assert_one_error_line(capsys, rc, "noise_scale")
+        assert not out.exists()
+
+
 class TestVerify:
     def test_defaults_pass_on_fresh_dataset(self, dataset_dir, capsys):
         rc = main(["verify", str(dataset_dir), "--cases", "60"])
@@ -352,6 +368,14 @@ class TestVerify:
         assert any(ln.startswith("containment") and "pass" in ln for ln in lines)
         assert any(ln.startswith("qp1qc") and "pass" in ln for ln in lines)
         assert any(ln.startswith("gap") and "pass" in ln for ln in lines)
+
+    def test_qp1qc_suite_passes_at_its_defaults(self, dataset_dir, capsys):
+        # 200 cases, each against a 20000-sample oracle polished by ascent
+        rc = main(["verify", str(dataset_dir), "--suite", "qp1qc"])
+        assert rc == 0
+        assert any(
+            ln.startswith("qp1qc") and "pass" in ln for ln in capsys.readouterr().out.splitlines()
+        )
 
     def test_single_suite_selection(self, dataset_dir, capsys):
         rc = main(["verify", str(dataset_dir), "--suite", "qp1qc", "--cases", "40"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -211,14 +212,21 @@ class TestReferenceSolution:
         ref = ReferenceSolution.at_lambda_max(ds)
         assert ref.lambda0 == 2.0
         np.testing.assert_allclose(ref.theta0.theta, [1.0, 0.0])
-        np.testing.assert_allclose(ref.n0, [2.0, 0.0])
+        # the normal is derived from the reference: the witness gradient
+        np.testing.assert_allclose(normal_vector(ds, ref.theta0, ref.lambda0), [2.0, 0.0])
+        assert "n0" not in {f.name for f in dataclasses.fields(ReferenceSolution)}
 
     def test_from_primal_zero_weights_has_no_normal(self):
-        # W = 0 below the threshold puts theta0 exactly at y/lambda0
+        # W = 0 below the threshold puts theta0 exactly at y/lambda0, where
+        # the normal vanishes and the ball is left uncut
         ds = hand_dataset()
         ref = ReferenceSolution.from_primal(ds, np.zeros((2, 1)), 1.0)
-        assert ref.n0 is None
         np.testing.assert_allclose(ref.theta0.theta, [2.0, 0.0])
+        with pytest.raises(ZeroNormal):
+            normal_vector(ds, ref.theta0, ref.lambda0)
+        ball = dual_ball(ds, ref, 0.5)
+        np.testing.assert_allclose(ball.center, [3.0, 0.0])
+        assert ball.radius == 1.0
 
     def test_from_primal_sign_check(self):
         # weights that anti-correlate the fit with the response are rejected
@@ -230,51 +238,49 @@ class TestReferenceSolution:
         ds = hand_dataset()
         theta0 = DualPoint([1.0, 0.0], [2])
         with pytest.raises(LambdaOutOfRange):
-            ReferenceSolution(
-                lambda0=0.0,
-                theta0=theta0,
-                n0=None,
-                image=ds.adjoint(ds.pad(theta0)),
-            )
+            ReferenceSolution(lambda0=0.0, theta0=theta0, image=ds.adjoint(ds.pad(theta0)))
 
 
 class TestDualBall:
-    def ref(self, ds, n0):
-        theta0 = DualPoint([1.0, 0.0], [2])
-        n0 = None if n0 is None else np.asarray(n0, dtype=float)
-        return ReferenceSolution(
-            lambda0=1.0,
-            theta0=theta0,
-            n0=n0,
-            image=ds.adjoint(ds.pad(theta0)),
-        )
+    # references at lambda0 = 1 with normal n = y/lambda0 - theta0, so
+    # theta0 = y - n; the target lam = 0.5 gives r = y/lam - theta0 = (2, 0) + n
+    def ref(self, ds, n):
+        theta0 = DualPoint(np.array([2.0, 0.0]) - np.asarray(n, dtype=float), [2])
+        return ReferenceSolution(lambda0=1.0, theta0=theta0, image=ds.adjoint(ds.pad(theta0)))
+
+    def assert_ball(self, ds, ball, center, radius):
+        np.testing.assert_allclose(ball.center, center, rtol=1e-15, atol=1e-15)
+        assert math.isclose(ball.radius, radius, rel_tol=1e-15, abs_tol=1e-15)
+        # the carried image is X' center, on every feature
+        np.testing.assert_array_equal(ball.rows, [0, 1])
+        np.testing.assert_allclose(ball.image, ds.adjoint(ds.pad(ball.center)), rtol=1e-15, atol=1e-15)
 
     def test_aligned_normal_gives_zero_radius(self):
-        # residual parallel to the normal: the whole gap is projected away
+        # residual (3, 0) parallel to the normal: the whole gap is projected away
         ds = hand_dataset()
         ball = dual_ball(ds, self.ref(ds, [1.0, 0.0]), 0.5)
-        np.testing.assert_allclose(ball.center, [1.0, 0.0])
-        assert ball.radius == 0.0
+        self.assert_ball(ds, ball, [1.0, 0.0], 0.0)
 
     def test_orthogonal_normal_keeps_residual(self):
+        # n = (-1, 1) is orthogonal to r = (1, 1): nothing is removed
         ds = hand_dataset()
-        ball = dual_ball(ds, self.ref(ds, [0.0, 1.0]), 0.5)
-        np.testing.assert_allclose(ball.center, [2.5, 0.0])
-        assert math.isclose(ball.radius, 1.5, rel_tol=1e-15)
+        ball = dual_ball(ds, self.ref(ds, [-1.0, 1.0]), 0.5)
+        self.assert_ball(ds, ball, [3.5, -0.5], math.sqrt(2.0) / 2.0)
 
     def test_oblique_normal_hand_value(self):
+        # n = (1, 1), r = (3, 1): coefficient 2, r_perp = (1, -1)
         ds = hand_dataset()
         ball = dual_ball(ds, self.ref(ds, [1.0, 1.0]), 0.5)
-        np.testing.assert_allclose(ball.center, [1.75, -0.75], rtol=1e-15)
-        assert math.isclose(ball.radius, 3.0 * math.sqrt(2.0) / 4.0, rel_tol=1e-13)
+        self.assert_ball(ds, ball, [1.5, -1.5], math.sqrt(2.0) / 2.0)
 
     def test_no_normal_falls_back_to_unprojected(self):
+        # theta0 = y/lambda0: the normal is zero and the ball uncut, r = (2, 0)
         ds = hand_dataset()
-        ball = dual_ball(ds, self.ref(ds, None), 0.5)
-        np.testing.assert_allclose(ball.center, [2.5, 0.0])
-        assert math.isclose(ball.radius, 1.5, rel_tol=1e-15)
+        ball = dual_ball(ds, self.ref(ds, [0.0, 0.0]), 0.5)
+        self.assert_ball(ds, ball, [3.0, 0.0], 1.0)
 
     def test_negative_inner_product(self):
+        # n = (-1, 0) against r = (1, 0)
         ds = hand_dataset()
         with pytest.raises(NegativeInnerProduct):
             dual_ball(ds, self.ref(ds, [-1.0, 0.0]), 0.5)

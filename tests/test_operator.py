@@ -24,6 +24,7 @@ from mtl21.dual import (
     dual_from_primal,
     feature_constraint_all,
     lambda_max,
+    normal_vector,
 )
 from mtl21.qp1qc import Qp1qcInstance, screening_scores, solve
 from mtl21.screening import (
@@ -436,7 +437,9 @@ def test_carried_images_match_fresh_products(sizes):
         "from a solve": solved,
     }
     for name, ref in refs.items():
-        assert ref.n0 is not None, name
+        # every reference has a normal (none raises ZeroNormal), so each
+        # ball below is cut
+        assert np.linalg.norm(normal_vector(ds, ref.theta0, ref.lambda0)) > 0.0, name
         assert_image(ds, ref.image, ref.theta0, ref.rows)
         for carried in (None, bounds):
             ball = dual_ball(ds, ref, 0.4 * lmax, carried)

@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from mtl21.core import MultiTaskDataset
-from mtl21.dual import ReferenceSolution, dual_ball, feature_constraint
+from mtl21.dual import DualBall, ReferenceSolution, dual_ball, feature_constraint, lambda_max
 from mtl21.errors import DimensionMismatch, NoConvergence
 from mtl21.qp1qc import (
     BRACKET_RTOL,
     Qp1qcInstance,
     _bracket,
-    build_instances,
-    screening_bounds,
     screening_scores,
     solve,
     solve_batch,
 )
+
+from exact_scores import build_instances, screening_bounds
 
 # the Newton example frozen from a high-precision bisection run:
 # a=(1,4), b=(1,1), delta=0.1 has its multiplier at this root
@@ -330,25 +330,26 @@ class TestSolveBatch:
         assert s[0] >= oracle - 1e-9
 
 
+def uncut_ball(ds, theta0):
+    """The uncut ball at lam = 1 of a reference point theta0 at level 2:
+    center theta0 + r/2 and radius ||r||/2 with r = y - theta0, its image
+    X' center on every feature."""
+    from mtl21.core import stack_response
+
+    r = stack_response(ds) - theta0
+    center = theta0 + 0.5 * r
+    return DualBall(
+        center, 0.5 * float(np.linalg.norm(r)), 1.0, 2.0, ds.adjoint(ds.pad(center))
+    )
+
+
 class TestScreeningBounds:
-    def make_ball(self, rng, ds, radius):
-        from mtl21.core import DualPoint
-
-        theta0 = DualPoint(rng.standard_normal(ds.N) * 0.1, ds.n_per_task)
-        ref = ReferenceSolution(
-            lambda0=2.0,
-            theta0=theta0,
-            n0=None,
-            image=ds.adjoint(ds.pad(theta0)),
-        )
-        return dual_ball(ds, ref, 1.0)
-
     def test_batch_matches_per_feature_path(self):
         rng = np.random.default_rng(55)
         ds = MultiTaskDataset(
             [(rng.standard_normal((6, 9)), rng.standard_normal(6)) for _ in range(2)]
         )
-        ball = self.make_ball(rng, ds, 0.4)
+        ball = uncut_ball(ds, rng.standard_normal(ds.N) * 0.1)
         s_all = screening_bounds(ds, ball)
         assert s_all.shape == (9,)
         for ell in range(9):
@@ -364,7 +365,7 @@ class TestScreeningBounds:
         ds = MultiTaskDataset(
             [(rng.standard_normal((5, 7)), rng.standard_normal(5)) for _ in range(3)]
         )
-        ball = self.make_ball(rng, ds, 0.6)
+        ball = uncut_ball(ds, rng.standard_normal(ds.N) * 0.1)
         s_all = screening_bounds(ds, ball)
         for _ in range(200):
             z = rng.standard_normal(ds.N)
@@ -405,16 +406,7 @@ class TestBracket:
 
 class TestScreeningScores:
     def make_ball(self, rng, ds, scale):
-        from mtl21.core import DualPoint
-
-        theta0 = DualPoint(rng.standard_normal(ds.N) * scale, ds.n_per_task)
-        ref = ReferenceSolution(
-            lambda0=2.0,
-            theta0=theta0,
-            n0=None,
-            image=ds.adjoint(ds.pad(theta0)),
-        )
-        return dual_ball(ds, ref, 1.0)
+        return uncut_ball(ds, rng.standard_normal(ds.N) * scale)
 
     def test_same_mask_as_exact_and_never_below(self):
         # masks must coincide with exact thresholding; each score must
@@ -463,14 +455,11 @@ class TestScreeningScores:
         ds = MultiTaskDataset(
             [(rng.standard_normal((5, 8)), rng.standard_normal(5)) for _ in range(2)]
         )
-        lam = 1.3
+        # theta0 = y/lam at a reference level above lam leaves r = 0
+        lmax, _ = lambda_max(ds)
+        lam = 0.5 * lmax
         theta0 = DualPoint(stack_response(ds) / lam, ds.n_per_task)
-        ref = ReferenceSolution(
-            lambda0=2.0,
-            theta0=theta0,
-            n0=None,
-            image=ds.adjoint(ds.pad(theta0)),
-        )
+        ref = ReferenceSolution(lambda0=0.8 * lmax, theta0=theta0, image=ds.adjoint(ds.pad(theta0)))
         ball = dual_ball(ds, ref, lam)
         assert ball.radius == 0.0
         scores = screening_scores(ds, ball)

@@ -16,7 +16,7 @@ from mtl21.dual import (
     lambda_max,
 )
 from mtl21.errors import LambdaOutOfRange, MaxItersExceeded, SolverFailure
-from mtl21.qp1qc import screening_bounds, screening_scores
+from mtl21.qp1qc import screening_scores
 from mtl21.screening import (
     REF_FEASIBILITY_TOL,
     ROW_ZERO_TOL,
@@ -27,6 +27,8 @@ from mtl21.screening import (
 )
 from mtl21.solver import FitResult, SolverConfig, fit, kkt_residual, objective
 from mtl21.synth import SynthConfig, generate
+
+from exact_scores import screening_bounds
 
 
 def random_dataset(rng, T=3, d=30, n=20):
@@ -258,6 +260,19 @@ class TestSequentialPath:
         tail = rep.records[2:]
         assert any(r.ref_fallback for r in tail)
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-8, 1e8])
+    def test_screening_does_not_depend_on_column_scale(self, scale):
+        # X -> s X scales lambda_max by s and every dual point by 1/s, so the
+        # constraint values and masks stay; the threshold's witness normal
+        # scales by s^2 but is never zero (<n, y> = 2 lambda_max)
+        ds, _ = generate(SynthConfig(kind="s1", tasks=3, n_per_task=20, d=200, seed=1))
+        scaled = MultiTaskDataset([(X * scale, y) for X, y in zip(ds.X, ds.y)])
+        counts = []
+        for data in (ds, scaled):
+            grid = LambdaGrid.log_spaced(lambda_max(data)[0], n_points=40, min_ratio=0.01)
+            counts.append([r.n_screened for r in sequential_path(data, grid).records])
+        assert counts[0] == counts[1]
+
 
 class TestUnscreenedPath:
     def test_record_shape(self):
@@ -328,8 +343,8 @@ class TestScreenTime:
         ds = sparse_dataset(rng, T=3, d=30, n=20)
         grid = grid_for(ds, points=6)
         records = sequential_path(ds, grid, SolverConfig()).records
-        # level 1 screens against the threshold reference; level k+1's
-        # reference is built after level k's solve, and none after the last
+        # level 1 screens against the threshold reference; level k+1 builds
+        # its reference from level k's solve, so none follows the last
         assert built == [r.lam for r in records[1:-1]]
         assert records[1].t_screen < delay
         assert all(r.t_screen >= delay for r in records[2:])
