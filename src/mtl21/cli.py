@@ -185,24 +185,18 @@ def cmd_synth(args):
     return 0
 
 
-def _write_path_csv(path, records):
+def _write_csv(path, columns, rows):
     with open(path, "w") as fh:
-        fh.write(",".join(PATH_COLUMNS) + "\n")
-        for r in records:
-            row = [
-                r.lam,
-                r.lambda_rel,
-                r.n_screened,
-                r.n_truly_inactive,
-                r.rejection_ratio,
-                r.objective,
-                r.kkt_residual,
-                r.n_iters,
-                r.t_screen,
-                r.t_solve,
-                r.status,
-            ]
+        for row in [columns, *rows]:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _write_path_csv(path, records):
+    _write_csv(path, PATH_COLUMNS, (
+        (r.lam, r.lambda_rel, r.n_screened, r.n_truly_inactive, r.rejection_ratio,
+         r.objective, r.kkt_residual, r.n_iters, r.t_screen, r.t_solve, r.status)
+        for r in records
+    ))
 
 
 def _path_inputs(args):
@@ -286,18 +280,11 @@ def cmd_bench(args):
     plain_times = np.median(
         [[r.t_solve for r in plain.records] for _, plain in runs], axis=0
     )
-    with open(args.out, "w") as fh:
-        fh.write(",".join(BENCH_COLUMNS) + "\n")
-        for i, r in enumerate(rep_dpc.records):
-            row = [
-                r.lambda_rel,
-                r.n_screened,
-                r.n_truly_inactive,
-                r.rejection_ratio,
-                float(screen_times[i]),
-                float(solve_times[i]),
-            ]
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    _write_csv(args.out, BENCH_COLUMNS, (
+        (r.lambda_rel, r.n_screened, r.n_truly_inactive, r.rejection_ratio,
+         float(screen_times[i]), float(solve_times[i]))
+        for i, r in enumerate(rep_dpc.records)
+    ))
     t_with = float(screen_times.sum() + solve_times.sum())
     t_without = float(plain_times.sum())
     summary = {

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,13 +50,10 @@ __all__ = [
     "stack_response",
     "load_dataset",
     "save_dataset",
-    "format_float",
 ]
 
-
-def format_float(v):
-    """Shortest decimal string that parses back to the same float64."""
-    return repr(float(v))
+# a level counts as the all-zero threshold to this relative tolerance
+LAMBDA_EQ_RTOL = 1e-12
 
 
 class MultiTaskDataset:
@@ -270,20 +268,14 @@ class WeightMatrix:
         return f"WeightMatrix(d={self.d}, T={self.T})"
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            for row in self.values:
-                fh.write(",".join(format_float(v) for v in row) + "\n")
+        _write_table(path, self.values)
 
     @classmethod
     def from_csv(cls, path):
-        rows = _parse_csv_floats(path)
-        if not rows:
+        table = _read_table(path)
+        if not len(table):
             raise DatasetFormatError(f"{path}: no rows")
-        width = len(rows[0])
-        for i, r in enumerate(rows):
-            if len(r) != width:
-                raise DatasetFormatError(f"{path} line {i + 1}: expected {width} fields, got {len(r)}")
-        return cls(np.array(rows))
+        return cls(table)
 
 
 def as_weight_values(W, d=None, T=None):
@@ -371,10 +363,10 @@ class LambdaGrid:
         ratios[-1] = min_ratio
         return cls(lambda_max * ratios)
 
-    def validate_head(self, lambda_max, rel_tol=1e-12):
-        """Check the head equals the given threshold to relative tolerance."""
+    def validate_head(self, lambda_max):
+        """Check the head equals the given threshold to LAMBDA_EQ_RTOL."""
         head = self.values[0]
-        if not math.isclose(head, lambda_max, rel_tol=rel_tol, abs_tol=0.0):
+        if not math.isclose(head, lambda_max, rel_tol=LAMBDA_EQ_RTOL, abs_tol=0.0):
             raise LambdaOutOfRange(
                 f"grid head {head!r} does not match the all-zero threshold {lambda_max!r}"
             )
@@ -436,7 +428,61 @@ class ScreeningMask:
 # A dataset directory holds meta.json with {"T": int, "d": int,
 # "n": [N_1, ..., N_T]} plus task_<t>.csv (0-based t), each row d feature
 # values followed by the response as the last column. Extra meta keys are
-# preserved on load under .extra_meta-style access by callers that need them.
+# kept in meta.json and returned in the meta dict that load_dataset gives.
+
+
+def _write_table(path, rows):
+    """Write a 2-D float array as CSV, each cell the shortest decimal string
+    that reads back to the same float64."""
+    with open(path, "w") as fh:
+        for row in rows:
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
+
+
+def _read_table(path, width=None):
+    """A numeric CSV as a 2-D float64 array, each row ``width`` fields wide
+    (or as wide as the first); a malformed file raises DatasetFormatError
+    naming the file, the 1-based line and, for a bad cell, its field."""
+    try:
+        with warnings.catch_warnings():
+            # a file with no rows reads as shape (0, 1); callers count rows
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(path, delimiter=",", comments=None, ndmin=2)
+        if len(table) and width not in (None, table.shape[1]):
+            raise ValueError(f"rows of {table.shape[1]} fields, expected {width}")
+    except (FileNotFoundError, IsADirectoryError):
+        raise DatasetFormatError(f"{path}: file not found") from None
+    except ValueError as e:
+        # numpy's errors skip blank lines and count rows from 1 or from 0 by
+        # fault, so the lines are read again to name the first bad one
+        with open(path, errors="replace") as fh:
+            for i, line in enumerate(fh, 1):
+                fields = line.rstrip("\r\n").split(",")
+                if fields == [""]:
+                    continue
+                width = len(fields) if width is None else width
+                if len(fields) != width:
+                    raise DatasetFormatError(
+                        f"{path} line {i}: expected {width} fields, got {len(fields)}"
+                    ) from None
+                if _parses(line):
+                    continue
+                for j, field in enumerate(fields, 1):
+                    if not (field and _parses(field)):
+                        raise DatasetFormatError(
+                            f"{path} line {i} field {j}: not a number: {field!r}"
+                        ) from None
+        raise DatasetFormatError(f"{path}: {e}") from None
+    return table.reshape(len(table), width or table.shape[1])
+
+
+def _parses(text):
+    """True when numpy's table parser reads the non-empty ``text`` as a row."""
+    try:
+        np.loadtxt([text], delimiter=",", comments=None)
+    except ValueError:
+        return False
+    return True
 
 
 def save_dataset(ds, out_dir, extra_meta=None):
@@ -451,35 +497,8 @@ def save_dataset(ds, out_dir, extra_meta=None):
         json.dump(meta, fh, indent=2)
         fh.write("\n")
     for t, (X, y) in enumerate(zip(ds.X, ds.y)):
-        with open(out / f"task_{t}.csv", "w") as fh:
-            for i in range(X.shape[0]):
-                fields = [format_float(v) for v in X[i]]
-                fields.append(format_float(y[i]))
-                fh.write(",".join(fields) + "\n")
+        _write_table(out / f"task_{t}.csv", np.column_stack((X, y)))
     return out
-
-
-def _parse_csv_floats(path):
-    """Parse a CSV of floats; on malformed input, point at the bad cell."""
-    path = Path(path)
-    if not path.is_file():
-        raise DatasetFormatError(f"{path}: file not found")
-    rows = []
-    with open(path) as fh:
-        lines = [ln for ln in (line.strip() for line in fh) if ln]
-    try:
-        rows = [[float(f) for f in ln.split(",")] for ln in lines]
-    except ValueError:
-        for i, ln in enumerate(lines):
-            for j, field in enumerate(ln.split(",")):
-                try:
-                    float(field)
-                except ValueError:
-                    raise DatasetFormatError(
-                        f"{path} line {i + 1} field {j + 1}: not a number: {field!r}"
-                    ) from None
-        raise DatasetFormatError(f"{path}: unparseable numeric content")
-    return rows
 
 
 def load_dataset(in_dir):
@@ -497,22 +516,16 @@ def load_dataset(in_dir):
         if key not in meta:
             raise DatasetFormatError(f"{meta_path}: missing key {key!r}")
     T, d, n = meta["T"], meta["d"], meta["n"]
-    if not isinstance(T, int) or not isinstance(d, int) or not isinstance(n, list):
-        raise DatasetFormatError(f"{meta_path}: T and d must be ints, n a list")
+    if not isinstance(T, int) or not isinstance(d, int) or d < 0 or not isinstance(n, list):
+        raise DatasetFormatError(f"{meta_path}: T and d must be ints, d >= 0, n a list")
     if len(n) != T:
         raise DatasetFormatError(f"{meta_path}: n has {len(n)} entries, T is {T}")
     tasks = []
     for t in range(T):
-        rows = _parse_csv_floats(root / f"task_{t}.csv")
-        if len(rows) != n[t]:
+        table = _read_table(root / f"task_{t}.csv", width=d + 1)
+        if len(table) != n[t]:
             raise DatasetFormatError(
-                f"task_{t}.csv: {len(rows)} rows, meta says {n[t]}"
+                f"task_{t}.csv: {len(table)} rows, meta says {n[t]}"
             )
-        for i, r in enumerate(rows):
-            if len(r) != d + 1:
-                raise DatasetFormatError(
-                    f"task_{t}.csv line {i + 1}: expected {d + 1} fields, got {len(r)}"
-                )
-        arr = np.array(rows, dtype=np.float64).reshape(len(rows), d + 1)
-        tasks.append((arr[:, :d], arr[:, d]))
+        tasks.append((table[:, :d], table[:, d]))
     return MultiTaskDataset(tasks), meta

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    LAMBDA_EQ_RTOL,
     DualPoint,
     MultiTaskDataset,
     as_dual_vector,
@@ -74,8 +75,6 @@ __all__ = [
     "dual_ball",
 ]
 
-# lambda0 == lambda_max is detected to this relative tolerance
-LAMBDA_EQ_RTOL = 1e-12
 # below this (times ||y||/lambda0) a normal vector counts as zero
 ZERO_NORMAL_RTOL = 1e-14
 # sign checks tolerate this times the product of operand norms
@@ -194,7 +193,7 @@ def normal_vector(ds, theta0, lambda0):
     Errors
     ------
     LambdaOutOfRange : lambda0 outside (0, lambda_max], or a threshold-level
-        call whose theta0 is not y/lambda_max.
+        call whose theta0 is not y/lambda_max to 1e-8 relative.
     ZeroNormal : below the threshold, the normal is too small to define a
         direction (below 1e-14 * ||y|| / lambda0).
     """
@@ -208,8 +207,7 @@ def normal_vector(ds, theta0, lambda0):
     th = as_dual_vector(theta0, ds.N)
     if _at_threshold(ds, lambda0):
         expected = y / lmax
-        scale = _norm(expected)
-        if _norm(th - expected) > 1e-8 * max(scale, 1.0):
+        if _norm(th - expected) > 1e-8 * _norm(expected):
             raise LambdaOutOfRange(
                 "at the all-zero threshold the reference dual point must be y/lambda_max"
             )

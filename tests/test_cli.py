@@ -274,6 +274,20 @@ class TestBadInputExits2:
         self.assert_one_error_line(capsys, rc, "orthogonal")
         assert not out.exists()
 
+    def test_task_with_no_rows(self, dataset_dir, tmp_path, capsys):
+        import shutil
+
+        empty = tmp_path / "empty"
+        shutil.copytree(dataset_dir, empty)
+        meta = json.loads((empty / "meta.json").read_text())
+        meta["n"][1] = 0
+        (empty / "meta.json").write_text(json.dumps(meta))
+        (empty / "task_1.csv").write_text("")
+        out = tmp_path / "o.csv"
+        rc = main(["path", str(empty), "--out", str(out)])
+        self.assert_one_error_line(capsys, rc, "task 1 has no samples")
+        assert not out.exists()
+
     @path_and_bench
     @pytest.mark.parametrize(
         "flag,value",

@@ -12,7 +12,6 @@ from mtl21.core import (
     WeightMatrix,
     as_dual_vector,
     as_weight_values,
-    format_float,
     load_dataset,
     save_dataset,
     stack_response,
@@ -159,6 +158,13 @@ class TestWeightMatrix:
         W2 = WeightMatrix.from_csv(p)
         assert np.array_equal(W.values, W2.values)
 
+    def test_csv_rewrite_is_byte_identical(self, tmp_path):
+        rng = np.random.default_rng(12)
+        W = WeightMatrix(rng.standard_normal((6, 3)) * 10.0 ** rng.integers(-300, 300, (6, 3)))
+        W.to_csv(tmp_path / "a.csv")
+        WeightMatrix.from_csv(tmp_path / "a.csv").to_csv(tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
     def test_from_csv_ragged_rows(self, tmp_path):
         p = tmp_path / "w.csv"
         p.write_text("1.0,2.0\n3.0\n")
@@ -277,6 +283,28 @@ class TestDatasetIO:
         ds2, _ = load_dataset(out)
         assert ds == ds2
 
+    def test_rewrite_is_byte_identical(self, tmp_path):
+        rng = np.random.default_rng(4)
+        ds = random_dataset(rng, T=3, d=5, ns=[4, 1, 6])
+        save_dataset(ds, tmp_path / "a", extra_meta={"seed": 4})
+        ds2, meta = load_dataset(tmp_path / "a")
+        save_dataset(ds2, tmp_path / "b", extra_meta=meta)
+        for name in ["meta.json", "task_0.csv", "task_1.csv", "task_2.csv"]:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_task_with_no_rows_loads_then_fails_validation(self, tmp_path, recwarn):
+        # a task of zero rows is written as an empty file and read back as
+        # (0, d) without a warning; validation then reports the empty task
+        ds = MultiTaskDataset([(np.ones((2, 3)), np.ones(2)), (np.zeros((0, 3)), np.zeros(0))])
+        out = save_dataset(ds, tmp_path / "ds")
+        assert (out / "task_1.csv").read_bytes() == b""
+        ds2, meta = load_dataset(out)
+        assert meta["n"] == [2, 0]
+        assert ds2 == ds
+        assert len(recwarn) == 0
+        with pytest.raises(EmptyDataset):
+            validate_dataset(ds2)
+
     def test_extra_meta_preserved(self, tmp_path):
         ds = tiny_dataset()
         out = tmp_path / "ds"
@@ -322,8 +350,24 @@ class TestDatasetIO:
         with pytest.raises(DatasetFormatError):
             load_dataset(out)
 
+    def test_bad_cell_names_file_line_and_field(self, tmp_path):
+        # lines are counted in the file, blank ones too, and a cell is a
+        # number only if numpy parses it: Python's float() would take "1_0"
+        ds = tiny_dataset()
+        out = save_dataset(ds, tmp_path / "ds")
+        task = out / "task_0.csv"
+        lines = task.read_text().splitlines()
+        lines[1] = "1_0," + lines[1].split(",", 1)[1]
+        task.write_text("\n".join([lines[0], ""] + lines[1:]) + "\n")
+        with pytest.raises(DatasetFormatError) as ei:
+            load_dataset(out)
+        assert str(ei.value) == f"{task} line 3 field 1: not a number: '1_0'"
 
-def test_format_float_shortest_round_trip():
-    for v in [0.1, 1 / 3, math.pi, 1e-300, -2.5, 0.0]:
-        assert float(format_float(v)) == v
-    assert format_float(0.1) == "0.1"
+
+def test_written_cells_are_shortest_round_trip(tmp_path):
+    values = [0.1, 1 / 3, math.pi, 1e-300, -2.5, 0.0]
+    ds = MultiTaskDataset([(np.array([values[:-1]]), values[-1:])])
+    out = save_dataset(ds, tmp_path / "ds")
+    cells = (out / "task_0.csv").read_text().rstrip("\n").split(",")
+    assert cells[0] == "0.1"
+    assert [float(c) for c in cells] == values

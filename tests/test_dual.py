@@ -26,6 +26,7 @@ from mtl21.errors import (
     NonPositiveLambda,
     ZeroNormal,
 )
+from mtl21.synth import SynthConfig, generate
 
 
 def hand_dataset():
@@ -191,6 +192,17 @@ class TestNormalVector:
         ds = hand_dataset()
         with pytest.raises(LambdaOutOfRange):
             normal_vector(ds, np.array([0.5, 0.5]), 2.0)
+
+    def test_at_threshold_tolerance_is_relative(self):
+        # with X scaled by 1e8, ||y/lambda_max|| is about 3e-9: the zero
+        # vector lies within 1e-8 of y/lambda_max, but not within 1e-8 of it
+        # relative to its norm
+        ds, _ = generate(SynthConfig(kind="s1", tasks=3, n_per_task=20, d=50, seed=1))
+        scaled = MultiTaskDataset([(X * 1e8, y) for X, y in zip(ds.X, ds.y)])
+        lmax = lambda_max(scaled)[0]
+        assert np.linalg.norm(np.concatenate(scaled.y) / lmax) < 1e-8
+        with pytest.raises(LambdaOutOfRange):
+            normal_vector(scaled, np.zeros(scaled.N), lmax)
 
     def test_zero_normal(self):
         ds = hand_dataset()
