@@ -18,14 +18,12 @@ __version__ = "0.1.0"
 # submodule -> the public names it exports at package level
 _EXPORTS = {
     "core": (
-        "DualPoint",
         "LambdaGrid",
         "MultiTaskDataset",
         "ScreeningMask",
         "WeightMatrix",
         "load_dataset",
         "save_dataset",
-        "stack_response",
         "validate_dataset",
     ),
     "dual": (

@@ -134,7 +134,7 @@ def suite_containment(ds, rng, kkt_tol=1e-8, n_lambdas=8, min_ratio=0.05):
     ref_max = ref_seq
     for k in range(1, len(grid)):
         lam = float(grid.values[k])
-        theta = dual_from_primal(ds, plain.records[k].weights, lam).theta
+        theta = dual_from_primal(ds, plain.records[k].weights, lam)
         for ref in (ref_seq, ref_max):
             ball = dual_ball(ds, ref, lam)
             dist = float(np.linalg.norm(theta - ball.center))

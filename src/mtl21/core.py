@@ -11,12 +11,12 @@ padded entries of every dual quantity stay zero.
 The dataset holds the only implementation of the two products every layer is
 built from, ``forward`` (every X_t w_t) and ``adjoint`` (every X_t' theta_t,
 or just the rows of given features), the cached image of the responses
-(``response_image``, every X_t' y_t), and the one conversion between the
-public length-N dual vector and the padded rows (``pad``/``unpad``).
-Construction rejects tasks that cannot be stacked
-(different column counts) but is otherwise permissive, so that invalid data
-can be held and then reported by :func:`validate_dataset`; numerical code is
-expected to validate first.
+(``response_image``, every X_t' y_t), and the one check of a dual vector
+(``dual_rows``). A dual vector has one layout, the (T, n_max) rows of
+``y_stack`` with zero padding. Construction rejects tasks that cannot be
+stacked (different column counts) but is otherwise permissive, so that
+invalid data can be held and then reported by :func:`validate_dataset`;
+numerical code is expected to validate first.
 
 All arrays are float64 and frozen (read-only) after construction; the types
 are safe to share across concurrent readers.
@@ -43,11 +43,9 @@ from .errors import (
 __all__ = [
     "MultiTaskDataset",
     "WeightMatrix",
-    "DualPoint",
     "LambdaGrid",
     "ScreeningMask",
     "validate_dataset",
-    "stack_response",
     "load_dataset",
     "save_dataset",
 ]
@@ -109,8 +107,8 @@ class MultiTaskDataset:
         self.y = tuple(self.y_stack[t, : n[t]] for t in range(len(n)))
         self.n_per_task = tuple(n)
         self.N = sum(n)
-        # True on the real rows of the padded (T, n_max) layout
-        self._rows = np.arange(n_max) < np.array(n, dtype=int)[:, None]
+        # True on the padding of the (T, n_max) layout
+        self._padding = np.arange(n_max) >= np.array(n, dtype=int)[:, None]
         self._cache = {}
 
     @property
@@ -148,15 +146,18 @@ class MultiTaskDataset:
         image = np.matmul(XT, R[:, :, None])[:, :, 0].T
         return image if rows is None else image[rows]
 
-    def pad(self, theta):
-        """(T, n_max) padded rows of a length-N dual vector (DualPoint or array)."""
-        out = np.zeros(self._rows.shape)
-        out[self._rows] = as_dual_vector(theta, self.N)
-        return out
-
-    def unpad(self, R):
-        """Length-N vector of the real rows of (T, n_max) padded rows."""
-        return R[self._rows]
+    def dual_rows(self, theta):
+        """A dual vector as float64 (T, n_max) rows, checked to have the shape
+        of ``y_stack`` and exact zeros on the padding; raises
+        DimensionMismatch otherwise."""
+        R = np.asarray(theta, dtype=np.float64)
+        if R.shape != self.y_stack.shape:
+            raise DimensionMismatch(
+                f"dual vector shape {R.shape}, expected {self.y_stack.shape}"
+            )
+        if R[self._padding].any():
+            raise DimensionMismatch("dual vector is nonzero on the padding of a shorter task")
+        return R
 
     @property
     def col_norms(self):
@@ -226,17 +227,6 @@ def validate_dataset(ds):
         raise EmptyDataset("dataset has no features")
 
 
-def stack_response(ds):
-    """The per-task responses concatenated into one read-only length-N
-    vector, computed once per dataset."""
-    key = "stacked_response"
-    if key not in ds._cache:
-        y = np.concatenate(ds.y)
-        y.setflags(write=False)
-        ds._cache[key] = y
-    return ds._cache[key]
-
-
 class WeightMatrix:
     """A d x T coefficient matrix; column t belongs to task t, rows are the
     unit of sparsity."""
@@ -285,41 +275,6 @@ def as_weight_values(W, d=None, T=None):
         raise DimensionMismatch(f"weights must be 2-D, got {v.ndim}-D")
     if d is not None and v.shape != (d, T):
         raise DimensionMismatch(f"weights shape {v.shape}, expected {(d, T)}")
-    return v
-
-
-class DualPoint:
-    """A length-N dual vector partitioned into per-task blocks."""
-
-    def __init__(self, theta, block_sizes):
-        theta = np.array(theta, dtype=np.float64, copy=True)
-        if theta.ndim != 1:
-            raise DimensionMismatch(f"dual vector must be 1-D, got {theta.ndim}-D")
-        block_sizes = tuple(int(n) for n in block_sizes)
-        if sum(block_sizes) != theta.shape[0]:
-            raise DimensionMismatch(
-                f"blocks sum to {sum(block_sizes)} but vector has length {theta.shape[0]}"
-            )
-        theta.setflags(write=False)
-        self.theta = theta
-        self.block_sizes = block_sizes
-
-    def __eq__(self, other):
-        if not isinstance(other, DualPoint):
-            return NotImplemented
-        return self.block_sizes == other.block_sizes and np.array_equal(self.theta, other.theta)
-
-    def __repr__(self):
-        return f"DualPoint(N={self.theta.shape[0]}, blocks={list(self.block_sizes)})"
-
-
-def as_dual_vector(theta, N=None):
-    """Coerce a DualPoint or array to a length-N float64 vector."""
-    v = theta.theta if isinstance(theta, DualPoint) else np.asarray(theta, dtype=np.float64)
-    if v.ndim != 1:
-        raise DimensionMismatch(f"dual vector must be 1-D, got {v.ndim}-D")
-    if N is not None and v.shape[0] != N:
-        raise DimensionMismatch(f"dual vector length {v.shape[0]}, expected {N}")
     return v
 
 
@@ -501,6 +456,11 @@ def save_dataset(ds, out_dir, extra_meta=None):
     return out
 
 
+def _is_count(v):
+    """True for a JSON integer >= 0 (a bool is not one)."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
 def load_dataset(in_dir):
     """Read a dataset directory; returns (dataset, meta dict)."""
     root = Path(in_dir)
@@ -516,8 +476,10 @@ def load_dataset(in_dir):
         if key not in meta:
             raise DatasetFormatError(f"{meta_path}: missing key {key!r}")
     T, d, n = meta["T"], meta["d"], meta["n"]
-    if not isinstance(T, int) or not isinstance(d, int) or d < 0 or not isinstance(n, list):
-        raise DatasetFormatError(f"{meta_path}: T and d must be ints, d >= 0, n a list")
+    if not isinstance(n, list) or not all(_is_count(v) for v in (T, d, *n)):
+        raise DatasetFormatError(
+            f"{meta_path}: T, d and every entry of the list n must be ints >= 0"
+        )
     if len(n) != T:
         raise DatasetFormatError(f"{meta_path}: n has {len(n)} entries, T is {T}")
     tasks = []

@@ -6,7 +6,10 @@ F = {theta : sum_t <x_l_t, theta_t>^2 <= 1 for every feature l}. This module
 evaluates the per-feature constraint, the smallest all-zero regularization
 level ``lambda_max``, dual recovery from a primal iterate, and a certified
 ball that contains the exact dual optimum at a target level given a solved
-reference level.
+reference level. Every dual vector (a dual point, a normal, a ball's
+center) is held as (T, n_max) rows with zero padding, the layout of the
+dataset's ``y_stack``; one taken from a caller is checked by
+``ds.dual_rows``.
 
 Geometry of the ball: a reference is its level lambda0 and its solved dual
 point theta0. Its outward normal n0 follows from those and the dataset
@@ -43,14 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    LAMBDA_EQ_RTOL,
-    DualPoint,
-    MultiTaskDataset,
-    as_dual_vector,
-    as_weight_values,
-    stack_response,
-)
+from .core import LAMBDA_EQ_RTOL, MultiTaskDataset, as_weight_values
 from .errors import (
     DegenerateData,
     DimensionMismatch,
@@ -82,9 +78,20 @@ SIGN_RTOL = 1e-9
 EPS = float(np.finfo(np.float64).eps)
 
 
+def _dot(u, v):
+    """Inner product of two dual vectors, (T, n_max) rows read as one vector
+    (np.dot of 2-D arrays is a matrix product)."""
+    return float(np.dot(u.ravel(), v.ravel()))
+
+
 def _norm(v):
-    """Euclidean norm of a vector, as np.linalg.norm computes it."""
-    return math.sqrt(float(np.dot(v, v)))
+    """Euclidean norm of a dual vector, as np.linalg.norm computes it."""
+    return math.sqrt(_dot(v, v))
+
+
+def _frozen(a):
+    a.setflags(write=False)
+    return a
 
 
 def _check_ell(ds, ell):
@@ -102,21 +109,21 @@ def feature_constraint(ds, theta, ell):
 
 def feature_constraint_all(ds, theta):
     """Constraint values of every feature at once; returns a (d,) array."""
-    return (ds.adjoint(ds.pad(theta)) ** 2).sum(axis=1)
+    return (ds.adjoint(ds.dual_rows(theta)) ** 2).sum(axis=1)
 
 
 def feature_constraint_grad(ds, theta, ell):
-    """Gradient of one feature's constraint value; block t is
-    2 <x_l_t, theta_t> x_l_t."""
+    """Gradient of one feature's constraint value, as (T, n_max) rows; row t
+    is 2 <x_l_t, theta_t> x_l_t."""
     ell = _check_ell(ds, ell)
-    return _one_row_image(ds, ell, 2.0 * ds.adjoint(ds.pad(theta))[ell])
+    return _one_row_image(ds, ell, 2.0 * ds.adjoint(ds.dual_rows(theta))[ell])
 
 
 def _one_row_image(ds, ell, row):
-    """Length-N forward image of the weights whose only nonzero row, ell, is row."""
+    """Forward image of the weights whose only nonzero row, ell, is row."""
     W = np.zeros((ds.d, ds.T))
     W[ell] = row
-    return ds.unpad(ds.forward(W))
+    return ds.forward(W)
 
 
 def dual_feasibility_violation(ds, theta):
@@ -152,15 +159,13 @@ def _witness_normal(ds):
     if key not in ds._cache:
         lmax, ell_star = lambda_max(ds)
         n = _one_row_image(ds, ell_star, 2.0 * ds.response_image[ell_star] / lmax)
-        image = ds.adjoint(ds.pad(n))
-        n.setflags(write=False)
-        image.setflags(write=False)
-        ds._cache[key] = (n, image)
+        ds._cache[key] = (_frozen(n), _frozen(ds.adjoint(n)))
     return ds._cache[key]
 
 
 def dual_from_primal(ds, W, lam, support=None):
-    """Dual point induced by a primal iterate: block t is (y_t - X_t w_t)/lam.
+    """Dual point induced by a primal iterate, as read-only (T, n_max) rows:
+    row t is (y_t - X_t w_t)/lam, zero on the padding.
 
     With ``support`` (feature indices), W holds just those features' rows;
     every other row is zero.
@@ -173,8 +178,7 @@ def dual_from_primal(ds, W, lam, support=None):
     else:
         V = np.zeros((ds.d, ds.T))
         V[support] = as_weight_values(W, len(support), ds.T)
-    theta = ds.unpad((ds.y_stack - ds.forward(V)) / lam)
-    return DualPoint(theta, ds.n_per_task)
+    return _frozen((ds.y_stack - ds.forward(V)) / lam)
 
 
 def _at_threshold(ds, lambda0):
@@ -182,11 +186,11 @@ def _at_threshold(ds, lambda0):
 
 
 def normal_vector(ds, theta0, lambda0):
-    """Outward normal at a solved reference dual point.
+    """Outward normal at a solved reference dual point, as (T, n_max) rows.
 
     Below the all-zero threshold this is y/lambda0 - theta0. At the threshold
     itself that difference vanishes, so the constraint gradient of the witness
-    feature at y/lambda_max is used instead (its t-th block is
+    feature at y/lambda_max is used instead (its row t is
     2 <x_w_t, y_t/lambda_max> x_w_t), computed once per dataset. That normal
     is never zero: its inner product with y is 2 lambda_max > 0.
 
@@ -196,6 +200,7 @@ def normal_vector(ds, theta0, lambda0):
         call whose theta0 is not y/lambda_max to 1e-8 relative.
     ZeroNormal : below the threshold, the normal is too small to define a
         direction (below 1e-14 * ||y|| / lambda0).
+    DimensionMismatch : theta0 is not (T, n_max) rows with zero padding.
     """
     lambda0 = float(lambda0)
     lmax, _ = lambda_max(ds)
@@ -203,8 +208,8 @@ def normal_vector(ds, theta0, lambda0):
         raise LambdaOutOfRange(
             f"reference level {lambda0} outside (0, {lmax}]"
         )
-    y = stack_response(ds)
-    th = as_dual_vector(theta0, ds.N)
+    y = ds.y_stack
+    th = ds.dual_rows(theta0)
     if _at_threshold(ds, lambda0):
         expected = y / lmax
         if _norm(th - expected) > 1e-8 * _norm(expected):
@@ -237,18 +242,19 @@ def _image_rows(ds, theta, rows, held, image):
         return image[pos]
     out = np.empty((len(rows), ds.T))
     out[have] = image[pos[have]]
-    out[~have] = ds.adjoint(ds.pad(theta), rows[~have])
+    out[~have] = ds.adjoint(theta, rows[~have])
     return out
 
 
 def _carry_rtol(ds):
     """Relative forward-error margin of one move of the carried bounds.
 
-    A move rounds an N-term norm (the center shift), the n_max-term column
-    norms behind sqrt(rho), a few additions whose terms, times sqrt(rho_l),
-    are each at most the moved bound (a valid u_l is at least sqrt(rho_l)
-    times the old radius), and the square root the next bound is read back
-    through; by the standard summation bound (Higham, Accuracy and
+    A move rounds an N-term norm (the center shift; the exact zeros of the
+    padding add no rounding), the n_max-term column norms behind sqrt(rho),
+    a few additions whose terms, times sqrt(rho_l), are each at most the
+    moved bound (a valid u_l is at least sqrt(rho_l) times the old radius),
+    and the square root the next bound is read back through; by the
+    standard summation bound (Higham, Accuracy and
     Stability of Numerical Algorithms, section 3.1) their relative error
     stays below (N + n_max + 16) eps, and the margin is four times that.
     """
@@ -287,16 +293,17 @@ class ScoreBounds:
 
 @dataclass(frozen=True)
 class ReferenceSolution:
-    """A solved reference level: the dual point ``theta0`` there and the
-    adjoint image ``image`` = X't theta0 on the features ``rows``, an
-    increasing index array with one image row per feature (every feature
-    when built without ``rows``). The rows cover every feature whose
-    constraint value at theta0 can reach 1. Its normal is not stored: it is
-    fixed by theta0, lambda0 and the dataset (:func:`normal_vector`).
+    """A solved reference level: the dual point ``theta0`` there, as
+    read-only (T, n_max) rows, and the adjoint image ``image`` = X't theta0
+    on the features ``rows``, an increasing index array with one image row
+    per feature (every feature when built without ``rows``). The rows cover
+    every feature whose constraint value at theta0 can reach 1. Its normal
+    is not stored: it is fixed by theta0, lambda0 and the dataset
+    (:func:`normal_vector`).
     """
 
     lambda0: float
-    theta0: DualPoint
+    theta0: np.ndarray
     image: np.ndarray
     rows: np.ndarray | None = None
 
@@ -315,14 +322,14 @@ class ReferenceSolution:
         g_max = float((self.image**2).sum(axis=1).max(initial=0.0))
         return max(0.0, g_max - 1.0)
 
-    def on_boundary(self, ds):
+    def on_boundary(self):
         """The reference with its dual point, and image rows, divided by
         sqrt(1 + violation) = sqrt(max_l g_l): the constraints are
         quadratically homogeneous, so an infeasible point lands exactly on
         the feasible boundary. A feasible one is divided by exactly 1.0, so
         it stays as it is."""
         scale = 1.0 / np.sqrt(1.0 + self.violation)
-        theta0 = DualPoint(self.theta0.theta * scale, ds.n_per_task)
+        theta0 = _frozen(self.theta0 * scale)
         return ReferenceSolution(self.lambda0, theta0, self.image * scale, self.rows)
 
     @classmethod
@@ -330,8 +337,7 @@ class ReferenceSolution:
         """Reference at the all-zero threshold, where the dual point is known
         in closed form (y/lambda_max)."""
         lmax, _ = lambda_max(ds)
-        theta0 = DualPoint(stack_response(ds) / lmax, ds.n_per_task)
-        return cls(lmax, theta0, ds.response_image / lmax)
+        return cls(lmax, _frozen(ds.y_stack / lmax), ds.response_image / lmax)
 
     @classmethod
     def from_primal(cls, ds, W, lambda0, bounds=None, support=None, solve=None):
@@ -354,22 +360,21 @@ class ReferenceSolution:
         """
         lambda0 = float(lambda0)
         if solve is not None and solve.residual is not None and solve.gradient is not None:
-            theta0 = DualPoint(ds.unpad(solve.residual / -lambda0), ds.n_per_task)
+            theta0 = _frozen(solve.residual / -lambda0)
             held = np.arange(ds.d) if support is None else np.asarray(support)
             held_image = solve.gradient / -lambda0
         else:
             theta0 = dual_from_primal(ds, W, lambda0, support)
             held, held_image = np.zeros(0, dtype=int), np.zeros((0, ds.T))
-        moved = np.full(ds.d, np.inf) if bounds is None else bounds.over(ds, theta0.theta)
+        moved = np.full(ds.d, np.inf) if bounds is None else bounds.over(ds, theta0)
         refresh = moved >= 1.0
         refresh[held] = True
         rows = np.flatnonzero(refresh)
         image = _image_rows(ds, theta0, rows, held, held_image)
         n0 = _normal_or_none(ds, theta0, lambda0)
         if n0 is not None:
-            y = stack_response(ds)
-            inner = float(np.dot(y, n0))
-            bound = SIGN_RTOL * _norm(y) * _norm(n0)
+            inner = _dot(ds.y_stack, n0)
+            bound = SIGN_RTOL * _norm(ds.y_stack) * _norm(n0)
             if inner < -bound:
                 raise NegativeInnerProduct(
                     f"<response, normal> = {inner:.3e} below -{bound:.3e}; "
@@ -382,7 +387,7 @@ class ReferenceSolution:
 class DualBall:
     """Certified region containing the exact dual optimum at level ``lam``.
 
-    ``image`` holds the adjoint image X't center on the features ``rows``
+    ``center`` is a dual point, read-only (T, n_max) rows. ``image`` holds the adjoint image X't center on the features ``rows``
     (as in :class:`ReferenceSolution`), and ``bound`` for every feature an
     upper bound on its largest ||X_l' theta|| over the ball, below 1 off
     ``rows``: carried from the last ball, or +inf. Built without both, the
@@ -437,28 +442,27 @@ def dual_ball(ds, ref, lam, bounds=None):
         raise LambdaOutOfRange(
             f"target level {lam} must be below the reference level {ref.lambda0}"
         )
-    y = stack_response(ds)
-    th0 = as_dual_vector(ref.theta0, ds.N)
-    r = y / lam - th0
-    n0 = _normal_or_none(ds, ref.theta0, ref.lambda0)
+    th0 = ds.dual_rows(ref.theta0)
+    r = ds.y_stack / lam - th0
+    n0 = _normal_or_none(ds, th0, ref.lambda0)
     coef = 0.0
     if n0 is None:
         r_perp = r
     else:
-        inner = float(np.dot(n0, r))
+        inner = _dot(n0, r)
         bound = SIGN_RTOL * _norm(r) * _norm(n0)
         if inner < -bound:
             raise NegativeInnerProduct(
                 f"<residual, normal> = {inner:.3e} below -{bound:.3e}; "
                 "reference solution looks inconsistent"
             )
-        coef = max(0.0, inner) / float(np.dot(n0, n0))
+        coef = max(0.0, inner) / _dot(n0, n0)
         r_perp = r - coef * n0
-    center = th0 + 0.5 * r_perp
+    center = _frozen(th0 + 0.5 * r_perp)
     radius = 0.5 * _norm(r_perp)
     moved = np.full(ds.d, np.inf) if bounds is None else bounds.over(ds, center, radius)
     rows = np.flatnonzero(moved >= 1.0)
-    image0 = _image_rows(ds, ref.theta0, rows, ref.rows, ref.image)
+    image0 = _image_rows(ds, th0, rows, ref.rows, ref.image)
     response = ds.response_image[rows]
     # X't center = 0.5 X't y / lam + 0.5 X't theta0 - 0.5 coef X't n0
     image = response * (0.5 / lam)

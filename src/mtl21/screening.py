@@ -39,7 +39,6 @@ from .core import (
     MultiTaskDataset,
     ScreeningMask,
     WeightMatrix,
-    stack_response,
     validate_dataset,
 )
 from .dual import (
@@ -140,7 +139,7 @@ def _coerce_solver(solver_handle):
 
 def _head_record(ds, lam, lmax, screen):
     W = np.zeros((ds.d, ds.T))
-    y = stack_response(ds)
+    y = ds.y_stack.ravel()
     obj = 0.5 * float(np.dot(y, y))
     return W, PathRecord(
         lam=lam,
@@ -231,7 +230,7 @@ def _walk(ds, grid, solver_handle, keep_weights, screen):
                     ref, fallback = ref_max, True
                 else:
                     # feasibility is all the uncut ball needs of its reference
-                    ref = ref.on_boundary(ds)
+                    ref = ref.on_boundary()
             ball, mask = _screen(ds, ref, lam, bounds)
             t_screen = time.perf_counter() - t0
             kept = np.flatnonzero(~mask.inactive)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import WeightMatrix, as_weight_values, stack_response, validate_dataset
+from .core import WeightMatrix, as_weight_values, validate_dataset
 from .core import MultiTaskDataset
 from .errors import (
     MaxItersExceeded,
@@ -161,11 +161,10 @@ def duality_gap(ds, W, lam):
     if lam <= 0:
         raise NonPositiveLambda(f"lam must be positive, got {lam}")
     V = as_weight_values(W, ds.d, ds.T)
-    y = stack_response(ds)
-    theta = ds.unpad((ds.y_stack - ds.forward(V)) / lam)
+    theta = (ds.y_stack - ds.forward(V)) / lam
     gmax = float(feature_constraint_all(ds, theta).max(initial=0.0))
     scale = 1.0 / max(1.0, np.sqrt(gmax))
-    th = theta * scale
+    th, y = (theta * scale).ravel(), ds.y_stack.ravel()
     dual_val = lam * float(np.dot(th, y)) - 0.5 * lam * lam * float(np.dot(th, th))
     return objective(ds, V, lam) - dual_val
 

@@ -19,7 +19,7 @@ import pytest
 
 from mtl21.checks import random_instance, sphere_oracle
 from mtl21.cli import main as cli_main
-from mtl21.core import LambdaGrid, MultiTaskDataset, WeightMatrix, stack_response
+from mtl21.core import LambdaGrid, MultiTaskDataset, WeightMatrix
 from mtl21.dual import (
     ReferenceSolution,
     dual_ball,
@@ -153,7 +153,8 @@ def test_criterion_02_equivalence(desk_runs):
     worst = 0.0
     for run in runs:
         head = run.screened.records[0].objective
-        half_ysq = 0.5 * float(np.dot(stack_response(run.ds), stack_response(run.ds)))
+        y = run.ds.y_stack.ravel()
+        half_ysq = 0.5 * float(np.dot(y, y))
         worst = max(worst, abs(head - half_ysq) / max(1.0, abs(half_ysq)))
         for k in range(1, len(run.grid)):
             a = run.screened.records[k].objective
@@ -267,7 +268,7 @@ def test_criterion_07_closed_form_regime(desk_runs):
     nonzero_ok = True
     for run in runs:
         lmax, _ = lambda_max(run.ds)
-        y = stack_response(run.ds)
+        y = run.ds.y_stack
         for factor in (1.0, 1.5):
             res = fit(run.ds, factor * lmax, SolverConfig(kkt_tol=TIGHT))
             all_zero_ok = all_zero_ok and not np.any(res.weights.values)
@@ -294,7 +295,7 @@ def test_criterion_08_ball_containment(desk_runs):
         ref_seq = ref_max
         for k in range(1, len(run.grid)):
             lam = float(run.grid.values[k])
-            theta = dual_from_primal(run.ds, run.certified[k].weights, lam).theta
+            theta = dual_from_primal(run.ds, run.certified[k].weights, lam)
             for ref in (ref_max, ref_seq):
                 ball = dual_ball(run.ds, ref, lam)
                 dist = float(np.linalg.norm(theta - ball.center))
@@ -360,13 +361,13 @@ def test_criterion_10_gradient_and_homogeneity():
         ds = MultiTaskDataset(
             [(rng.standard_normal((8, 6)), rng.standard_normal(8)) for _ in range(3)]
         )
-        theta = rng.standard_normal(ds.N)
+        theta = rng.standard_normal(ds.y_stack.shape)
         for ell in range(ds.d):
             grad = feature_constraint_grad(ds, theta, ell)
-            fd = np.zeros(ds.N)
+            fd = np.zeros(theta.shape)
             h = 1e-6
-            for i in range(ds.N):
-                e = np.zeros(ds.N)
+            for i in np.ndindex(theta.shape):
+                e = np.zeros(theta.shape)
                 e[i] = h
                 fd[i] = (
                     feature_constraint(ds, theta + e, ell)

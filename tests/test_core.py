@@ -4,17 +4,15 @@ import math
 import numpy as np
 import pytest
 
+import mtl21
 from mtl21.core import (
-    DualPoint,
     LambdaGrid,
     MultiTaskDataset,
     ScreeningMask,
     WeightMatrix,
-    as_dual_vector,
     as_weight_values,
     load_dataset,
     save_dataset,
-    stack_response,
     validate_dataset,
 )
 from mtl21.errors import (
@@ -134,11 +132,29 @@ class TestValidateDataset:
             validate_dataset(MultiTaskDataset([(np.ones((2, 2)), y)]))
 
 
-def test_stack_response_order():
+def test_dual_rows_check_the_padded_layout():
+    # a dual vector is the (T, n_max) rows of y_stack, zero on the padding
     ds = tiny_dataset()
-    np.testing.assert_array_equal(
-        stack_response(ds), [1.0, -1.0, 0.5, 0.0, 4.0]
-    )
+    np.testing.assert_array_equal(ds.y_stack, [[1.0, -1.0, 0.5], [0.0, 4.0, 0.0]])
+    rows = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, -0.0]])
+    assert np.array_equal(ds.dual_rows(rows), rows)
+    leaky = rows.copy()
+    leaky[1, 2] = 1e-300
+    for bad in (np.arange(5.0), rows.T, rows[:, :2], leaky):
+        with pytest.raises(DimensionMismatch):
+            ds.dual_rows(bad)
+
+
+def test_package_exports_resolve():
+    # every exported name resolves through the package's lazy lookup, and
+    # the names of the removed flat dual layout are gone
+    for name in mtl21.__all__:
+        if name != "__version__":
+            mtl21.__getattr__(name)
+    for name in ("DualPoint", "stack_response"):
+        assert name not in mtl21.__all__
+        with pytest.raises(AttributeError):
+            getattr(mtl21, name)
 
 
 class TestWeightMatrix:
@@ -176,24 +192,6 @@ class TestWeightMatrix:
             as_weight_values(np.zeros((2, 3)), d=3, T=3)
         v = as_weight_values(WeightMatrix(np.ones((2, 3))), d=2, T=3)
         assert v.shape == (2, 3)
-
-
-class TestDualPoint:
-    def test_blocks_partition_the_vector(self):
-        # block t is the row of task t in the dataset's padded layout
-        th = DualPoint([1.0, 2.0, 3.0, 4.0, 5.0], [3, 2])
-        assert th.block_sizes == (3, 2)
-        np.testing.assert_array_equal(
-            tiny_dataset().pad(th), [[1.0, 2.0, 3.0], [4.0, 5.0, 0.0]]
-        )
-
-    def test_block_size_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            DualPoint([1.0, 2.0], [3])
-
-    def test_as_dual_vector_checks_length(self):
-        with pytest.raises(DimensionMismatch):
-            as_dual_vector(np.zeros(4), N=5)
 
 
 class TestLambdaGrid:
@@ -316,6 +314,27 @@ class TestDatasetIO:
     def test_missing_meta(self, tmp_path):
         with pytest.raises(DatasetFormatError):
             load_dataset(tmp_path)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("n", ["3", "2"]),
+            ("n", [True, 2]),
+            ("n", [-1, 2]),
+            ("n", [3.0, 2]),
+            ("T", True),
+            ("d", 2.0),
+        ],
+        ids=["quoted-n", "bool-n", "negative-n", "float-n", "bool-T", "float-d"],
+    )
+    def test_meta_counts_must_be_ints(self, tmp_path, key, value):
+        # a quoted count used to fail as "3 rows, meta says 3"
+        out = save_dataset(tiny_dataset(), tmp_path / "ds")
+        meta = json.loads((out / "meta.json").read_text())
+        meta[key] = value
+        (out / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(DatasetFormatError, match="meta.json"):
+            load_dataset(out)
 
     def test_meta_count_mismatch(self, tmp_path):
         ds = tiny_dataset()

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mtl21.core import DualPoint, MultiTaskDataset
+from mtl21.core import MultiTaskDataset
 from mtl21.dual import (
     DualBall,
     ReferenceSolution,
@@ -45,36 +45,33 @@ def random_dataset(rng, T=3, d=8, n=6):
 def constraint_oracle(ds, theta, ell):
     # plain triple loop, no vectorization shared with the implementation
     total = 0.0
-    off = 0
     for t in range(ds.T):
-        n_t = ds.n_per_task[t]
         inner = 0.0
-        for i in range(n_t):
-            inner += ds.X[t][i, ell] * theta[off + i]
+        for i in range(ds.n_per_task[t]):
+            inner += ds.X[t][i, ell] * theta[t, i]
         total += inner * inner
-        off += n_t
     return total
 
 
 class TestFeatureConstraint:
     def test_hand_values(self):
         ds = hand_dataset()
-        th = np.array([1.0 / 7.0, 1.0 / 7.0])
+        th = np.array([[1.0 / 7.0, 1.0 / 7.0]])
         assert math.isclose(feature_constraint(ds, th, 0), 1.0 / 49.0, rel_tol=1e-15)
         assert math.isclose(feature_constraint(ds, th, 1), 4.0 / 49.0, rel_tol=1e-15)
 
     def test_index_out_of_range(self):
         ds = hand_dataset()
         with pytest.raises(IndexOutOfRange):
-            feature_constraint(ds, np.zeros(2), 2)
+            feature_constraint(ds, np.zeros((1, 2)), 2)
         with pytest.raises(IndexOutOfRange):
-            feature_constraint(ds, np.zeros(2), -1)
+            feature_constraint(ds, np.zeros((1, 2)), -1)
 
     def test_all_matches_oracle(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             ds = random_dataset(rng)
-            th = rng.standard_normal(ds.N)
+            th = rng.standard_normal(ds.y_stack.shape)
             g = feature_constraint_all(ds, th)
             for ell in range(ds.d):
                 assert math.isclose(g[ell], constraint_oracle(ds, th, ell), rel_tol=1e-12)
@@ -85,7 +82,7 @@ class TestFeatureConstraint:
     def test_quadratic_homogeneity(self):
         rng = np.random.default_rng(6)
         ds = random_dataset(rng)
-        th = rng.standard_normal(ds.N)
+        th = rng.standard_normal(ds.y_stack.shape)
         g1 = feature_constraint_all(ds, th)
         for c in (2.0, -3.5, 0.125):
             gc = feature_constraint_all(ds, c * th)
@@ -94,12 +91,13 @@ class TestFeatureConstraint:
     def test_gradient_against_central_differences(self):
         rng = np.random.default_rng(7)
         ds = random_dataset(rng, T=2, d=5, n=4)
-        th = rng.standard_normal(ds.N)
+        th = rng.standard_normal(ds.y_stack.shape)
         h = 1e-6
         for ell in range(ds.d):
             grad = feature_constraint_grad(ds, th, ell)
-            for i in range(ds.N):
-                e = np.zeros(ds.N)
+            assert grad.shape == th.shape
+            for i in np.ndindex(th.shape):
+                e = np.zeros(th.shape)
                 e[i] = h
                 fd = (
                     feature_constraint(ds, th + e, ell)
@@ -110,25 +108,25 @@ class TestFeatureConstraint:
     def test_gradient_hand_value(self):
         ds = hand_dataset()
         np.testing.assert_allclose(
-            feature_constraint_grad(ds, np.array([1.0, 0.0]), 0), [2.0, 0.0]
+            feature_constraint_grad(ds, np.array([[1.0, 0.0]]), 0), [[2.0, 0.0]]
         )
 
 
 class TestViolation:
     def test_hand_value(self):
         ds = hand_dataset()
-        assert dual_feasibility_violation(ds, np.array([2.0, 0.0])) == 3.0
+        assert dual_feasibility_violation(ds, np.array([[2.0, 0.0]])) == 3.0
 
     def test_zero_inside_feasible_set(self):
         ds = hand_dataset()
-        assert dual_feasibility_violation(ds, np.array([0.1, 0.1])) == 0.0
+        assert dual_feasibility_violation(ds, np.array([[0.1, 0.1]])) == 0.0
 
     def test_scaled_response_boundary(self):
         # y/lambda is feasible exactly down to lambda_max
         rng = np.random.default_rng(8)
         ds = random_dataset(rng)
         lmax, _ = lambda_max(ds)
-        y = np.concatenate(ds.y)
+        y = ds.y_stack
         assert dual_feasibility_violation(ds, y / lmax) <= 1e-12
         assert dual_feasibility_violation(ds, y / (1.001 * lmax)) == 0.0
         assert dual_feasibility_violation(ds, y / (0.9 * lmax)) > 0.0
@@ -168,8 +166,8 @@ class TestDualFromPrimal:
     def test_hand_value(self):
         ds = hand_dataset()
         th = dual_from_primal(ds, np.array([[1.0], [0.0]]), 1.0)
-        np.testing.assert_allclose(th.theta, [1.0, 0.0])
-        assert th.block_sizes == (2,)
+        np.testing.assert_allclose(th, [[1.0, 0.0]])
+        assert not th.flags.writeable
 
     def test_rejects_non_positive_lambda(self):
         ds = hand_dataset()
@@ -180,18 +178,18 @@ class TestDualFromPrimal:
 class TestNormalVector:
     def test_below_threshold_is_residual_direction(self):
         ds = hand_dataset()
-        n = normal_vector(ds, np.array([1.0, 0.0]), 1.0)
-        np.testing.assert_allclose(n, [1.0, 0.0])
+        n = normal_vector(ds, np.array([[1.0, 0.0]]), 1.0)
+        np.testing.assert_allclose(n, [[1.0, 0.0]])
 
     def test_at_threshold_uses_witness_gradient(self):
         ds = hand_dataset()
-        n = normal_vector(ds, np.array([1.0, 0.0]), 2.0)
-        np.testing.assert_allclose(n, [2.0, 0.0])
+        n = normal_vector(ds, np.array([[1.0, 0.0]]), 2.0)
+        np.testing.assert_allclose(n, [[2.0, 0.0]])
 
     def test_at_threshold_requires_matching_point(self):
         ds = hand_dataset()
         with pytest.raises(LambdaOutOfRange):
-            normal_vector(ds, np.array([0.5, 0.5]), 2.0)
+            normal_vector(ds, np.array([[0.5, 0.5]]), 2.0)
 
     def test_at_threshold_tolerance_is_relative(self):
         # with X scaled by 1e8, ||y/lambda_max|| is about 3e-9: the zero
@@ -200,22 +198,22 @@ class TestNormalVector:
         ds, _ = generate(SynthConfig(kind="s1", tasks=3, n_per_task=20, d=50, seed=1))
         scaled = MultiTaskDataset([(X * 1e8, y) for X, y in zip(ds.X, ds.y)])
         lmax = lambda_max(scaled)[0]
-        assert np.linalg.norm(np.concatenate(scaled.y) / lmax) < 1e-8
+        assert np.linalg.norm(scaled.y_stack / lmax) < 1e-8
         with pytest.raises(LambdaOutOfRange):
-            normal_vector(scaled, np.zeros(scaled.N), lmax)
+            normal_vector(scaled, np.zeros(scaled.y_stack.shape), lmax)
 
     def test_zero_normal(self):
         ds = hand_dataset()
-        y = np.array([2.0, 0.0])
+        y = np.array([[2.0, 0.0]])
         with pytest.raises(ZeroNormal):
             normal_vector(ds, y / 1.0, 1.0)
 
     def test_level_out_of_range(self):
         ds = hand_dataset()
         with pytest.raises(LambdaOutOfRange):
-            normal_vector(ds, np.zeros(2), 2.5)
+            normal_vector(ds, np.zeros((1, 2)), 2.5)
         with pytest.raises(LambdaOutOfRange):
-            normal_vector(ds, np.zeros(2), -1.0)
+            normal_vector(ds, np.zeros((1, 2)), -1.0)
 
 
 class TestReferenceSolution:
@@ -223,9 +221,9 @@ class TestReferenceSolution:
         ds = hand_dataset()
         ref = ReferenceSolution.at_lambda_max(ds)
         assert ref.lambda0 == 2.0
-        np.testing.assert_allclose(ref.theta0.theta, [1.0, 0.0])
+        np.testing.assert_allclose(ref.theta0, [[1.0, 0.0]])
         # the normal is derived from the reference: the witness gradient
-        np.testing.assert_allclose(normal_vector(ds, ref.theta0, ref.lambda0), [2.0, 0.0])
+        np.testing.assert_allclose(normal_vector(ds, ref.theta0, ref.lambda0), [[2.0, 0.0]])
         assert "n0" not in {f.name for f in dataclasses.fields(ReferenceSolution)}
 
     def test_from_primal_zero_weights_has_no_normal(self):
@@ -233,11 +231,11 @@ class TestReferenceSolution:
         # the normal vanishes and the ball is left uncut
         ds = hand_dataset()
         ref = ReferenceSolution.from_primal(ds, np.zeros((2, 1)), 1.0)
-        np.testing.assert_allclose(ref.theta0.theta, [2.0, 0.0])
+        np.testing.assert_allclose(ref.theta0, [[2.0, 0.0]])
         with pytest.raises(ZeroNormal):
             normal_vector(ds, ref.theta0, ref.lambda0)
         ball = dual_ball(ds, ref, 0.5)
-        np.testing.assert_allclose(ball.center, [3.0, 0.0])
+        np.testing.assert_allclose(ball.center, [[3.0, 0.0]])
         assert ball.radius == 1.0
 
     def test_from_primal_sign_check(self):
@@ -248,24 +246,24 @@ class TestReferenceSolution:
 
     def test_rejects_non_positive_level(self):
         ds = hand_dataset()
-        theta0 = DualPoint([1.0, 0.0], [2])
+        theta0 = np.array([[1.0, 0.0]])
         with pytest.raises(LambdaOutOfRange):
-            ReferenceSolution(lambda0=0.0, theta0=theta0, image=ds.adjoint(ds.pad(theta0)))
+            ReferenceSolution(lambda0=0.0, theta0=theta0, image=ds.adjoint(theta0))
 
 
 class TestDualBall:
     # references at lambda0 = 1 with normal n = y/lambda0 - theta0, so
     # theta0 = y - n; the target lam = 0.5 gives r = y/lam - theta0 = (2, 0) + n
     def ref(self, ds, n):
-        theta0 = DualPoint(np.array([2.0, 0.0]) - np.asarray(n, dtype=float), [2])
-        return ReferenceSolution(lambda0=1.0, theta0=theta0, image=ds.adjoint(ds.pad(theta0)))
+        theta0 = np.array([[2.0, 0.0]]) - np.asarray([n], dtype=float)
+        return ReferenceSolution(lambda0=1.0, theta0=theta0, image=ds.adjoint(theta0))
 
     def assert_ball(self, ds, ball, center, radius):
-        np.testing.assert_allclose(ball.center, center, rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(ball.center, [center], rtol=1e-15, atol=1e-15)
         assert math.isclose(ball.radius, radius, rel_tol=1e-15, abs_tol=1e-15)
         # the carried image is X' center, on every feature
         np.testing.assert_array_equal(ball.rows, [0, 1])
-        np.testing.assert_allclose(ball.image, ds.adjoint(ds.pad(ball.center)), rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(ball.image, ds.adjoint(ball.center), rtol=1e-15, atol=1e-15)
 
     def test_aligned_normal_gives_zero_radius(self):
         # residual (3, 0) parallel to the normal: the whole gap is projected away
@@ -306,22 +304,67 @@ class TestDualBall:
 
     def test_ball_type_invariants(self):
         ds = hand_dataset()
-        image = ds.adjoint(ds.pad(np.zeros(2)))
+        image = ds.adjoint(np.zeros((1, 2)))
         with pytest.raises(LambdaOutOfRange):
-            DualBall(center=np.zeros(2), radius=-0.1, lam=0.5, lambda0=1.0, image=image)
+            DualBall(center=np.zeros((1, 2)), radius=-0.1, lam=0.5, lambda0=1.0, image=image)
         with pytest.raises(LambdaOutOfRange):
-            DualBall(center=np.zeros(2), radius=0.1, lam=1.0, lambda0=1.0, image=image)
+            DualBall(center=np.zeros((1, 2)), radius=0.1, lam=1.0, lambda0=1.0, image=image)
         # rows and carried bounds come together; without both, the image
         # covers every feature and every bound is +inf
-        ball = DualBall(center=np.zeros(2), radius=0.1, lam=0.5, lambda0=1.0, image=image)
+        ball = DualBall(center=np.zeros((1, 2)), radius=0.1, lam=0.5, lambda0=1.0, image=image)
         np.testing.assert_array_equal(ball.rows, [0, 1])
         assert np.isinf(ball.bound).all() and ball.bound.shape == (2,)
         with pytest.raises(DimensionMismatch):
-            DualBall(np.zeros(2), 0.1, 0.5, 1.0, image[:1], rows=np.array([1]))
+            DualBall(np.zeros((1, 2)), 0.1, 0.5, 1.0, image[:1], rows=np.array([1]))
         with pytest.raises(DimensionMismatch):
-            DualBall(np.zeros(2), 0.1, 0.5, 1.0, image, bound=np.zeros(2))
+            DualBall(np.zeros((1, 2)), 0.1, 0.5, 1.0, image, bound=np.zeros(2))
         with pytest.raises(DimensionMismatch):
-            DualBall(np.zeros(2), 0.1, 0.5, 1.0, image, rows=np.array([1]), bound=np.zeros(2))
+            DualBall(np.zeros((1, 2)), 0.1, 0.5, 1.0, image, rows=np.array([1]), bound=np.zeros(2))
+
+
+def bad_dual_vector(ds, kind):
+    """y/lambda_max laid out wrongly: transposed rows, the length-N vector of
+    the real entries, or rows with one nonzero padding entry."""
+    rows = ds.y_stack / lambda_max(ds)[0]
+    if kind == "shape":
+        return rows.T
+    if kind == "flat":
+        return np.concatenate([rows[t, :n] for t, n in enumerate(ds.n_per_task)])
+    leaky = rows.copy()
+    leaky[2, -1] = 1e-300
+    return leaky
+
+
+class TestDualRows:
+    # tasks of 3, 5 and 2 rows: (3, 5) dual rows, N = 10, five padding entries
+    def uneven_dataset(self):
+        rng = np.random.default_rng(31)
+        return MultiTaskDataset(
+            [(rng.standard_normal((n, 6)), rng.standard_normal(n)) for n in (3, 5, 2)]
+        )
+
+    @pytest.mark.parametrize("kind", ["shape", "flat", "padding"])
+    def test_rejected(self, kind):
+        ds = self.uneven_dataset()
+        lmax, _ = lambda_max(ds)
+        theta = bad_dual_vector(ds, kind)
+        with pytest.raises(DimensionMismatch):
+            feature_constraint_all(ds, theta)
+        with pytest.raises(DimensionMismatch):
+            normal_vector(ds, theta, 0.5 * lmax)
+        ref = ReferenceSolution(lmax, theta, ds.response_image / lmax)
+        with pytest.raises(DimensionMismatch):
+            dual_ball(ds, ref, 0.5 * lmax)
+
+    def test_accepted(self):
+        # the same entries in the padded layout pass every entry point
+        ds = self.uneven_dataset()
+        lmax, _ = lambda_max(ds)
+        theta = ds.y_stack / lmax
+        assert dual_feasibility_violation(ds, theta) <= 1e-12
+        normal_vector(ds, theta, lmax)
+        ref = ReferenceSolution(lmax, theta, ds.response_image / lmax)
+        assert dual_ball(ds, ref, 0.5 * lmax).center.shape == (3, 5)
 
 
 class TestContainment:
@@ -338,7 +381,7 @@ class TestContainment:
             lam = 0.45 * lmax
             W0 = fit(ds, lam0, cfg).weights
             Wt = fit(ds, lam, cfg).weights
-            theta_t = dual_from_primal(ds, Wt, lam).theta
+            theta_t = dual_from_primal(ds, Wt, lam)
 
             for ref in (
                 ReferenceSolution.at_lambda_max(ds),

@@ -1,9 +1,9 @@
 """The stacked forward/adjoint operator on tasks of unequal size, and the
 budget of products the solver and the path walk make with it.
 
-Every reference below is a per-task loop over ``ds.X[t]`` and the length-N
-dual vector split at the task offsets, so a padded row that leaks into a
-product or a dual vector shows up as a mismatch. The carried adjoint images
+Every reference below is a per-task loop over ``ds.X[t]`` and the real
+entries of each task's row of a (T, n_max) dual vector, so a padded entry
+that leaks into a product or a dual vector shows up as a mismatch. The carried adjoint images
 of references and balls are checked against fresh products on the rows they
 form, and a walk that carries score bounds against one that scores every
 ball on every feature.
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import mtl21.screening
-from mtl21.core import DualPoint, LambdaGrid, MultiTaskDataset, WeightMatrix
+from mtl21.core import LambdaGrid, MultiTaskDataset, WeightMatrix
 from mtl21.dual import (
     DualBall,
     ReferenceSolution,
@@ -45,9 +45,19 @@ def uneven_dataset(rng, d=7, sizes=SIZES):
     )
 
 
-def blocks(ds, theta):
-    ends = np.cumsum(ds.n_per_task)
-    return np.split(np.asarray(theta), ends[:-1])
+def random_rows(ds, rng):
+    """N standard normals laid task by task into the (T, n_max) dual layout,
+    zero on the padding."""
+    R = np.zeros(ds.y_stack.shape)
+    v = rng.standard_normal(ds.N)
+    for t, b in enumerate(np.split(v, np.cumsum(ds.n_per_task)[:-1])):
+        R[t, : len(b)] = b
+    return R
+
+
+def blocks(ds, R):
+    """The real entries of each task's row of (T, n_max) dual rows."""
+    return [R[t, :n] for t, n in enumerate(ds.n_per_task)]
 
 
 def assert_rel(a, b, tol):
@@ -65,17 +75,6 @@ class TestStack:
             assert not ds.X[t].flags.writeable
             assert np.all(ds.X_stack[t, n:] == 0.0)
             assert np.all(ds.y_stack[t, n:] == 0.0)
-
-    def test_pad_round_trip(self):
-        rng = np.random.default_rng(1)
-        ds = uneven_dataset(rng)
-        theta = rng.standard_normal(ds.N)
-        R = ds.pad(theta)
-        for t, (n, b) in enumerate(zip(SIZES, blocks(ds, theta))):
-            assert np.array_equal(R[t, :n], b)
-            assert np.all(R[t, n:] == 0.0)
-        assert np.array_equal(ds.unpad(R), theta)
-        assert np.array_equal(ds.pad(DualPoint(theta, ds.n_per_task)), R)
 
 
 class TestProducts:
@@ -103,8 +102,8 @@ class TestProducts:
     def test_adjoint_matches_loop(self):
         rng = np.random.default_rng(3)
         ds = uneven_dataset(rng)
-        theta = rng.standard_normal(ds.N)
-        M = ds.adjoint(ds.pad(theta))
+        theta = random_rows(ds, rng)
+        M = ds.adjoint(theta)
         assert M.shape == (ds.d, ds.T)
         for t, b in enumerate(blocks(ds, theta)):
             assert_rel(M[:, t], ds.X[t].T @ b, 1e-14)
@@ -116,7 +115,7 @@ class TestProducts:
         rng = np.random.default_rng(11)
         ds = uneven_dataset(rng, d=20)
         rows = rng.choice(ds.d, size=n_rows, replace=False)
-        R = ds.pad(rng.standard_normal(ds.N))
+        R = random_rows(ds, rng)
         image = ds.adjoint(R, rows)
         assert image.shape == (n_rows, ds.T)
         assert np.abs(image - ds.adjoint(R)[rows]).max(initial=0.0) <= 1e-14 * np.abs(R).sum()
@@ -129,14 +128,38 @@ class TestCallers:
         W = rng.standard_normal((ds.d, ds.T))
         lam = 0.7
         th = dual_from_primal(ds, W, lam)
-        assert th.block_sizes == SIZES
-        for t, b in enumerate(blocks(ds, th.theta)):
+        for t, b in enumerate(blocks(ds, th)):
             assert_rel(b, (ds.y[t] - ds.X[t] @ W[:, t]) / lam, 1e-14)
+
+    def test_dual_points_are_read_only_rows_with_zero_padding(self):
+        rng = np.random.default_rng(12)
+        ds = uneven_dataset(rng, d=12)
+        lmax, _ = lambda_max(ds)
+        res = fit(ds, 0.5 * lmax, SolverConfig(kkt_tol=1e-8))
+        W = res.weights
+        ref = ReferenceSolution.from_primal(ds, W, 0.5 * lmax)
+        threshold = ReferenceSolution.at_lambda_max(ds)
+        points = {
+            "dual_from_primal": dual_from_primal(ds, W, 0.5 * lmax),
+            "from_primal": ref.theta0,
+            "from_primal of a solve": ReferenceSolution.from_primal(
+                ds, W, 0.5 * lmax, solve=res
+            ).theta0,
+            "at_lambda_max": threshold.theta0,
+            "on_boundary": ref.on_boundary().theta0,
+            "dual_ball": dual_ball(ds, ref, 0.3 * lmax).center,
+            "dual_ball at the threshold": dual_ball(ds, threshold, 0.3 * lmax).center,
+        }
+        for name, theta in points.items():
+            assert theta.shape == ds.y_stack.shape, name
+            assert not theta.flags.writeable, name
+            for t, n in enumerate(SIZES):
+                assert np.all(theta[t, n:] == 0.0), name
 
     def test_feature_constraint_all(self):
         rng = np.random.default_rng(5)
         ds = uneven_dataset(rng)
-        theta = rng.standard_normal(ds.N)
+        theta = random_rows(ds, rng)
         expected = sum((X.T @ b) ** 2 for X, b in zip(ds.X, blocks(ds, theta)))
         assert_rel(feature_constraint_all(ds, theta), expected, 1e-14)
 
@@ -162,13 +185,13 @@ class TestCallers:
     def test_screening_scores(self):
         rng = np.random.default_rng(7)
         ds = uneven_dataset(rng, d=25)
-        center = rng.standard_normal(ds.N) * 0.2
+        center = random_rows(ds, rng) * 0.2
         ball = DualBall(
             center=center,
             radius=0.05,
             lam=1.0,
             lambda0=2.0,
-            image=ds.adjoint(ds.pad(center)),
+            image=ds.adjoint(center),
         )
         centers = blocks(ds, ball.center)
         scores = screening_scores(ds, ball)
@@ -379,7 +402,7 @@ def lying_solver(lam_lie, beta=0.1):
 
 
 def assert_image(ds, image, v, rows=None):
-    fresh = ds.adjoint(ds.pad(v))
+    fresh = ds.adjoint(v)
     if rows is not None:
         fresh = fresh[rows]
     assert image.shape == fresh.shape
@@ -400,7 +423,7 @@ def test_carried_images_match_fresh_products(sizes):
     partial = ReferenceSolution.from_primal(
         ds, W0.values[support], 0.6 * lmax, bounds=bounds, support=support
     )
-    assert len(partial.rows) < ds.d and np.array_equal(partial.theta0.theta, seq.theta0.theta)
+    assert len(partial.rows) < ds.d and np.array_equal(partial.theta0, seq.theta0)
     # a solve on the kept columns, whose last products give the dual point
     # and the kept rows of its image
     kept = np.flatnonzero(screening_scores(ds, first) >= 1.0)
@@ -411,17 +434,15 @@ def test_carried_images_match_fresh_products(sizes):
     )
     W_full = np.zeros((ds.d, ds.T))
     W_full[kept] = solve.weights.values
-    assert_rel(solved.theta0.theta, dual_from_primal(ds, W_full, 0.6 * lmax).theta, 1e-12)
+    assert_rel(solved.theta0, dual_from_primal(ds, W_full, 0.6 * lmax), 1e-12)
     assert np.isin(kept, solved.rows).all()
 
     def on_boundary(ref):
         # the dual point and its image doubled, well outside the feasible
         # set, then pulled back onto its boundary
-        doubled = dataclasses.replace(
-            ref, theta0=DualPoint(2.0 * ref.theta0.theta, ds.n_per_task), image=2.0 * ref.image
-        )
+        doubled = dataclasses.replace(ref, theta0=2.0 * ref.theta0, image=2.0 * ref.image)
         assert doubled.violation > 1.0
-        pulled = doubled.on_boundary(ds)
+        pulled = doubled.on_boundary()
         assert pulled.violation <= 1e-12
         return pulled
 
@@ -445,7 +466,7 @@ def test_carried_images_match_fresh_products(sizes):
             ball = dual_ball(ds, ref, 0.4 * lmax, carried)
             # the radius is below the uncut one, so the center's image
             # holds a nonzero multiple of the normal's
-            uncut = np.linalg.norm(ds.unpad(ds.y_stack) / (0.4 * lmax) - ref.theta0.theta)
+            uncut = np.linalg.norm(ds.y_stack / (0.4 * lmax) - ref.theta0)
             assert ball.radius < 0.5 * uncut * (1.0 - 1e-9), name
             assert np.isfinite(ball.bound).all() == (carried is not None)
             if carried is None:
@@ -462,7 +483,7 @@ def test_s2_walk_masks_match_fresh_images(monkeypatch):
         carried = screening_scores(ds, ball)
         assert_image(ds, ball.image, ball.center, ball.rows)
         fresh_ball = dataclasses.replace(
-            ball, image=ds.adjoint(ds.pad(ball.center)), rows=None, bound=None
+            ball, image=ds.adjoint(ball.center), rows=None, bound=None
         )
         fresh = screening_scores(ds, fresh_ball)
         assert np.array_equal(carried < 1.0, fresh < 1.0)

@@ -86,13 +86,13 @@ class TestBuildInstance:
         b = _B()
         b.center = np.asarray(center, dtype=float)
         b.radius = float(radius)
-        b.image = ds.adjoint(ds.pad(b.center))
+        b.image = ds.adjoint(b.center)
         b.rows = np.arange(ds.d)
         return b
 
     def test_hand_value(self):
         ds = MultiTaskDataset([(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2))])
-        inst = instance_of(ds, self.ball(ds, [0.5, 7.0], 0.3), 0)
+        inst = instance_of(ds, self.ball(ds, [[0.5, 7.0]], 0.3), 0)
         np.testing.assert_allclose(inst.a, [1.0])
         np.testing.assert_allclose(inst.b, [0.5])
         np.testing.assert_allclose(inst.c, [0.5])
@@ -100,7 +100,7 @@ class TestBuildInstance:
 
     def test_zero_feature(self):
         ds = MultiTaskDataset([(np.array([[0.0, 1.0], [0.0, 2.0]]), np.zeros(2))])
-        inst = instance_of(ds, self.ball(ds, [0.5, 7.0], 0.3), 0)
+        inst = instance_of(ds, self.ball(ds, [[0.5, 7.0]], 0.3), 0)
         assert inst.a[0] == 0.0
         assert inst.b[0] == 0.0
         assert inst.c[0] == 0.0
@@ -110,7 +110,7 @@ class TestBuildInstance:
         ds = MultiTaskDataset(
             [(rng.standard_normal((5, 6)), rng.standard_normal(5)) for _ in range(3)]
         )
-        center = rng.standard_normal(ds.N)
+        center = rng.standard_normal(ds.y_stack.shape)
         A, B, C, delta = build_instances(ds, self.ball(ds, center, 0.7))
         assert A.shape == B.shape == C.shape == (6, 3)
         assert delta == 0.7
@@ -119,8 +119,7 @@ class TestBuildInstance:
             # direct dot-product recomputation, no shared code path
             for t in range(3):
                 col = ds.X[t][:, ell]
-                off = sum(ds.n_per_task[:t])
-                o_t = center[off : off + ds.n_per_task[t]]
+                o_t = center[t]
                 assert math.isclose(inst.a[t], float(col @ col), rel_tol=1e-14)
                 assert math.isclose(inst.c[t], float(col @ o_t), rel_tol=1e-12, abs_tol=1e-14)
                 assert math.isclose(
@@ -334,13 +333,9 @@ def uncut_ball(ds, theta0):
     """The uncut ball at lam = 1 of a reference point theta0 at level 2:
     center theta0 + r/2 and radius ||r||/2 with r = y - theta0, its image
     X' center on every feature."""
-    from mtl21.core import stack_response
-
-    r = stack_response(ds) - theta0
+    r = ds.y_stack - theta0
     center = theta0 + 0.5 * r
-    return DualBall(
-        center, 0.5 * float(np.linalg.norm(r)), 1.0, 2.0, ds.adjoint(ds.pad(center))
-    )
+    return DualBall(center, 0.5 * float(np.linalg.norm(r)), 1.0, 2.0, ds.adjoint(center))
 
 
 class TestScreeningBounds:
@@ -349,7 +344,7 @@ class TestScreeningBounds:
         ds = MultiTaskDataset(
             [(rng.standard_normal((6, 9)), rng.standard_normal(6)) for _ in range(2)]
         )
-        ball = uncut_ball(ds, rng.standard_normal(ds.N) * 0.1)
+        ball = uncut_ball(ds, rng.standard_normal(ds.y_stack.shape) * 0.1)
         s_all = screening_bounds(ds, ball)
         assert s_all.shape == (9,)
         for ell in range(9):
@@ -365,10 +360,10 @@ class TestScreeningBounds:
         ds = MultiTaskDataset(
             [(rng.standard_normal((5, 7)), rng.standard_normal(5)) for _ in range(3)]
         )
-        ball = uncut_ball(ds, rng.standard_normal(ds.N) * 0.1)
+        ball = uncut_ball(ds, rng.standard_normal(ds.y_stack.shape) * 0.1)
         s_all = screening_bounds(ds, ball)
         for _ in range(200):
-            z = rng.standard_normal(ds.N)
+            z = rng.standard_normal(ds.y_stack.shape)
             z = ball.center + z / np.linalg.norm(z) * ball.radius * rng.uniform(0, 1)
             for ell in range(ds.d):
                 val = feature_constraint(ds, z, ell)
@@ -406,7 +401,7 @@ class TestBracket:
 
 class TestScreeningScores:
     def make_ball(self, rng, ds, scale):
-        return uncut_ball(ds, rng.standard_normal(ds.N) * scale)
+        return uncut_ball(ds, rng.standard_normal(ds.y_stack.shape) * scale)
 
     def test_same_mask_as_exact_and_never_below(self):
         # masks must coincide with exact thresholding; each score must
@@ -449,8 +444,6 @@ class TestScreeningScores:
 
     def test_point_ball_matches_constraint_values(self):
         # radius zero: both stages collapse to the constraint value itself
-        from mtl21.core import DualPoint, stack_response
-
         rng = np.random.default_rng(611)
         ds = MultiTaskDataset(
             [(rng.standard_normal((5, 8)), rng.standard_normal(5)) for _ in range(2)]
@@ -458,8 +451,8 @@ class TestScreeningScores:
         # theta0 = y/lam at a reference level above lam leaves r = 0
         lmax, _ = lambda_max(ds)
         lam = 0.5 * lmax
-        theta0 = DualPoint(stack_response(ds) / lam, ds.n_per_task)
-        ref = ReferenceSolution(lambda0=0.8 * lmax, theta0=theta0, image=ds.adjoint(ds.pad(theta0)))
+        theta0 = ds.y_stack / lam
+        ref = ReferenceSolution(lambda0=0.8 * lmax, theta0=theta0, image=ds.adjoint(theta0))
         ball = dual_ball(ds, ref, lam)
         assert ball.radius == 0.0
         scores = screening_scores(ds, ball)

@@ -80,8 +80,7 @@ class TestScreenAt:
         lmax, ell = lambda_max(ds)
         ref = ReferenceSolution.at_lambda_max(ds)
         mask = screen_at(ds, ref, 0.999 * lmax)
-        y = np.concatenate([ds.y[t] for t in range(ds.T)])
-        g = feature_constraint_all(ds, y / lmax)
+        g = feature_constraint_all(ds, ds.y_stack / lmax)
         assert not mask.inactive[ell]
         clear = g < 0.99
         assert mask.inactive[clear].all()
@@ -370,7 +369,7 @@ def checked_walk(monkeypatch, ds, grid, solver):
             assert np.array_equal(ball.rows, np.arange(ds_.d))
         else:
             full = dataclasses.replace(
-                ball, image=ds_.adjoint(ds_.pad(ball.center)), rows=None, bound=None
+                ball, image=ds_.adjoint(ball.center), rows=None, bound=None
             )
             carried = np.ones(ds_.d, dtype=bool)
             carried[ball.rows] = False
