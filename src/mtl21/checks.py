@@ -21,7 +21,7 @@ from .dual import ReferenceSolution, dual_ball, dual_from_primal, lambda_max
 from .errors import MtlError
 from .qp1qc import Qp1qcInstance, solve
 from .screening import ROW_ZERO_TOL, sequential_path, unscreened_path
-from .solver import SolverConfig, duality_gap, fit
+from .solver import SolverConfig, duality_gap
 
 __all__ = [
     "sphere_oracle",
@@ -172,16 +172,13 @@ def suite_gap(ds, rng, kkt_tol=1e-8, n_lambdas=4):
     """Primal-dual gap nonnegative (to rounding) and small at tight solves."""
     lmax, _ = lambda_max(ds)
     grid = LambdaGrid.log_spaced(lmax, n_points=n_lambdas + 1, min_ratio=0.1)
+    plain = unscreened_path(ds, grid, SolverConfig(kkt_tol=kkt_tol), keep_weights=True)
     worst_neg = 0.0
     worst_rel = 0.0
-    warm = None
-    for lam in grid.values[1:]:
-        cfg = SolverConfig(kkt_tol=kkt_tol, warm_start=warm)
-        res = fit(ds, float(lam), cfg)
-        warm = res.weights.values
-        gap = duality_gap(ds, res.weights, float(lam))
+    for rec in plain.records[1:]:
+        gap = duality_gap(ds, rec.weights, rec.lam)
         worst_neg = min(worst_neg, gap)
-        worst_rel = max(worst_rel, gap / max(1.0, abs(res.objective)))
+        worst_rel = max(worst_rel, gap / max(1.0, abs(rec.objective)))
     passed = worst_neg >= -1e-10 and worst_rel <= 1e-4
     return "gap", passed, {
         "most_negative_gap": worst_neg,

@@ -316,9 +316,11 @@ def cmd_bench(args):
 
 def cmd_verify(args):
     from .checks import SUITES, run_suites
+    from .dual import lambda_max
     from .errors import MtlError
     from .solver import SolverConfig
 
+    suites = SUITES if args.suite == "all" else (args.suite,)
     try:
         SolverConfig(kkt_tol=args.kkt_tol)
         if args.cases < 1:
@@ -326,10 +328,12 @@ def cmd_verify(args):
         if args.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
         ds, _ = _load_validated(args.dataset)
+        if suites != ("qp1qc",):
+            # every other suite walks a grid down from the all-zero threshold
+            lambda_max(ds)
     except (MtlError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    suites = SUITES if args.suite == "all" else (args.suite,)
     ok = run_suites(ds, suites=suites, seed=args.seed, cases=args.cases, kkt_tol=args.kkt_tol)
     return 0 if ok else 1
 

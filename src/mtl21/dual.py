@@ -104,7 +104,7 @@ def _check_ell(ds, ell):
 def feature_constraint(ds, theta, ell):
     """Constraint value of one feature: sum_t <x_l_t, theta_t>^2."""
     ell = _check_ell(ds, ell)
-    return float(feature_constraint_all(ds, theta)[ell])
+    return float((ds.adjoint(ds.dual_rows(theta), [ell]) ** 2).sum())
 
 
 def feature_constraint_all(ds, theta):
@@ -116,7 +116,7 @@ def feature_constraint_grad(ds, theta, ell):
     """Gradient of one feature's constraint value, as (T, n_max) rows; row t
     is 2 <x_l_t, theta_t> x_l_t."""
     ell = _check_ell(ds, ell)
-    return _one_row_image(ds, ell, 2.0 * ds.adjoint(ds.dual_rows(theta))[ell])
+    return _one_row_image(ds, ell, 2.0 * ds.adjoint(ds.dual_rows(theta), [ell])[0])
 
 
 def _one_row_image(ds, ell, row):

@@ -15,7 +15,8 @@ features whose bound reaches 1 are refreshed: their image rows come from the
 solve's last gradient (the features it kept) or a column-gathered adjoint,
 then the staged score of :func:`~mtl21.qp1qc.screening_scores`. The first
 screened level carries nothing, so every bound is +inf and every feature is
-refreshed, by the same code as :func:`screen_at` and a fallback level.
+refreshed; :func:`screen_at` carries nothing either, and makes the same
+``dual_ball`` and ``screening_scores`` calls as every level of the walk.
 Each level builds its reference, the previous level's solved dual point,
 at the start of its own screening, so its ``t_screen`` covers all of this
 work; the reference's normal is derived where its ball is cut.
@@ -48,7 +49,7 @@ from .dual import (
     dual_feasibility_violation,  # noqa: F401  perfbench/spans.py wraps this name
     lambda_max,
 )
-from .errors import LambdaOutOfRange, MaxItersExceeded, SolverFailure
+from .errors import MaxItersExceeded, SolverFailure
 from .qp1qc import screening_scores
 from .solver import FitResult, SolverConfig, fit, objective
 
@@ -97,14 +98,6 @@ class PathScreeningReport:
     records: list = field(default_factory=list)
     screened: bool = True
 
-    @property
-    def total_screen_time(self):
-        return float(sum(r.t_screen for r in self.records))
-
-    @property
-    def total_solve_time(self):
-        return float(sum(r.t_solve for r in self.records))
-
 
 def screen_at(ds, ref, lam):
     """Mask of features certified inactive at ``lam`` from the reference.
@@ -113,19 +106,7 @@ def screen_at(ds, ref, lam):
     a certified upper bound on its maximum constraint value over the ball,
     is < 1. The target must lie strictly below the reference level.
     """
-    return _screen(ds, ref, lam)[1]
-
-
-def _screen(ds, ref, lam, bounds=None):
-    """The ball at ``lam`` and its mask; ``bounds`` are the score bounds
-    carried from the last ball, None to score every feature afresh."""
-    lam = float(lam)
-    if lam >= ref.lambda0:
-        raise LambdaOutOfRange(
-            f"screening target {lam} must lie below the reference level {ref.lambda0}"
-        )
-    ball = dual_ball(ds, ref, lam, bounds)
-    return ball, ScreeningMask(screening_scores(ds, ball), lam)
+    return ScreeningMask(screening_scores(ds, dual_ball(ds, ref, lam)), lam)
 
 
 def _coerce_solver(solver_handle):
@@ -231,7 +212,8 @@ def _walk(ds, grid, solver_handle, keep_weights, screen):
                 else:
                     # feasibility is all the uncut ball needs of its reference
                     ref = ref.on_boundary()
-            ball, mask = _screen(ds, ref, lam, bounds)
+            ball = dual_ball(ds, ref, lam, bounds)
+            mask = ScreeningMask(screening_scores(ds, ball), lam)
             t_screen = time.perf_counter() - t0
             kept = np.flatnonzero(~mask.inactive)
             n_screened = ds.d - len(kept)
@@ -239,6 +221,7 @@ def _walk(ds, grid, solver_handle, keep_weights, screen):
             kept = np.arange(ds.d)
 
         t1 = time.perf_counter()
+        failure = None
         if len(kept):
             if n_screened == 0:
                 sub, warm = ds, W_full
@@ -248,33 +231,16 @@ def _walk(ds, grid, solver_handle, keep_weights, screen):
             try:
                 res = run_solver(sub, lam, warm)
             except MaxItersExceeded as e:
-                partial = PathRecord(
-                    lam=lam,
-                    lambda_rel=lam / lmax,
-                    mask=mask,
-                    n_screened=n_screened,
-                    n_truly_inactive=0,
-                    rejection_ratio=float("nan"),
-                    objective=float("nan"),
-                    kkt_residual=float(e.residual) if e.residual is not None else float("nan"),
-                    n_iters=e.n_iters,
-                    t_screen=t_screen,
-                    t_solve=time.perf_counter() - t1,
-                    status="solver-failure",
-                    ref_fallback=fallback,
-                )
-                report.records.append(partial)
-                raise SolverFailure(
-                    f"solver failed at level {lam!r}: {e}",
-                    report=report,
-                    failed_lambda=lam,
-                ) from e
-            W_keep = res.weights.values
-            W_full = np.zeros((ds.d, ds.T))
-            W_full[kept] = W_keep
-            # screened rows are exact zeros, so the reduced objective is the full one
-            obj, n_iters, kkt = res.objective, res.n_iters, res.kkt_residual
-            n_inact = n_screened + int((res.weights.row_norms() <= ROW_ZERO_TOL).sum())
+                failure = e
+                obj, n_iters, n_inact = float("nan"), e.n_iters, 0
+                kkt = float(e.residual) if e.residual is not None else float("nan")
+            else:
+                W_keep = res.weights.values
+                W_full = np.zeros((ds.d, ds.T))
+                W_full[kept] = W_keep
+                # screened rows are exact zeros, so the reduced objective is the full one
+                obj, n_iters, kkt = res.objective, res.n_iters, res.kkt_residual
+                n_inact = n_screened + int((res.weights.row_norms() <= ROW_ZERO_TOL).sum())
         else:
             res, W_keep, W_full = None, np.zeros((0, ds.T)), np.zeros((ds.d, ds.T))
             obj, n_iters, kkt = objective(ds, W_full, lam), 0, 0.0
@@ -294,9 +260,16 @@ def _walk(ds, grid, solver_handle, keep_weights, screen):
             n_iters=n_iters,
             t_screen=t_screen,
             t_solve=t_solve,
+            status="ok" if failure is None else "solver-failure",
             ref_fallback=fallback,
         )
-        if keep_weights:
+        if keep_weights and failure is None:
             rec.weights = WeightMatrix(W_full)
         report.records.append(rec)
+        if failure is not None:
+            raise SolverFailure(
+                f"solver failed at level {lam!r}: {failure}",
+                report=report,
+                failed_lambda=lam,
+            ) from failure
     return report

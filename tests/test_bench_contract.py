@@ -47,3 +47,7 @@ def test_traced_walk_self_times_add_up(spans):
     # every solved level went through the wrapped fit and the exact QP1QC pass
     assert tr.counts["solver.fit_calls"] == sum(r.n_iters > 0 for r in report.records)
     assert tr.counts["qp1qc.contested"] > 0
+    # the walk calls the ball, the scores and the subset through the
+    # wrapped names, so a local alias cannot zero a layer without a word
+    for name in ("dual.ball", "qp1qc.scores", "core.subset"):
+        assert selfs[name] > 0.0, name

@@ -274,6 +274,18 @@ class TestBadInputExits2:
         self.assert_one_error_line(capsys, rc, "orthogonal")
         assert not out.exists()
 
+    @pytest.mark.parametrize("suite", ["all", "safety", "containment", "gap"])
+    def test_verify_all_zero_responses(self, suite, zero_response_dir, capsys):
+        rc = main(["verify", str(zero_response_dir), "--suite", suite])
+        self.assert_one_error_line(capsys, rc, "orthogonal")
+        # rejected before any suite ran: no result table was printed
+        assert capsys.readouterr().out == ""
+
+    def test_verify_qp1qc_ignores_the_responses(self, zero_response_dir, capsys):
+        rc = main(["verify", str(zero_response_dir), "--suite", "qp1qc", "--cases", "20"])
+        assert rc == 0
+        assert "qp1qc" in capsys.readouterr().out
+
     def test_task_with_no_rows(self, dataset_dir, tmp_path, capsys):
         import shutil
 

@@ -22,7 +22,9 @@ from mtl21.dual import (
     ScoreBounds,
     dual_ball,
     dual_from_primal,
+    feature_constraint,
     feature_constraint_all,
+    feature_constraint_grad,
     lambda_max,
     normal_vector,
 )
@@ -289,6 +291,15 @@ class TestProductBudget:
         assert count.calls == {"forward": 1, "adjoint": 1}
         for ball in balls:
             assert_image(ds, ball.image, ball.center, ball.rows)
+
+    def test_one_feature_reads_one_column(self):
+        ds, _ = generate(SynthConfig(kind="s1", tasks=4, n_per_task=20, d=400, seed=5))
+        theta = dual_from_primal(ds, WeightMatrix(np.zeros((ds.d, ds.T))), lambda_max(ds)[0])
+        count = Counter(ds)
+        feature_constraint(ds, theta, 7)
+        feature_constraint_grad(ds, theta, 7)
+        assert count.calls["adjoint"] == 2
+        assert all(np.array_equal(rows, [7]) for rows in count.rows["adjoint"])
 
     def test_basic_dpc_makes_no_product_after_the_reference(self):
         ds, _ = generate(SynthConfig(kind="s1", tasks=4, n_per_task=20, d=400, seed=5))

@@ -285,8 +285,8 @@ class TestUnscreenedPath:
             assert rec.mask is None
             assert rec.n_screened == 0
             assert rec.t_screen == 0.0
-        assert rep.total_screen_time == 0.0
-        assert rep.total_solve_time > 0.0
+        assert sum(r.t_screen for r in rep.records) == 0.0
+        assert sum(r.t_solve for r in rep.records) > 0.0
         for rec in rep.records[1:]:
             assert rec.kkt_residual <= 1e-8
             assert rec.n_iters >= 1
@@ -305,13 +305,37 @@ class TestUnscreenedPath:
 class TestFailedLevel:
     @pytest.mark.parametrize("walk", [sequential_path, unscreened_path])
     def test_failed_level_reports_the_iterations_it_spent(self, walk):
+        # every field of the failed level's one record, the last of the report
         rng = np.random.default_rng(18)
         ds = random_dataset(rng, T=3, d=40, n=15)
+        grid = grid_for(ds, points=6)
+        cfg = SolverConfig(max_iters=3, kkt_tol=1e-12)
         with pytest.raises(SolverFailure) as ei:
-            walk(ds, grid_for(ds, points=6), SolverConfig(max_iters=3, kkt_tol=1e-12))
-        last = ei.value.report.records[-1]
+            walk(ds, grid, cfg, keep_weights=True)
+        cause = ei.value.__cause__
+        assert isinstance(cause, MaxItersExceeded)
+        records = ei.value.report.records
+        # the walk stops at the level that failed: the head, then level 1
+        assert len(records) == 2 and records[0].weights is not None
+        last = records[-1]
+        assert last.lam == ei.value.failed_lambda == grid.values[1]
         assert last.status == "solver-failure"
         assert last.n_iters == 3
+        assert last.kkt_residual == cause.residual and last.kkt_residual > cfg.kkt_tol
+        assert math.isnan(last.objective) and math.isnan(last.rejection_ratio)
+        assert last.n_truly_inactive == 0
+        assert last.weights is None
+        assert last.ref_fallback is False
+        assert last.t_solve > 0.0
+        if walk is unscreened_path:
+            assert last.mask is None and last.n_screened == 0 and last.t_screen == 0.0
+        else:
+            # level 1 screens against the threshold reference
+            mask = screen_at(ds, ReferenceSolution.at_lambda_max(ds), grid.values[1])
+            assert last.mask.scores.tobytes() == mask.scores.tobytes()
+            assert last.mask.lam == last.lam
+            assert last.n_screened == mask.n_inactive
+            assert last.t_screen > 0.0
 
     def test_custom_solver_without_a_count_reports_zero(self):
         rng = np.random.default_rng(19)
