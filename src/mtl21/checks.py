@@ -174,14 +174,17 @@ def suite_gap(ds, rng, kkt_tol=1e-8, n_lambdas=4):
     grid = LambdaGrid.log_spaced(lmax, n_points=n_lambdas + 1, min_ratio=0.1)
     plain = unscreened_path(ds, grid, SolverConfig(kkt_tol=kkt_tol), keep_weights=True)
     worst_neg = 0.0
+    min_gap = np.inf
     worst_rel = 0.0
     for rec in plain.records[1:]:
         gap = duality_gap(ds, rec.weights, rec.lam)
         worst_neg = min(worst_neg, gap)
+        min_gap = min(min_gap, gap)
         worst_rel = max(worst_rel, gap / max(1.0, abs(rec.objective)))
     passed = worst_neg >= -1e-10 and worst_rel <= 1e-4
     return "gap", passed, {
         "most_negative_gap": worst_neg,
+        "min_gap": min_gap,
         "worst_relative_gap": worst_rel,
         "levels": n_lambdas,
     }

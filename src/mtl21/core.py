@@ -18,6 +18,11 @@ stacked (different column counts) but is otherwise permissive, so that
 invalid data can be held and then reported by :func:`validate_dataset`;
 numerical code is expected to validate first.
 
+:func:`load_dataset` holds each dataset once: it allocates the stack from
+the counts in ``meta.json``, after checking that every task file is large
+enough to hold its rows, and reads the tasks one at a time into their
+slices, so at most one task's parsed table sits beside the stack.
+
 All arrays are float64 and frozen (read-only) after construction; the types
 are safe to share across concurrent readers.
 """
@@ -52,6 +57,17 @@ __all__ = [
 
 # a level counts as the all-zero threshold to this relative tolerance
 LAMBDA_EQ_RTOL = 1e-12
+
+
+def _zero_stacks(n, d):
+    """Zeroed stacks (T, n_max, d) and (T, n_max) for tasks of ``n[t]`` rows.
+
+    Every task block keeps contiguous columns, as screening reads every
+    column of every task: the design stack is a (T, d, n_max) buffer seen
+    with swapped axes.
+    """
+    n_max = max(n, default=0)
+    return np.zeros((len(n), d, n_max)).swapaxes(1, 2), np.zeros((len(n), n_max))
 
 
 class MultiTaskDataset:
@@ -92,23 +108,31 @@ class MultiTaskDataset:
             xs.append(X)
             ys.append(y)
         n = [X.shape[0] for X in xs]
-        n_max = max(n, default=0)
-        d = xs[0].shape[1] if xs else 0
-        # every task block keeps contiguous columns, as screening reads every
-        # column of every task: a (T, d, n_max) buffer seen with swapped axes
-        self.X_stack = np.zeros((len(xs), d, n_max)).swapaxes(1, 2)
-        self.y_stack = np.zeros((len(xs), n_max))
+        X_stack, y_stack = _zero_stacks(n, xs[0].shape[1] if xs else 0)
         for t, (X, y) in enumerate(zip(xs, ys)):
-            self.X_stack[t, : n[t]] = X
-            self.y_stack[t, : n[t]] = y
-        self.X_stack.setflags(write=False)
-        self.y_stack.setflags(write=False)
-        self.X = tuple(self.X_stack[t, : n[t]] for t in range(len(n)))
-        self.y = tuple(self.y_stack[t, : n[t]] for t in range(len(n)))
+            X_stack[t, : n[t]] = X
+            y_stack[t, : n[t]] = y
+        self._adopt(X_stack, y_stack, n)
+
+    @classmethod
+    def _from_stacks(cls, X_stack, y_stack, n):
+        """A dataset that takes over stacks from :func:`_zero_stacks`, filled
+        with tasks of ``n[t]`` rows, without copying them."""
+        ds = cls.__new__(cls)
+        ds._adopt(X_stack, y_stack, n)
+        return ds
+
+    def _adopt(self, X_stack, y_stack, n):
+        X_stack.setflags(write=False)
+        y_stack.setflags(write=False)
+        self.X_stack = X_stack
+        self.y_stack = y_stack
+        self.X = tuple(X_stack[t, : n[t]] for t in range(len(n)))
+        self.y = tuple(y_stack[t, : n[t]] for t in range(len(n)))
         self.n_per_task = tuple(n)
         self.N = sum(n)
         # True on the padding of the (T, n_max) layout
-        self._padding = np.arange(n_max) >= np.array(n, dtype=int)[:, None]
+        self._padding = np.arange(y_stack.shape[1]) >= np.array(n, dtype=int)[:, None]
         self._cache = {}
 
     @property
@@ -482,12 +506,27 @@ def load_dataset(in_dir):
         )
     if len(n) != T:
         raise DatasetFormatError(f"{meta_path}: n has {len(n)} entries, T is {T}")
-    tasks = []
-    for t in range(T):
-        table = _read_table(root / f"task_{t}.csv", width=d + 1)
+    paths = [root / f"task_{t}.csv" for t in range(T)]
+    # the stack is allocated from the counts, so each file must be able to
+    # hold its rows first: n rows of d + 1 one-character cells are its
+    # smallest form, the last newline optional
+    for path, rows in zip(paths, n):
+        if not path.is_file():
+            raise DatasetFormatError(f"{path}: file not found")
+        size = path.stat().st_size
+        if size < rows * (2 * d + 2) - 1:
+            raise DatasetFormatError(
+                f"{path}: {size} bytes cannot hold the {rows} rows of {d + 1} fields meta.json gives"
+            )
+    # with no tasks the stack has no columns, as MultiTaskDataset([]) has
+    X_stack, y_stack = _zero_stacks(n, d if T else 0)
+    for t, path in enumerate(paths):
+        table = _read_table(path, width=d + 1)
         if len(table) != n[t]:
             raise DatasetFormatError(
                 f"task_{t}.csv: {len(table)} rows, meta says {n[t]}"
             )
-        tasks.append((table[:, :d], table[:, d]))
-    return MultiTaskDataset(tasks), meta
+        X_stack[t, : n[t]] = table[:, :d]
+        y_stack[t, : n[t]] = table[:, d]
+        del table  # one task's table at a time beside the stack
+    return MultiTaskDataset._from_stacks(X_stack, y_stack, n), meta

@@ -10,6 +10,10 @@ noiseless model output plus scaled Gaussian noise.
 Draw order is fixed so a seed pins the dataset bit-for-bit: per-task design
 matrices first, then the support, then per-task true weights, then per-task
 noise.
+
+Each task's design is drawn into a temporary array and copied at once into
+its slice of the dataset's stack, so a generated dataset is held once, with
+at most one task's draw beside it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MultiTaskDataset, WeightMatrix, save_dataset
+from .core import MultiTaskDataset, WeightMatrix, _zero_stacks, save_dataset
 
 __all__ = ["SynthConfig", "generate", "write_benchmark"]
 
@@ -55,14 +59,12 @@ class SynthConfig:
 
 
 def _draw_design(rng, kind, n, d):
-    if kind == "s1":
-        return rng.standard_normal((n, d))
-    z = rng.standard_normal((n, d))
-    X = np.empty((n, d))
-    X[:, 0] = z[:, 0]
-    c = math.sqrt(0.75)
-    for j in range(1, d):
-        X[:, j] = 0.5 * X[:, j - 1] + c * z[:, j]
+    X = rng.standard_normal((n, d))
+    if kind == "s2":
+        # column j of the chain from column j - 1 and the j-th draw, in place
+        c = math.sqrt(0.75)
+        for j in range(1, d):
+            X[:, j] = 0.5 * X[:, j - 1] + c * X[:, j]
     return X
 
 
@@ -74,7 +76,9 @@ def generate(cfg):
     """
     rng = np.random.default_rng(cfg.seed)
     T, n, d = cfg.tasks, cfg.n_per_task, cfg.d
-    designs = [_draw_design(rng, cfg.kind, n, d) for _ in range(T)]
+    X_stack, y_stack = _zero_stacks([n] * T, d)
+    for t in range(T):
+        X_stack[t] = _draw_design(rng, cfg.kind, n, d)
     k = math.ceil(cfg.support_fraction * d)
     W = np.zeros((d, T))
     if cfg.support_mode == "shared":
@@ -85,13 +89,14 @@ def generate(cfg):
         for t in range(T):
             support = np.sort(rng.choice(d, size=k, replace=False))
             W[support, t] = rng.standard_normal(k)
-    tasks = []
     for t in range(T):
-        y = designs[t] @ W[:, t]
+        # on a row-major copy: the stack's column layout would take another
+        # BLAS call, which rounds y differently
+        y = np.ascontiguousarray(X_stack[t]) @ W[:, t]
         if cfg.noise_scale > 0:
             y = y + cfg.noise_scale * rng.standard_normal(n)
-        tasks.append((designs[t], y))
-    return MultiTaskDataset(tasks), WeightMatrix(W)
+        y_stack[t] = y
+    return MultiTaskDataset._from_stacks(X_stack, y_stack, [n] * T), WeightMatrix(W)
 
 
 def write_benchmark(cfg, out_dir):

@@ -410,6 +410,14 @@ class TestVerify:
         assert "qp1qc" in out
         assert "safety" not in out
 
+    def test_qp1qc_suite_needs_no_dataset(self, tmp_path, capsys):
+        # the qp1qc cases are self-contained, so the dataset is not read
+        rc = main(["verify", str(tmp_path / "missing"), "--suite", "qp1qc", "--cases", "20"])
+        assert rc == 0
+        assert any(
+            ln.startswith("qp1qc") and "pass" in ln for ln in capsys.readouterr().out.splitlines()
+        )
+
     def test_failed_suite_exits_1(self, dataset_dir, monkeypatch):
         import mtl21.checks
 

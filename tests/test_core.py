@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from mtl21.errors import (
     LambdaOutOfRange,
     NonFinite,
 )
+from mtl21.synth import SynthConfig, generate
 
 
 def tiny_dataset():
@@ -336,6 +338,47 @@ class TestDatasetIO:
         with pytest.raises(DatasetFormatError, match="meta.json"):
             load_dataset(out)
 
+    @pytest.mark.parametrize(
+        "key,value", [("n", [3, 10**12]), ("d", 10**9)], ids=["huge-n", "huge-d"]
+    )
+    def test_oversized_meta_counts_allocate_nothing(self, tmp_path, key, value):
+        # the stack is sized from meta.json only once the files can hold it
+        out = save_dataset(tiny_dataset(), tmp_path / "ds")
+        meta = json.loads((out / "meta.json").read_text())
+        meta[key] = value
+        (out / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(DatasetFormatError, match="bytes cannot hold"):
+            load_dataset(out)
+
+    def test_missing_task_file(self, tmp_path):
+        out = save_dataset(tiny_dataset(), tmp_path / "ds")
+        (out / "task_1.csv").unlink()
+        with pytest.raises(DatasetFormatError, match="task_1.csv: file not found"):
+            load_dataset(out)
+
+    def test_no_tasks_load_as_the_empty_dataset(self, tmp_path):
+        (tmp_path / "meta.json").write_text(json.dumps({"T": 0, "d": 5, "n": []}))
+        ds, _ = load_dataset(tmp_path)
+        assert ds == MultiTaskDataset([])
+        assert (ds.T, ds.d, ds.N) == (0, 0, 0)
+
+    def test_load_holds_one_task_table_beside_the_stack(self, tmp_path):
+        T, n, d = 4, 50, 3000
+        ds, _ = generate(SynthConfig(kind="s1", tasks=T, n_per_task=n, d=d, seed=1))
+        out = save_dataset(ds, tmp_path / "ds")
+        del ds
+        load_dataset(save_dataset(tiny_dataset(), tmp_path / "warm"))  # lazy imports
+        tracemalloc.start()
+        try:
+            back, _ = load_dataset(out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table = n * (d + 1) * 8
+        # the tasks read one by one straight into the stack: not a second
+        # copy of every task beside it
+        assert peak < back.X_stack.nbytes + 2 * table
+
     def test_meta_count_mismatch(self, tmp_path):
         ds = tiny_dataset()
         out = tmp_path / "ds"
@@ -344,6 +387,11 @@ class TestDatasetIO:
         meta["n"] = [3, 99]
         (out / "meta.json").write_text(json.dumps(meta))
         with pytest.raises(DatasetFormatError):
+            load_dataset(out)
+        # fewer rows than the file has pass the size check and fail the count
+        meta["n"] = [3, 1]
+        (out / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(DatasetFormatError, match="task_1.csv: 2 rows, meta says 1"):
             load_dataset(out)
 
     def test_bad_field_count_names_line(self, tmp_path):

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +116,39 @@ class TestGenerate:
         pooled = np.vstack([ds.X[t] for t in range(ds.T)])
         v = pooled.var(axis=0)
         assert np.abs(v - 1.0).max() < 0.08
+
+    def test_builds_the_stack_without_a_second_copy(self):
+        T, n, d = 4, 50, 3000
+        generate(cfg())  # lazy imports
+        tracemalloc.start()
+        try:
+            ds, _ = generate(cfg(tasks=T, n_per_task=n, d=d, seed=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table = n * (d + 1) * 8
+        assert peak < ds.X_stack.nbytes + 2 * table
+
+    # SHA-1 of every task's X and y bytes and of W, for seed 5 and the
+    # small config; computed with the generator that drew each task into a
+    # list of arrays and stacked them afterwards. y is a BLAS product, so a
+    # BLAS that rounds it differently changes these values too.
+    DIGESTS = {
+        ("s1", "shared"): "05e9087531fb050abde87e8cf9054e57b82c0eda",
+        ("s1", "per-task"): "209b11b747ee8830b241d4600cd1e183c7f4b348",
+        ("s2", "shared"): "8a9d200bc231b2a01331d1b22ed2efabb21aabeb",
+        ("s2", "per-task"): "dad39cc7d30cede610a4865fd6daaa4f9a40a610",
+    }
+
+    @pytest.mark.parametrize("kind,mode", sorted(DIGESTS))
+    def test_output_bytes_are_pinned(self, kind, mode):
+        ds, W = generate(cfg(kind=kind, support_mode=mode, seed=5))
+        h = hashlib.sha1()
+        for X, y in zip(ds.X, ds.y):
+            h.update(X.tobytes())
+            h.update(y.tobytes())
+        h.update(W.values.tobytes())
+        assert h.hexdigest() == self.DIGESTS[kind, mode]
 
 
 class TestWriteBenchmark:
