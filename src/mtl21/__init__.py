@@ -35,7 +35,6 @@ _EXPORTS = {
         "feature_constraint",
         "feature_constraint_all",
         "lambda_max",
-        "normal_vector",
     ),
     "errors": (
         "DatasetFormatError",
@@ -49,7 +48,6 @@ _EXPORTS = {
         "NonFinite",
         "NonPositiveLambda",
         "SolverFailure",
-        "ZeroNormal",
     ),
     "qp1qc": (
         "Qp1qcInstance",

@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

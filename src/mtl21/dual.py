@@ -11,13 +11,27 @@ center) is held as (T, n_max) rows with zero padding, the layout of the
 dataset's ``y_stack``; one taken from a caller is checked by
 ``ds.dual_rows``.
 
-Geometry of the ball: a reference is its level lambda0 and its solved dual
-point theta0. Its outward normal n0 follows from those and the dataset
-(y/lambda0 - theta0, or the witness feature's constraint gradient at the
-threshold) and is derived where the ball is cut. The residual
-r = y/lam - theta0 is split into the component along n0 and the orthogonal
-remainder r_perp; the exact dual optimum lies in the ball centered at
-theta0 + r_perp/2 with radius ``norm(r_perp)/2``.
+Geometry of the ball: a reference is its level lambda0, the dual point
+theta0 exactly as its solve left it, and the offset b of a half-space
+<n, theta> <= b that holds on all of the feasible set F. Below the
+threshold n = y/lambda0 - theta0 = X.W/lambda0 for the solve's weights W,
+and for theta in F, Cauchy-Schwarz gives
+<X.W, theta> = sum_l <w_l, X_l' theta> <= sum_l ||w_l||, so
+b = sum_l ||w_l|| / lambda0 holds for any weights, solved exactly or not.
+At the threshold n is the witness feature's constraint gradient at
+y/lambda_max, 2 X_l* v with v = X_l*' y / lambda_max, and the same argument
+gives b = 2 ||v||. The ball at lam starts from theta0 scaled into F,
+theta_f: the exact dual optimum, the projection of y/lam onto F, lies in
+the ball with diameter [theta_f, y/lam] (center c, radius R), and in the
+half-space, so in the cap that the hyperplane cuts off that ball at depth
+t = (<n, c> - b)/||n||. For 0 < t <= R that cap lies in the ball with
+center c - t n/||n|| and radius sqrt(R^2 - t^2); for t <= 0 the ball stays
+uncut. At an exact solve theta0 lies on the hyperplane and this is the
+DPC ball. The scaling and the cut carry forward-error margins
+(:func:`_ball_rtol`), so rounding neither leaves theta_f outside F nor moves
+the hyperplane past the optimum. The center and radius themselves are
+rounded once more, which no margin covers yet, like the score's read of the
+center.
 
 Carried images: a reference holds the adjoint image X't theta0, and a ball
 X't center, on an increasing index array ``rows`` of features, one row each
@@ -46,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LAMBDA_EQ_RTOL, MultiTaskDataset, as_weight_values
+from .core import LAMBDA_EQ_RTOL, as_weight_values
 from .errors import (
     DegenerateData,
     DimensionMismatch,
@@ -54,8 +68,8 @@ from .errors import (
     LambdaOutOfRange,
     NegativeInnerProduct,
     NonPositiveLambda,
-    ZeroNormal,
 )
+from .solver import l21_norm
 
 __all__ = [
     "feature_constraint",
@@ -64,17 +78,12 @@ __all__ = [
     "dual_feasibility_violation",
     "lambda_max",
     "dual_from_primal",
-    "normal_vector",
     "ScoreBounds",
     "ReferenceSolution",
     "DualBall",
     "dual_ball",
 ]
 
-# below this (times ||y||/lambda0) a normal vector counts as zero
-ZERO_NORMAL_RTOL = 1e-14
-# sign checks tolerate this times the product of operand norms
-SIGN_RTOL = 1e-9
 EPS = float(np.finfo(np.float64).eps)
 
 
@@ -153,8 +162,9 @@ def lambda_max(ds):
 
 
 def _witness_normal(ds):
-    """The threshold's normal (see :func:`normal_vector`) and its image
-    X't n: one forward product and one adjoint per dataset, cached."""
+    """The threshold's normal, the witness feature's constraint gradient at
+    y/lambda_max, and its image X't n: one forward product and one adjoint
+    per dataset, cached."""
     key = "witness_normal"
     if key not in ds._cache:
         lmax, ell_star = lambda_max(ds)
@@ -185,52 +195,6 @@ def _at_threshold(ds, lambda0):
     return math.isclose(lambda0, lambda_max(ds)[0], rel_tol=LAMBDA_EQ_RTOL, abs_tol=0.0)
 
 
-def normal_vector(ds, theta0, lambda0):
-    """Outward normal at a solved reference dual point, as (T, n_max) rows.
-
-    Below the all-zero threshold this is y/lambda0 - theta0. At the threshold
-    itself that difference vanishes, so the constraint gradient of the witness
-    feature at y/lambda_max is used instead (its row t is
-    2 <x_w_t, y_t/lambda_max> x_w_t), computed once per dataset. That normal
-    is never zero: its inner product with y is 2 lambda_max > 0.
-
-    Errors
-    ------
-    LambdaOutOfRange : lambda0 outside (0, lambda_max], or a threshold-level
-        call whose theta0 is not y/lambda_max to 1e-8 relative.
-    ZeroNormal : below the threshold, the normal is too small to define a
-        direction (below 1e-14 * ||y|| / lambda0).
-    DimensionMismatch : theta0 is not (T, n_max) rows with zero padding.
-    """
-    lambda0 = float(lambda0)
-    lmax, _ = lambda_max(ds)
-    if lambda0 <= 0 or lambda0 > lmax * (1 + LAMBDA_EQ_RTOL):
-        raise LambdaOutOfRange(
-            f"reference level {lambda0} outside (0, {lmax}]"
-        )
-    y = ds.y_stack
-    th = ds.dual_rows(theta0)
-    if _at_threshold(ds, lambda0):
-        expected = y / lmax
-        if _norm(th - expected) > 1e-8 * _norm(expected):
-            raise LambdaOutOfRange(
-                "at the all-zero threshold the reference dual point must be y/lambda_max"
-            )
-        return _witness_normal(ds)[0]
-    n = y / lambda0 - th
-    if _norm(n) < ZERO_NORMAL_RTOL * _norm(y) / lambda0:
-        raise ZeroNormal("reference normal vector is numerically zero")
-    return n
-
-
-def _normal_or_none(ds, theta0, lambda0):
-    """:func:`normal_vector`, or None when it is numerically zero."""
-    try:
-        return normal_vector(ds, theta0, lambda0)
-    except ZeroNormal:
-        return None
-
-
 def _image_rows(ds, theta, rows, held, image):
     """Rows ``rows`` of X't theta, given its rows ``held`` in ``image`` (both
     increasing index arrays); the rows not held take one column-gathered
@@ -259,6 +223,39 @@ def _carry_rtol(ds):
     stays below (N + n_max + 16) eps, and the margin is four times that.
     """
     return 4.0 * (ds.N + ds.X_stack.shape[1] + 16) * EPS
+
+
+def _ball_rtol(ds):
+    """Relative forward-error margin of a ball's scaling and cut.
+
+    The scaling reads theta0's largest constraint value from its image rows.
+    Each entry of a row is an n_max-term inner product divided by lambda0
+    (the solve's gradient, or a column-gathered adjoint), off by at most
+    gamma_(n_max+2) ||x_l_t|| ||theta0_t||, so the row is off by at most that
+    times sqrt(rho_l) ||theta0|| in norm; the T-term row norm, the reciprocal
+    and the scaling itself add a few relative eps. The normal
+    n = y/lambda0 - theta0 differs from X.W/lambda0 by the rounding of the
+    forward product's d-term sums, at most gamma_d sum_l sqrt(rho_l) ||w_l||
+    <= gamma_d max_l sqrt(rho_l) lambda0 b in norm, and of the residual's
+    subtraction and the two divisions, gamma_5 ||y||; over the uncut ball,
+    which holds the optimum, that moves <n, theta> by at most this times
+    ||c|| + R. <n, c> and ||n|| are N-term sums and b a sum of d row norms of
+    T entries. By the standard summation bound (Higham, Accuracy and
+    Stability of Numerical Algorithms, section 3.1) each of these stays below
+    (d + N + T + 16) eps times its scale, and the margin is four times that.
+    """
+    return 4.0 * (ds.d + ds.N + ds.T + 16) * EPS
+
+
+def _offset(ds, lambda0, l21):
+    """The offset b of the reference half-space at ``lambda0`` whose
+    weights have l2,1 norm ``l21``, lifted by :func:`_ball_rtol`: l21/lambda0
+    below the threshold, 2 ||X_l*' y|| / lambda_max at it, whatever the
+    weights, since there the ball cuts along the witness normal."""
+    if _at_threshold(ds, lambda0):
+        lmax, ell_star = lambda_max(ds)
+        l21, lambda0 = 2.0 * _norm(ds.response_image[ell_star]), lmax
+    return l21 / lambda0 * (1.0 + _ball_rtol(ds))
 
 
 @dataclass(frozen=True)
@@ -293,58 +290,51 @@ class ScoreBounds:
 
 @dataclass(frozen=True)
 class ReferenceSolution:
-    """A solved reference level: the dual point ``theta0`` there, as
-    read-only (T, n_max) rows, and the adjoint image ``image`` = X't theta0
-    on the features ``rows``, an increasing index array with one image row
-    per feature (every feature when built without ``rows``). The rows cover
-    every feature whose constraint value at theta0 can reach 1. Its normal
-    is not stored: it is fixed by theta0, lambda0 and the dataset
-    (:func:`normal_vector`).
+    """A reference level ``lambda0``: the dual point ``theta0`` there, exactly
+    as its solve left it, as read-only (T, n_max) rows; the adjoint image
+    ``image`` = X't theta0 on the features ``rows``, an increasing index
+    array with one image row per feature (every feature when built without
+    ``rows``), covering every feature whose constraint value at theta0 can
+    reach 1; and the ``offset`` b of the half-space <n, theta> <= b that
+    holds on the feasible set, for the normal n that theta0 and lambda0 fix
+    (see the module notes). ``offset`` +inf claims no half-space, so its
+    balls stay uncut; a negative one excludes the zero point of the feasible
+    set and raises NegativeInnerProduct.
     """
 
     lambda0: float
     theta0: np.ndarray
     image: np.ndarray
+    offset: float
     rows: np.ndarray | None = None
 
     def __post_init__(self):
         if self.lambda0 <= 0:
             raise LambdaOutOfRange(f"reference level must be positive, got {self.lambda0}")
+        if not self.offset >= 0:
+            raise NegativeInnerProduct(
+                f"half-space offset {self.offset} excludes 0, a feasible point; "
+                "the reference is inconsistent"
+            )
         if self.rows is None:
             object.__setattr__(self, "rows", np.arange(len(self.image)))
         elif len(self.image) != len(self.rows):
             raise DimensionMismatch("an image needs one row per feature it covers")
-
-    @property
-    def violation(self):
-        """max(0, max_l g_l(theta0) - 1), read from the image rows; zero
-        means theta0 is dual feasible."""
-        g_max = float((self.image**2).sum(axis=1).max(initial=0.0))
-        return max(0.0, g_max - 1.0)
-
-    def on_boundary(self):
-        """The reference with its dual point, and image rows, divided by
-        sqrt(1 + violation) = sqrt(max_l g_l): the constraints are
-        quadratically homogeneous, so an infeasible point lands exactly on
-        the feasible boundary. A feasible one is divided by exactly 1.0, so
-        it stays as it is."""
-        scale = 1.0 / np.sqrt(1.0 + self.violation)
-        theta0 = _frozen(self.theta0 * scale)
-        return ReferenceSolution(self.lambda0, theta0, self.image * scale, self.rows)
 
     @classmethod
     def at_lambda_max(cls, ds):
         """Reference at the all-zero threshold, where the dual point is known
         in closed form (y/lambda_max)."""
         lmax, _ = lambda_max(ds)
-        return cls(lmax, _frozen(ds.y_stack / lmax), ds.response_image / lmax)
+        theta0 = _frozen(ds.y_stack / lmax)
+        return cls(lmax, theta0, ds.response_image / lmax, _offset(ds, lmax, 0.0))
 
     @classmethod
     def from_primal(cls, ds, W, lambda0, bounds=None, support=None, solve=None):
-        """Reference built from a solved primal iterate at ``lambda0``.
+        """Reference built from a primal iterate at ``lambda0``, solved to
+        any tolerance: its offset is the weights' l2,1 norm over lambda0
+        (the witness normal's at the threshold).
 
-        Raises NegativeInnerProduct when the normal points away from the
-        response: at an optimum <y, n0> >= 0, so such weights are no solve.
         ``support`` is as in :func:`dual_from_primal`. When ``solve``, the
         :class:`~mtl21.solver.FitResult` the weights come from, kept its
         last products, the dual point is its residual rows over -lambda0 and
@@ -359,39 +349,32 @@ class ReferenceSolution:
         column-gathered adjoint.
         """
         lambda0 = float(lambda0)
+        V = as_weight_values(W, ds.d if support is None else len(support), ds.T)
         if solve is not None and solve.residual is not None and solve.gradient is not None:
             theta0 = _frozen(solve.residual / -lambda0)
             held = np.arange(ds.d) if support is None else np.asarray(support)
             held_image = solve.gradient / -lambda0
         else:
-            theta0 = dual_from_primal(ds, W, lambda0, support)
+            theta0 = dual_from_primal(ds, V, lambda0, support)
             held, held_image = np.zeros(0, dtype=int), np.zeros((0, ds.T))
         moved = np.full(ds.d, np.inf) if bounds is None else bounds.over(ds, theta0)
         refresh = moved >= 1.0
         refresh[held] = True
         rows = np.flatnonzero(refresh)
         image = _image_rows(ds, theta0, rows, held, held_image)
-        n0 = _normal_or_none(ds, theta0, lambda0)
-        if n0 is not None:
-            inner = _dot(ds.y_stack, n0)
-            bound = SIGN_RTOL * _norm(ds.y_stack) * _norm(n0)
-            if inner < -bound:
-                raise NegativeInnerProduct(
-                    f"<response, normal> = {inner:.3e} below -{bound:.3e}; "
-                    "reference solution looks inconsistent"
-                )
-        return cls(lambda0, theta0, image, rows)
+        return cls(lambda0, theta0, image, _offset(ds, lambda0, l21_norm(V)), rows)
 
 
 @dataclass(frozen=True)
 class DualBall:
     """Certified region containing the exact dual optimum at level ``lam``.
 
-    ``center`` is a dual point, read-only (T, n_max) rows. ``image`` holds the adjoint image X't center on the features ``rows``
-    (as in :class:`ReferenceSolution`), and ``bound`` for every feature an
-    upper bound on its largest ||X_l' theta|| over the ball, below 1 off
-    ``rows``: carried from the last ball, or +inf. Built without both, the
-    image covers every feature and every bound is +inf.
+    ``center`` is a dual point, read-only (T, n_max) rows. ``image`` holds
+    the adjoint image X't center on the features ``rows`` (as in
+    :class:`ReferenceSolution`), and ``bound`` for every feature an upper
+    bound on its largest ||X_l' theta|| over the ball, below 1 off ``rows``:
+    carried from the last ball, or +inf. Built without both, the image
+    covers every feature and every bound is +inf.
     """
 
     center: np.ndarray
@@ -421,19 +404,21 @@ class DualBall:
 def dual_ball(ds, ref, lam, bounds=None):
     """Ball containing the exact dual optimum at ``lam`` given a reference.
 
-    With r = y/lam - theta0 and n0 the reference's normal
-    (:func:`normal_vector`): the component of r along n0 is removed
-    (coefficient clamped at zero), and the ball is centered at
-    theta0 + r_perp/2 with radius ||r_perp||/2. A near-orthogonal violation of
-    the sign condition <r, n0> >= 0 beyond -1e-9*||r||*||n0|| raises
-    NegativeInnerProduct. Where the normal is numerically zero (theta0 at
-    y/lambda0 below the threshold) the un-projected ball (center
-    theta0 + r/2, radius ||r||/2) is returned.
+    theta0 is scaled into the feasible set by s, the reciprocal of its
+    largest constraint norm (at least 1) lifted by :func:`_ball_rtol`; the
+    uncut ball has diameter [s theta0, y/lam]. It is cut along the
+    reference's half-space <n, theta> <= b (module notes) at depth t: no cut
+    when t <= 0 or n = 0, center moved by -t n/||n|| and radius
+    sqrt(R^2 - t^2) when 0 < t <= R. The optimum lies in both, so t > R
+    means the reference is inconsistent and raises NegativeInnerProduct.
+    A reference above the threshold raises LambdaOutOfRange.
 
     The ball's bounds are the :class:`ScoreBounds` of the last ball moved
     onto it, or +inf without ``bounds``. Its image covers the features whose
-    bound reaches 1, formed like the center from X't y and the reference's
-    image; rows the reference lacks take one column-gathered adjoint.
+    bound reaches 1, formed like the center from X't y, the reference's
+    image and the normal's (X't y / lambda0 minus it, or the witness
+    normal's), so the ball makes no product; rows the reference lacks take
+    one column-gathered adjoint.
     """
     lam = float(lam)
     if lam <= 0:
@@ -442,37 +427,45 @@ def dual_ball(ds, ref, lam, bounds=None):
         raise LambdaOutOfRange(
             f"target level {lam} must be below the reference level {ref.lambda0}"
         )
+    lmax, _ = lambda_max(ds)
+    if ref.lambda0 > lmax * (1 + LAMBDA_EQ_RTOL):
+        raise LambdaOutOfRange(f"reference level {ref.lambda0} outside (0, {lmax}]")
+    y = ds.y_stack
     th0 = ds.dual_rows(ref.theta0)
-    r = ds.y_stack / lam - th0
-    n0 = _normal_or_none(ds, th0, ref.lambda0)
-    coef = 0.0
-    if n0 is None:
-        r_perp = r
-    else:
-        inner = _dot(n0, r)
-        bound = SIGN_RTOL * _norm(r) * _norm(n0)
-        if inner < -bound:
-            raise NegativeInnerProduct(
-                f"<residual, normal> = {inner:.3e} below -{bound:.3e}; "
-                "reference solution looks inconsistent"
-            )
-        coef = max(0.0, inner) / _dot(n0, n0)
-        r_perp = r - coef * n0
-    center = _frozen(th0 + 0.5 * r_perp)
-    radius = 0.5 * _norm(r_perp)
+    rtol = _ball_rtol(ds)
+    rho = float(ds.col_norm_max.max())
+    g_max = float((ref.image**2).sum(axis=1).max(initial=0.0))
+    s = 1.0 / ((math.sqrt(max(1.0, g_max)) + rtol * rho * _norm(th0)) * (1.0 + rtol))
+    th_f = s * th0
+    center = 0.5 * (th_f + y / lam)
+    radius = 0.5 * _norm(y / lam - th_f)
+
+    at_threshold = _at_threshold(ds, ref.lambda0)
+    n = _witness_normal(ds)[0] if at_threshold else y / ref.lambda0 - th0
+    n_norm = _norm(n)
+    # the rounding of n and of <n, c>, over the uncut ball
+    slack = rtol * (rho * ref.offset + _norm(y) / ref.lambda0) * (_norm(center) + radius)
+    t = (_dot(n, center) - ref.offset - slack) / n_norm if n_norm > 0 else -math.inf
+    if t > radius:
+        raise NegativeInnerProduct(
+            f"the reference half-space misses the ball (cut depth {t:.3e} beyond "
+            f"radius {radius:.3e}); the reference is inconsistent"
+        )
+    tau = 0.0
+    if t > 0:
+        tau = t / n_norm
+        center = center - tau * n
+        radius = math.sqrt((radius - t) * (radius + t))
+    center = _frozen(center)
+
     moved = np.full(ds.d, np.inf) if bounds is None else bounds.over(ds, center, radius)
     rows = np.flatnonzero(moved >= 1.0)
     image0 = _image_rows(ds, th0, rows, ref.rows, ref.image)
     response = ds.response_image[rows]
-    # X't center = 0.5 X't y / lam + 0.5 X't theta0 - 0.5 coef X't n0
+    # X't center = 0.5 X't y / lam + 0.5 s X't theta0 - tau X't n
     image = response * (0.5 / lam)
-    image += 0.5 * image0
-    if n0 is not None:
-        # X't n0: below the threshold n0 = y/lambda0 - theta0, at it the
-        # witness normal
-        if _at_threshold(ds, ref.lambda0):
-            n0_image = _witness_normal(ds)[1][rows]
-        else:
-            n0_image = response / ref.lambda0 - image0
-        image -= (0.5 * coef) * n0_image
+    image += (0.5 * s) * image0
+    if tau > 0:
+        n_image = _witness_normal(ds)[1][rows] if at_threshold else response / ref.lambda0 - image0
+        image -= tau * n_image
     return DualBall(center, radius, lam, ref.lambda0, image, rows, moved)

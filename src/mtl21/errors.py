@@ -48,14 +48,10 @@ class LambdaOutOfRange(MtlError, ValueError):
     """A regularization parameter outside the range an operation requires."""
 
 
-class ZeroNormal(MtlError, ValueError):
-    """A normal vector too close to zero to define a projection direction."""
-
-
 class NegativeInnerProduct(MtlError, ValueError):
-    """A sign condition violated beyond numerical tolerance.
-
-    Signals an inconsistent reference solution fed to the ball estimate.
+    """An inconsistent reference fed to the ball estimate: its half-space
+    excludes a point the feasible set holds (a negative offset), or misses
+    the ball that must hold the dual optimum.
     """
 
 

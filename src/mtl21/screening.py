@@ -17,9 +17,11 @@ then the staged score of :func:`~mtl21.qp1qc.screening_scores`. The first
 screened level carries nothing, so every bound is +inf and every feature is
 refreshed; :func:`screen_at` carries nothing either, and makes the same
 ``dual_ball`` and ``screening_scores`` calls as every level of the walk.
-Each level builds its reference, the previous level's solved dual point,
-at the start of its own screening, so its ``t_screen`` covers all of this
-work; the reference's normal is derived where its ball is cut.
+Each level builds its reference, the previous level's dual point as its
+solve left it and the half-space that solve's weights give (see
+:mod:`mtl21.dual`), at the start of its own screening, so its ``t_screen``
+covers all of this work. That ball holds the exact optimum whatever the
+solve's tolerance, so the walk uses every reference as it is.
 
 The grid head needs no screening or solving: at and above the all-zero
 threshold the solution is identically zero, so the head record certifies all
@@ -51,7 +53,7 @@ from .dual import (
 )
 from .errors import MaxItersExceeded, SolverFailure
 from .qp1qc import screening_scores
-from .solver import FitResult, SolverConfig, fit, objective
+from .solver import SolverConfig, fit, objective
 
 __all__ = [
     "PathRecord",
@@ -60,17 +62,10 @@ __all__ = [
     "sequential_path",
     "unscreened_path",
     "ROW_ZERO_TOL",
-    "REF_FEASIBILITY_TOL",
 ]
 
 # a row of a certified solve counts as inactive below this norm
 ROW_ZERO_TOL = 1e-6
-# floor of the violation a sequential reference may show before screening
-# distrusts it and falls back to the threshold reference for that step; the
-# effective bound grows with the certificate of the solve that produced the
-# reference, since a solve stopped at residual r legitimately leaves its dual
-# point up to (1+r)^2 - 1 outside the constraint set
-REF_FEASIBILITY_TOL = 1e-6
 
 
 @dataclass
@@ -89,6 +84,7 @@ class PathRecord:
     t_screen: float
     t_solve: float
     status: str = "ok"
+    # always False: every reference is used; perfbench/measure.py reads it
     ref_fallback: bool = False
     weights: WeightMatrix | None = None
 
@@ -150,11 +146,9 @@ def sequential_path(ds, grid, solver_handle=None, keep_weights=False):
         Attach each level's re-embedded weights to its record.
 
     A solver failure aborts the walk and raises :class:`SolverFailure`
-    carrying the partial report. A sequential reference whose dual point sits
-    slightly outside the constraint set, by no more than its solve's
-    certificate allows, is rescaled onto the boundary and used; one that is
-    infeasible beyond that is replaced by the threshold reference for the
-    step (flagged on the record).
+    carrying the partial report. Each level's reference is the previous
+    solve, to whatever tolerance it stopped at: its ball holds the exact
+    optimum all the same (:func:`~mtl21.dual.dual_ball`).
     """
     validate_dataset(ds)
     return _walk(ds, grid, solver_handle, keep_weights, screen=True)
@@ -186,32 +180,23 @@ def _walk(ds, grid, solver_handle, keep_weights, screen):
     if keep_weights:
         head.weights = WeightMatrix(W_full)
     report.records.append(head)
-    ref_max = ReferenceSolution.at_lambda_max(ds) if screen else None
     ball = mask = None  # the last level's ball and mask
 
     for lam in grid.values[1:]:
         lam = float(lam)
-        fallback = False
         n_screened = 0
         t_screen = 0.0
         if screen:
             t0 = time.perf_counter()
-            ref, bounds = ref_max, None
-            if ball is not None:
+            if ball is None:
+                ref, bounds = ReferenceSolution.at_lambda_max(ds), None
+            else:
                 # this level's reference, from the last level's solve, and
                 # the score bounds carried from its ball
                 bounds = ScoreBounds(ball.center, ball.radius, np.sqrt(mask.scores))
                 ref = ReferenceSolution.from_primal(
                     ds, W_keep, ball.lam, bounds=bounds, support=kept, solve=res
                 )
-                # kkt: the last solve's certificate
-                trust = max(REF_FEASIBILITY_TOL, kkt * (2.0 + kkt) + 1e-13)
-                if ref.violation > trust:
-                    # worse than the certificate can explain: distrust entirely
-                    ref, fallback = ref_max, True
-                else:
-                    # feasibility is all the uncut ball needs of its reference
-                    ref = ref.on_boundary()
             ball = dual_ball(ds, ref, lam, bounds)
             mask = ScreeningMask(screening_scores(ds, ball), lam)
             t_screen = time.perf_counter() - t0
@@ -261,7 +246,6 @@ def _walk(ds, grid, solver_handle, keep_weights, screen):
             t_screen=t_screen,
             t_solve=t_solve,
             status="ok" if failure is None else "solver-failure",
-            ref_fallback=fallback,
         )
         if keep_weights and failure is None:
             rec.weights = WeightMatrix(W_full)

@@ -6,7 +6,8 @@ benchmarks from both generators, each solved twice along a 100-point grid,
 once through the screening walk and once as full-problem certification
 solves at the same tight tolerance. Criteria 1, 2, 3, 7, and 8 all read
 from it. The speedup criterion runs the benchmark CLI end to end at a
-larger width and reads its JSON summary.
+larger width, three repetitions, and reads the per-level medians in its
+JSON summary.
 """
 
 import json
@@ -121,8 +122,9 @@ def bench_summary(tmp_path_factory):
     assert rc == 0
     out = base / "bench.csv"
     jout = base / "bench.json"
+    # three repetitions, so the gates read per-level medians, not one run
     rc = cli_main(
-        ["bench", str(ds_dir), "--out", str(out), "--json", str(jout)]
+        ["bench", str(ds_dir), "--out", str(out), "--json", str(jout), "--reps", "3"]
     )
     assert rc == 0
     return json.loads(jout.read_text())

@@ -15,7 +15,6 @@ from mtl21.dual import (
     feature_constraint_all,
     feature_constraint_grad,
     lambda_max,
-    normal_vector,
 )
 from mtl21.errors import (
     DegenerateData,
@@ -24,7 +23,6 @@ from mtl21.errors import (
     LambdaOutOfRange,
     NegativeInnerProduct,
     NonPositiveLambda,
-    ZeroNormal,
 )
 from mtl21.synth import SynthConfig, generate
 
@@ -175,45 +173,60 @@ class TestDualFromPrimal:
             dual_from_primal(ds, np.zeros((2, 1)), 0.0)
 
 
+def assert_ball(ds, ball, center, radius, tol=1e-9):
+    """The ball's center and radius to ``tol`` (the scaling and the cut's
+    forward-error margins move them by far less), and its carried image is
+    X' center on every feature."""
+    np.testing.assert_allclose(ball.center, [center], rtol=tol, atol=tol)
+    assert math.isclose(ball.radius, radius, rel_tol=tol, abs_tol=tol)
+    np.testing.assert_array_equal(ball.rows, np.arange(ds.d))
+    np.testing.assert_allclose(ball.image, ds.adjoint(ball.center), rtol=1e-15, atol=1e-15)
+
+
 class TestNormalVector:
+    # the normal the ball is cut along, seen from the ball it cuts
+
     def test_below_threshold_is_residual_direction(self):
+        # weights (1, -0.25) at lambda0 = 1 leave theta0 = (1, 0.5), a
+        # feasible corner, and n = y - theta0 = (1, -0.5); the uncut ball at
+        # 0.5 is centered at (2.5, 0.25), and the cut moves it along -n
         ds = hand_dataset()
-        n = normal_vector(ds, np.array([[1.0, 0.0]]), 1.0)
-        np.testing.assert_allclose(n, [[1.0, 0.0]])
+        ref = ReferenceSolution.from_primal(ds, np.array([[1.0], [-0.25]]), 1.0)
+        np.testing.assert_allclose(ref.theta0, [[1.0, 0.5]])
+        shift = dual_ball(ds, ref, 0.5).center - [[2.5, 0.25]]
+        n = ds.y_stack - ref.theta0
+        assert abs(shift[0, 0] * n[0, 1] - shift[0, 1] * n[0, 0]) <= 1e-12
+        assert float((shift * n).sum()) < 0.0
 
     def test_at_threshold_uses_witness_gradient(self):
-        ds = hand_dataset()
-        n = normal_vector(ds, np.array([[1.0, 0.0]]), 2.0)
-        np.testing.assert_allclose(n, [[2.0, 0.0]])
-
-    def test_at_threshold_requires_matching_point(self):
-        ds = hand_dataset()
-        with pytest.raises(LambdaOutOfRange):
-            normal_vector(ds, np.array([[0.5, 0.5]]), 2.0)
-
-    def test_at_threshold_tolerance_is_relative(self):
-        # with X scaled by 1e8, ||y/lambda_max|| is about 3e-9: the zero
-        # vector lies within 1e-8 of y/lambda_max, but not within 1e-8 of it
-        # relative to its norm
-        ds, _ = generate(SynthConfig(kind="s1", tasks=3, n_per_task=20, d=50, seed=1))
-        scaled = MultiTaskDataset([(X * 1e8, y) for X, y in zip(ds.X, ds.y)])
-        lmax = lambda_max(scaled)[0]
-        assert np.linalg.norm(scaled.y_stack / lmax) < 1e-8
-        with pytest.raises(LambdaOutOfRange):
-            normal_vector(scaled, np.zeros(scaled.y_stack.shape), lmax)
-
-    def test_zero_normal(self):
-        ds = hand_dataset()
-        y = np.array([[2.0, 0.0]])
-        with pytest.raises(ZeroNormal):
-            normal_vector(ds, y / 1.0, 1.0)
+        # y = (2, 0.5): lambda_max = 2 with witness 0, whose constraint
+        # gradient at y/2 is (2, 0), not a multiple of y. The uncut ball at
+        # 1 has center (1.5, 0.375) and radius sqrt(17)/8; the half-space
+        # <(2, 0), theta> <= 2 cuts it at depth 0.5 to center (1, 0.375) and
+        # radius 1/8, and theta* = (1, 0.5) lies on its boundary
+        ds = MultiTaskDataset([(np.array([[1.0, 0.0], [0.0, 2.0]]), np.array([2.0, 0.5]))])
+        ref = ReferenceSolution.at_lambda_max(ds)
+        assert ref.lambda0 == 2.0
+        assert_ball(ds, dual_ball(ds, ref, 1.0), [1.0, 0.375], 0.125)
 
     def test_level_out_of_range(self):
         ds = hand_dataset()
+        theta0 = np.zeros((1, 2))
+        above = ReferenceSolution(2.5, theta0, ds.adjoint(theta0), 0.0)
         with pytest.raises(LambdaOutOfRange):
-            normal_vector(ds, np.zeros((1, 2)), 2.5)
+            dual_ball(ds, above, 1.0)
         with pytest.raises(LambdaOutOfRange):
-            normal_vector(ds, np.zeros((1, 2)), -1.0)
+            ReferenceSolution(-1.0, theta0, ds.adjoint(theta0), 0.0)
+
+    def test_zero_normal(self):
+        # weights too small to move theta0 off y/lambda0 in float64: the
+        # normal rounds to zero and the ball is left uncut, from theta0
+        # scaled into the feasible set, (1, 0)
+        ds = hand_dataset()
+        ref = ReferenceSolution.from_primal(ds, np.array([[1e-30], [0.0]]), 1.0)
+        np.testing.assert_array_equal(ds.y_stack - ref.theta0, 0.0)
+        assert ref.offset > 0.0
+        assert_ball(ds, dual_ball(ds, ref, 0.5), [2.5, 0.0], 1.5)
 
 
 class TestReferenceSolution:
@@ -222,78 +235,82 @@ class TestReferenceSolution:
         ref = ReferenceSolution.at_lambda_max(ds)
         assert ref.lambda0 == 2.0
         np.testing.assert_allclose(ref.theta0, [[1.0, 0.0]])
-        # the normal is derived from the reference: the witness gradient
-        np.testing.assert_allclose(normal_vector(ds, ref.theta0, ref.lambda0), [[2.0, 0.0]])
-        assert "n0" not in {f.name for f in dataclasses.fields(ReferenceSolution)}
+        # the witness normal's offset, 2 ||X_l*' y|| / lambda_max, lifted by
+        # the cut's margin
+        assert 2.0 <= ref.offset <= 2.0 * (1.0 + 1e-12)
+        fields = [f.name for f in dataclasses.fields(ReferenceSolution)]
+        assert fields == ["lambda0", "theta0", "image", "offset", "rows"]
 
     def test_from_primal_zero_weights_has_no_normal(self):
         # W = 0 below the threshold puts theta0 exactly at y/lambda0, where
-        # the normal vanishes and the ball is left uncut
+        # the normal vanishes and the ball is left uncut; theta0 = (2, 0) is
+        # scaled into the feasible set, to (1, 0), first
         ds = hand_dataset()
         ref = ReferenceSolution.from_primal(ds, np.zeros((2, 1)), 1.0)
         np.testing.assert_allclose(ref.theta0, [[2.0, 0.0]])
-        with pytest.raises(ZeroNormal):
-            normal_vector(ds, ref.theta0, ref.lambda0)
-        ball = dual_ball(ds, ref, 0.5)
-        np.testing.assert_allclose(ball.center, [[3.0, 0.0]])
-        assert ball.radius == 1.0
-
-    def test_from_primal_sign_check(self):
-        # weights that anti-correlate the fit with the response are rejected
-        ds = hand_dataset()
-        with pytest.raises(NegativeInnerProduct):
-            ReferenceSolution.from_primal(ds, np.array([[-1.0], [0.0]]), 1.0)
+        assert ref.offset == 0.0
+        assert_ball(ds, dual_ball(ds, ref, 0.5), [2.5, 0.0], 1.5)
 
     def test_rejects_non_positive_level(self):
         ds = hand_dataset()
         theta0 = np.array([[1.0, 0.0]])
         with pytest.raises(LambdaOutOfRange):
-            ReferenceSolution(lambda0=0.0, theta0=theta0, image=ds.adjoint(theta0))
+            ReferenceSolution(lambda0=0.0, theta0=theta0, image=ds.adjoint(theta0), offset=1.0)
 
 
 class TestDualBall:
-    # references at lambda0 = 1 with normal n = y/lambda0 - theta0, so
-    # theta0 = y - n; the target lam = 0.5 gives r = y/lam - theta0 = (2, 0) + n
-    def ref(self, ds, n):
-        theta0 = np.array([[2.0, 0.0]]) - np.asarray([n], dtype=float)
-        return ReferenceSolution(lambda0=1.0, theta0=theta0, image=ds.adjoint(theta0))
-
-    def assert_ball(self, ds, ball, center, radius):
-        np.testing.assert_allclose(ball.center, [center], rtol=1e-15, atol=1e-15)
-        assert math.isclose(ball.radius, radius, rel_tol=1e-15, abs_tol=1e-15)
-        # the carried image is X' center, on every feature
-        np.testing.assert_array_equal(ball.rows, [0, 1])
-        np.testing.assert_allclose(ball.image, ds.adjoint(ball.center), rtol=1e-15, atol=1e-15)
+    # references at lambda0 = 1 from weights w: theta0 = y - X w,
+    # n = X w = (w_1, 2 w_2) and offset |w_1| + |w_2|; the feasible set is
+    # |theta_1| <= 1, |theta_2| <= 1/2
+    def ref(self, ds, w):
+        return ReferenceSolution.from_primal(ds, np.array(w, dtype=float)[:, None], 1.0)
 
     def test_aligned_normal_gives_zero_radius(self):
-        # residual (3, 0) parallel to the normal: the whole gap is projected away
+        # w = (1, 0) is the exact solve at 1: theta0 = (1, 0) lies on the
+        # half-space's boundary, the residual (3, 0) is parallel to the
+        # normal and the ball shrinks to theta* = (1, 0); the margins lift the
+        # cut by about 1e-13, which leaves a radius near sqrt(2 R 1e-13)
         ds = hand_dataset()
-        ball = dual_ball(ds, self.ref(ds, [1.0, 0.0]), 0.5)
-        self.assert_ball(ds, ball, [1.0, 0.0], 0.0)
+        assert_ball(ds, dual_ball(ds, self.ref(ds, [1.0, 0.0]), 0.5), [1.0, 0.0], 0.0, tol=1e-5)
 
     def test_orthogonal_normal_keeps_residual(self):
-        # n = (-1, 1) is orthogonal to r = (1, 1): nothing is removed
-        ds = hand_dataset()
-        ball = dual_ball(ds, self.ref(ds, [-1.0, 1.0]), 0.5)
-        self.assert_ball(ds, ball, [3.5, -0.5], math.sqrt(2.0) / 2.0)
+        # X = I, y = (2, 1): theta0 = (1, 1) at lambda0 = 1/0.55 gives
+        # n = (0.1, -0.45), orthogonal to r = y/lam - theta0 = (1.8, 0.4) at
+        # lam = 1/1.4; the center's side of the half-space is theta0's, so
+        # nothing is cut
+        ds = MultiTaskDataset([(np.eye(2), np.array([2.0, 1.0]))])
+        theta0 = np.array([[1.0, 1.0]])
+        ref = ReferenceSolution(1.0 / 0.55, theta0, ds.adjoint(theta0), 0.55)
+        assert_ball(ds, dual_ball(ds, ref, 1.0 / 1.4), [1.9, 1.2], math.sqrt(3.4) / 2.0)
 
     def test_oblique_normal_hand_value(self):
-        # n = (1, 1), r = (3, 1): coefficient 2, r_perp = (1, -1)
+        # w = (1, -0.25): theta0 = (1, 0.5), n = (1, -0.5), offset 1.25; the
+        # uncut ball at 0.5 (center (2.5, 0.25), radius sqrt(9.25)/2) is cut
+        # at depth 1.125/sqrt(1.25), to center (1.6, 0.7) and radius sqrt(1.3)
         ds = hand_dataset()
-        ball = dual_ball(ds, self.ref(ds, [1.0, 1.0]), 0.5)
-        self.assert_ball(ds, ball, [1.5, -1.5], math.sqrt(2.0) / 2.0)
+        ball = dual_ball(ds, self.ref(ds, [1.0, -0.25]), 0.5)
+        assert_ball(ds, ball, [1.6, 0.7], math.sqrt(1.3))
 
     def test_no_normal_falls_back_to_unprojected(self):
-        # theta0 = y/lambda0: the normal is zero and the ball uncut, r = (2, 0)
+        # theta0 = y/lambda0: the normal is zero and the ball uncut, from
+        # theta0 scaled into the feasible set, (1, 0)
         ds = hand_dataset()
-        ball = dual_ball(ds, self.ref(ds, [0.0, 0.0]), 0.5)
-        self.assert_ball(ds, ball, [3.0, 0.0], 1.0)
+        theta0 = np.array([[2.0, 0.0]])
+        ref = ReferenceSolution(1.0, theta0, ds.adjoint(theta0), 0.0)
+        assert_ball(ds, dual_ball(ds, ref, 0.5), [2.5, 0.0], 1.5)
 
     def test_negative_inner_product(self):
-        # n = (-1, 0) against r = (1, 0)
+        # theta0 = (1, 0) with offset 0 claims theta_1 <= 0 on the feasible
+        # set: the half-space misses the ball (depth 2.5, radius 1.5)
         ds = hand_dataset()
+        theta0 = np.array([[1.0, 0.0]])
         with pytest.raises(NegativeInnerProduct):
-            dual_ball(ds, self.ref(ds, [-1.0, 0.0]), 0.5)
+            dual_ball(ds, ReferenceSolution(1.0, theta0, ds.adjoint(theta0), 0.0), 0.5)
+        # a negative offset excludes 0, which every feasible set holds
+        with pytest.raises(NegativeInnerProduct):
+            ReferenceSolution(1.0, theta0, ds.adjoint(theta0), -1e-300)
+        with pytest.raises(NegativeInnerProduct):
+            ReferenceSolution(1.0, theta0, ds.adjoint(theta0), float("nan"))
 
     def test_target_must_be_below_reference(self):
         ds = hand_dataset()
@@ -301,7 +318,6 @@ class TestDualBall:
             dual_ball(ds, self.ref(ds, [1.0, 0.0]), 1.0)
         with pytest.raises(NonPositiveLambda):
             dual_ball(ds, self.ref(ds, [1.0, 0.0]), 0.0)
-
     def test_ball_type_invariants(self):
         ds = hand_dataset()
         image = ds.adjoint(np.zeros((1, 2)))
@@ -350,11 +366,11 @@ class TestDualRows:
         theta = bad_dual_vector(ds, kind)
         with pytest.raises(DimensionMismatch):
             feature_constraint_all(ds, theta)
-        with pytest.raises(DimensionMismatch):
-            normal_vector(ds, theta, 0.5 * lmax)
-        ref = ReferenceSolution(lmax, theta, ds.response_image / lmax)
-        with pytest.raises(DimensionMismatch):
-            dual_ball(ds, ref, 0.5 * lmax)
+        # at and below the threshold, where the normal is read from theta0
+        for lambda0 in (lmax, 0.9 * lmax):
+            ref = ReferenceSolution(lambda0, theta, ds.response_image / lmax, 1.0)
+            with pytest.raises(DimensionMismatch):
+                dual_ball(ds, ref, 0.5 * lmax)
 
     def test_accepted(self):
         # the same entries in the padded layout pass every entry point
@@ -362,9 +378,9 @@ class TestDualRows:
         lmax, _ = lambda_max(ds)
         theta = ds.y_stack / lmax
         assert dual_feasibility_violation(ds, theta) <= 1e-12
-        normal_vector(ds, theta, lmax)
-        ref = ReferenceSolution(lmax, theta, ds.response_image / lmax)
-        assert dual_ball(ds, ref, 0.5 * lmax).center.shape == (3, 5)
+        for lambda0 in (lmax, 0.9 * lmax):
+            ref = ReferenceSolution(lambda0, theta, ds.response_image / lmax, 1.0)
+            assert dual_ball(ds, ref, 0.5 * lmax).center.shape == (3, 5)
 
 
 class TestContainment:
@@ -403,3 +419,38 @@ class TestContainment:
         near = dual_ball(ds, ReferenceSolution.from_primal(ds, W0, 0.5 * lmax), lam)
         far = dual_ball(ds, ReferenceSolution.at_lambda_max(ds), lam)
         assert near.radius < far.radius
+
+    def test_loose_reference_ball_holds_the_optimum(self, monkeypatch):
+        # a 1e-2 solve at grid[1] stops at kkt 0.0073 with its dual point
+        # 0.013 outside the feasible set: every ball a walk builds, one from
+        # that solve included, and the ball of from_primal's own reference
+        # must hold the optimum of a 1e-9 solve
+        import mtl21.screening
+        from mtl21.core import LambdaGrid
+        from mtl21.solver import SolverConfig, fit
+
+        ds, _ = generate(SynthConfig(kind="s1", tasks=3, n_per_task=15, d=100, seed=1))
+        grid = LambdaGrid.log_spaced(lambda_max(ds)[0], 12, 0.05).values
+        tight = SolverConfig(kkt_tol=1e-9, max_iters=200000)
+        optimum = {lam: dual_from_primal(ds, fit(ds, lam, tight).weights, lam) for lam in grid[1:]}
+
+        def loose_at_first_level(sub_ds, lam, warm):
+            tol = 1e-2 if lam == grid[1] else 1e-6
+            return fit(sub_ds, lam, SolverConfig(kkt_tol=tol, warm_start=warm))
+
+        balls = []
+
+        def logged_ball(*args, **kwargs):
+            balls.append(dual_ball(*args, **kwargs))
+            return balls[-1]
+
+        monkeypatch.setattr(mtl21.screening, "dual_ball", logged_ball)
+        mtl21.screening.sequential_path(ds, grid, loose_at_first_level)
+        loose = fit(ds, grid[1], SolverConfig(kkt_tol=1e-2))
+        assert 1e-3 < loose.kkt_residual <= 1e-2
+        ref = ReferenceSolution.from_primal(ds, loose.weights, grid[1])
+        balls.append(dual_ball(ds, ref, grid[2]))
+        assert len(balls) == len(grid)
+        for ball in balls:
+            dist = float(np.linalg.norm(optimum[ball.lam] - ball.center))
+            assert dist <= ball.radius * (1.0 + 1e-6) + 1e-9, (ball.lam, dist / ball.radius)

@@ -26,7 +26,6 @@ from mtl21.dual import (
     feature_constraint_all,
     feature_constraint_grad,
     lambda_max,
-    normal_vector,
 )
 from mtl21.qp1qc import Qp1qcInstance, screening_scores, solve
 from mtl21.screening import (
@@ -148,7 +147,6 @@ class TestCallers:
                 ds, W, 0.5 * lmax, solve=res
             ).theta0,
             "at_lambda_max": threshold.theta0,
-            "on_boundary": ref.on_boundary().theta0,
             "dual_ball": dual_ball(ds, ref, 0.3 * lmax).center,
             "dual_ball at the threshold": dual_ball(ds, threshold, 0.3 * lmax).center,
         }
@@ -311,27 +309,6 @@ class TestProductBudget:
         assert count.calls == {"forward": 1, "adjoint": 1}
         assert len(masks) == 19 and sum(m.n_inactive for m in masks) > 0
 
-    def test_fallback_level_makes_no_adjoint(self, monkeypatch):
-        ds, _ = generate(SynthConfig(kind="s1", tasks=4, n_per_task=20, d=200, seed=7))
-        grid = LambdaGrid.log_spaced(lambda_max(ds)[0], 25, 0.02)
-        count = Counter(ds)
-        fallbacks = []
-
-        def logged_ball(ds_, ref, lam, bounds=None):
-            before = dict(count.calls)
-            ball = dual_ball(ds_, ref, lam, bounds)
-            if bounds is not None and ref.lambda0 == grid.values[0]:
-                fallbacks.append((before, dict(count.calls)))
-            return ball
-
-        monkeypatch.setattr(mtl21.screening, "dual_ball", logged_ball)
-        report = sequential_path(ds, grid, lying_solver(grid.values[1]))
-        assert [r.ref_fallback for r in report.records[:5]] == [False] * 3 + [True, False]
-        # the threshold reference holds every row of its dual point's image,
-        # and its normal's image is a cached constant
-        assert len(fallbacks) == sum(r.ref_fallback for r in report.records) > 0
-        assert all(before == after for before, after in fallbacks)
-
     def test_screened_walk_reads_refreshed_and_kept_columns(self, monkeypatch):
         ds, _ = generate(SynthConfig(kind="s1", tasks=4, n_per_task=20, d=2000, seed=4))
         grid = LambdaGrid.log_spaced(lambda_max(ds)[0], 40, 0.05)
@@ -389,9 +366,8 @@ def lying_solver(lam_lie, beta=0.1):
     (1 - beta) y and claims a tight certificate, and solves elsewhere.
 
     The lie leaves a dual point near beta y / lam_lie, deep inside the
-    feasible set, so the next ball shrinks onto it and screens every
-    feature; the zero weights there leave y / lam as the next dual point,
-    far outside, so the level after falls back to the threshold reference.
+    feasible set, far from the optimum there, with weights of large l2,1
+    norm; the next ball is built from it all the same.
     """
 
     def solve_or_lie(sub_ds, lam, warm):
@@ -448,37 +424,27 @@ def test_carried_images_match_fresh_products(sizes):
     assert_rel(solved.theta0, dual_from_primal(ds, W_full, 0.6 * lmax), 1e-12)
     assert np.isin(kept, solved.rows).all()
 
-    def on_boundary(ref):
-        # the dual point and its image doubled, well outside the feasible
-        # set, then pulled back onto its boundary
-        doubled = dataclasses.replace(ref, theta0=2.0 * ref.theta0, image=2.0 * ref.image)
-        assert doubled.violation > 1.0
-        pulled = doubled.on_boundary()
-        assert pulled.violation <= 1e-12
-        return pulled
-
     refs = {
         "threshold": ReferenceSolution.at_lambda_max(ds),
         "zero weights at the threshold": ReferenceSolution.from_primal(
             ds, np.zeros((ds.d, ds.T)), lmax
         ),
         "sequential": seq,
-        "boundary": on_boundary(seq),
         "carried": partial,
-        "carried boundary": on_boundary(partial),
         "from a solve": solved,
+        # weights halved: a dual point outside the feasible set, which the
+        # ball scales back into it
+        "halved": ReferenceSolution.from_primal(ds, 0.5 * W0.values, 0.6 * lmax),
     }
+    assert feature_constraint_all(ds, refs["halved"].theta0).max() > 1.0
     for name, ref in refs.items():
-        # every reference has a normal (none raises ZeroNormal), so each
-        # ball below is cut
-        assert np.linalg.norm(normal_vector(ds, ref.theta0, ref.lambda0)) > 0.0, name
         assert_image(ds, ref.image, ref.theta0, ref.rows)
         for carried in (None, bounds):
             ball = dual_ball(ds, ref, 0.4 * lmax, carried)
             # the radius is below the uncut one, so the center's image
             # holds a nonzero multiple of the normal's
-            uncut = np.linalg.norm(ds.y_stack / (0.4 * lmax) - ref.theta0)
-            assert ball.radius < 0.5 * uncut * (1.0 - 1e-9), name
+            uncut = dual_ball(ds, dataclasses.replace(ref, offset=np.inf), 0.4 * lmax, carried)
+            assert ball.radius < uncut.radius * (1.0 - 1e-9), name
             assert np.isfinite(ball.bound).all() == (carried is not None)
             if carried is None:
                 assert np.array_equal(ball.rows, np.arange(ds.d))
@@ -513,21 +479,21 @@ def test_s2_walk_masks_match_fresh_images(monkeypatch):
 @pytest.mark.parametrize(
     "kind,sizes,lie",
     [("s1", None, False), ("s2", SIZES, False), ("s1", None, True)],
-    ids=["s1-equal", "s2-unequal", "s1-fallback"],
+    ids=["s1-equal", "s2-unequal", "s1-lying"],
 )
 def test_carried_walk_matches_full_pass(monkeypatch, kind, sizes, lie):
     # the same walk with every reference and ball formed on every feature,
     # and so every ball scored afresh on every feature, as before bounds were
     # carried: the masks, references and solves must not change. A lying
-    # solver makes a level fall back to the threshold reference while it
-    # carries bounds.
+    # solver's level is a reference like any other: no record falls back,
+    # and every mask stays safe against 1e-9 solves.
     ds, _ = generate(SynthConfig(kind=kind, tasks=4, n_per_task=20, d=200, seed=7))
     if sizes is not None:
         ds = MultiTaskDataset([(X[:n], y[:n]) for X, y, n in zip(ds.X, ds.y, (20, 13, 17, 9))])
     grid = LambdaGrid.log_spaced(lambda_max(ds)[0], 25, 0.02)
     solver = lying_solver(grid.values[1]) if lie else SolverConfig()
     carried = sequential_path(ds, grid, solver)
-    assert any(r.ref_fallback for r in carried.records) == lie
+    assert not any(r.ref_fallback for r in carried.records)
     from_primal = ReferenceSolution.from_primal
 
     def full_reference(ds_, W, lam, bounds=None, **kwargs):
@@ -543,4 +509,8 @@ def test_carried_walk_matches_full_pass(monkeypatch, kind, sizes, lie):
     assert sum(r.n_screened for r in carried.records[1:]) > 0
     for a, b in zip(carried.records, full.records, strict=True):
         assert np.array_equal(a.mask.inactive, b.mask.inactive)
-        assert (a.ref_fallback, a.n_iters, a.objective) == (b.ref_fallback, b.n_iters, b.objective)
+        assert (a.n_iters, a.objective) == (b.n_iters, b.objective)
+    if lie:
+        tight = unscreened_path(ds, grid, SolverConfig(kkt_tol=1e-9), keep_weights=True)
+        for a, b in zip(carried.records, tight.records):
+            assert not (a.mask.inactive & (b.weights.row_norms() > ROW_ZERO_TOL)).any()

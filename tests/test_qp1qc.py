@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mtl21.core import MultiTaskDataset
-from mtl21.dual import DualBall, ReferenceSolution, dual_ball, feature_constraint, lambda_max
+from mtl21.dual import DualBall, feature_constraint, lambda_max
 from mtl21.errors import DimensionMismatch, NoConvergence
 from mtl21.qp1qc import (
     BRACKET_RTOL,
@@ -448,13 +448,9 @@ class TestScreeningScores:
         ds = MultiTaskDataset(
             [(rng.standard_normal((5, 8)), rng.standard_normal(5)) for _ in range(2)]
         )
-        # theta0 = y/lam at a reference level above lam leaves r = 0
         lmax, _ = lambda_max(ds)
-        lam = 0.5 * lmax
-        theta0 = ds.y_stack / lam
-        ref = ReferenceSolution(lambda0=0.8 * lmax, theta0=theta0, image=ds.adjoint(theta0))
-        ball = dual_ball(ds, ref, lam)
-        assert ball.radius == 0.0
+        center = ds.y_stack / (0.5 * lmax)
+        ball = DualBall(center, 0.0, 0.5 * lmax, 0.8 * lmax, ds.adjoint(center))
         scores = screening_scores(ds, ball)
         for ell in range(ds.d):
             val = feature_constraint(ds, ball.center, ell)

@@ -11,21 +11,19 @@ from mtl21.dual import (
     ReferenceSolution,
     ScoreBounds,
     dual_ball,
-    dual_from_primal,
     feature_constraint_all,
     lambda_max,
 )
 from mtl21.errors import LambdaOutOfRange, MaxItersExceeded, SolverFailure
 from mtl21.qp1qc import screening_scores
 from mtl21.screening import (
-    REF_FEASIBILITY_TOL,
     ROW_ZERO_TOL,
     PathScreeningReport,
     screen_at,
     sequential_path,
     unscreened_path,
 )
-from mtl21.solver import FitResult, SolverConfig, fit, kkt_residual, objective
+from mtl21.solver import FitResult, SolverConfig, fit, objective
 from mtl21.synth import SynthConfig, generate
 
 from exact_scores import screening_bounds
@@ -229,7 +227,8 @@ class TestSequentialPath:
 
     def test_loose_solves_rescale_reference_without_fallback(self):
         # a 1e-6-certificate solve leaves its dual point slightly infeasible;
-        # that is ordinary slack and must not collapse screening
+        # the ball scales it back into the feasible set, and screening must
+        # not collapse
         rng = np.random.default_rng(14)
         ds = sparse_dataset(rng, T=4, d=60, n=20)
         rep = sequential_path(ds, grid_for(ds, points=15), SolverConfig(kkt_tol=1e-6))
@@ -237,10 +236,11 @@ class TestSequentialPath:
         rej = [r.rejection_ratio for r in rep.records[1:]]
         assert np.nanmean(rej) > 0.5
 
-    def test_unexplained_violation_falls_back(self):
+    def test_unexplained_violation_stays_safe(self):
         # a handle that under-reports its certificate leaves a dual point far
-        # more infeasible than the claimed residual allows; the next step must
-        # distrust that reference and use the threshold one instead
+        # more infeasible than the claimed residual allows; the walk reads no
+        # certificate, so it builds every ball from that reference all the
+        # same, and every mask stays safe against 1e-9 solves
         rng = np.random.default_rng(15)
         ds = sparse_dataset(rng, T=3, d=30, n=20)
 
@@ -255,9 +255,13 @@ class TestSequentialPath:
                 wall_time=res.wall_time,
             )
 
-        rep = sequential_path(ds, grid_for(ds, points=8), lying_solver)
-        tail = rep.records[2:]
-        assert any(r.ref_fallback for r in tail)
+        grid = grid_for(ds, points=8)
+        rep = sequential_path(ds, grid, lying_solver)
+        tight = unscreened_path(ds, grid, SolverConfig(kkt_tol=1e-9), keep_weights=True)
+        for a, b in zip(rep.records, tight.records, strict=True):
+            assert not a.ref_fallback
+            assert not (a.mask.inactive & (b.weights.row_norms() > ROW_ZERO_TOL)).any()
+        assert sum(r.n_screened for r in rep.records[2:]) > 0
 
     @pytest.mark.parametrize("scale", [1e-12, 1e-8, 1e8])
     def test_screening_does_not_depend_on_column_scale(self, scale):
@@ -434,12 +438,14 @@ class TestCarriedBounds:
         report = checked_walk(monkeypatch, ds, grid_for(ds, points=20), SolverConfig(kkt_tol=kkt_tol))
         assert sum(r.n_screened for r in report.records[1:]) > 0
 
-    def test_fallback_and_fully_screened_levels(self, monkeypatch):
+    def test_lying_and_fully_screened_levels(self, monkeypatch):
         # at level 1 the solver returns weights that fit (1 - beta) y exactly
         # and claims a tight certificate: its dual point beta y / lam1 is
-        # deep inside the feasible set and the next ball shrinks onto it, so
-        # level 2 screens every feature; the zero weights there leave y / lam2
-        # as level 3's dual point, far outside, so level 3 falls back
+        # deep inside the feasible set, far from the optimum, and the walk
+        # builds level 2's ball from it like any other; every carried bound
+        # and mask stays valid. The last level is made to screen every
+        # feature, which below the threshold no valid ball does: it solves
+        # nothing and records the zero weights' objective
         rng = np.random.default_rng(22)
         ds = sparse_dataset(rng, T=3, d=60, n=8, k=4)
         lmax, _ = lambda_max(ds)
@@ -461,11 +467,26 @@ class TestCarriedBounds:
                 wall_time=0.0,
             )
 
-        report = checked_walk(monkeypatch, ds, grid, lying_solver)
-        records = report.records
-        assert records[1].n_screened < ds.d
-        assert records[2].n_screened == ds.d
-        assert records[3].ref_fallback
+        scores = mtl21.screening.screening_scores
+
+        def none_kept_last(ds_, ball):
+            s = scores(ds_, ball)
+            return np.zeros_like(s) if ball.lam == grid.values[-1] else s
+
+        monkeypatch.setattr(mtl21.screening, "screening_scores", none_kept_last)
+        records = checked_walk(monkeypatch, ds, grid, lying_solver).records
+        tight = unscreened_path(
+            ds, grid, SolverConfig(kkt_tol=1e-9, max_iters=200000), keep_weights=True
+        )
+        for a, b in zip(records[:-1], tight.records[:-1], strict=True):
+            assert not a.ref_fallback
+            assert not (a.mask.inactive & (b.weights.row_norms() > ROW_ZERO_TOL)).any()
+        assert records[2].n_screened < ds.d
+        assert sum(r.n_screened for r in records[3:-1]) > 0
+        last = records[-1]
+        assert (last.n_screened, last.n_truly_inactive, last.n_iters) == (ds.d, ds.d, 0)
+        y = ds.y_stack.ravel()
+        assert math.isclose(last.objective, 0.5 * float(np.dot(y, y)), rel_tol=1e-12)
 
     def test_bound_just_below_one_is_refreshed(self):
         # a bound a few ulps below 1 may be a rounded value of 1 or more:

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import math
 import tracemalloc
 
 import numpy as np
