@@ -49,13 +49,7 @@ _EXPORTS = {
         "NonPositiveLambda",
         "SolverFailure",
     ),
-    "qp1qc": (
-        "Qp1qcInstance",
-        "Qp1qcSolution",
-        "screening_scores",
-        "solve",
-        "solve_batch",
-    ),
+    "qp1qc": ("screening_scores", "solve_batch"),
     "screening": (
         "PathRecord",
         "PathScreeningReport",

@@ -19,7 +19,7 @@ import numpy as np
 from .core import LambdaGrid
 from .dual import ReferenceSolution, dual_ball, dual_from_primal, lambda_max
 from .errors import MtlError
-from .qp1qc import Qp1qcInstance, solve
+from .qp1qc import solve_batch
 from .screening import ROW_ZERO_TOL, sequential_path, unscreened_path
 from .solver import SolverConfig, duality_gap
 
@@ -40,7 +40,7 @@ ORACLE_POLISH = 8
 ORACLE_STEPS = 100
 
 
-def sphere_oracle(inst, n_samples, rng):
+def sphere_oracle(a, b, c, delta, n_samples, rng):
     """Maximum of the reduced objective over boundary points.
 
     The objective f is convex in u, so its maximum over the ball is attained
@@ -51,32 +51,34 @@ def sphere_oracle(inst, n_samples, rng):
     Every point evaluated lies on the sphere, so the result can only
     undershoot the true maximum.
     """
-    T = inst.a.shape[0]
-    csum = float(np.dot(inst.c, inst.c))
-    if inst.delta == 0.0:
+    T = a.shape[0]
+    csum = float(np.dot(c, c))
+    if delta == 0.0:
         return csum
     if T == 1:
-        us = np.array([[inst.delta], [-inst.delta]])
+        us = np.array([[delta], [-delta]])
     else:
         us = rng.standard_normal((n_samples, T))
         norms = np.linalg.norm(us, axis=1)
         norms[norms == 0.0] = 1.0
-        us = us * (inst.delta / norms)[:, None]
-    vals = us * us @ inst.a + 2.0 * (us @ inst.b)
+        us = us * (delta / norms)[:, None]
+    vals = us * us @ a + 2.0 * (us @ b)
     best = float(vals.max())
     if T > 1:
         u = us[np.argsort(vals)[-ORACLE_POLISH:]]
         for _ in range(ORACLE_STEPS):
-            grad = u * inst.a + inst.b  # half the gradient
+            grad = u * a + b  # half the gradient
             gnorm = np.linalg.norm(grad, axis=1)
             move = gnorm > 0.0
-            u[move] = grad[move] * (inst.delta / gnorm[move])[:, None]
-        best = max(best, float((u * u @ inst.a + 2.0 * (u @ inst.b)).max()))
+            u[move] = grad[move] * (delta / gnorm[move])[:, None]
+        best = max(best, float((u * u @ a + 2.0 * (u @ b)).max()))
     return csum + best
 
 
 def random_instance(rng, T=None, newton_only=False):
-    """A random reduced instance with consistent fields (b = sqrt(a)|c|)."""
+    """A random reduced instance ``(a, b, c, delta)`` with b = sqrt(a)|c|;
+    with ``newton_only``, redrawn until :func:`solve_batch` would take it to
+    the root-finder rather than the closed form."""
     while True:
         if T is None:
             t = int(rng.integers(1, 6))
@@ -87,17 +89,11 @@ def random_instance(rng, T=None, newton_only=False):
         c = rng.standard_normal(t) * scale
         b = np.sqrt(a) * np.abs(c)
         delta = 10.0 ** rng.uniform(-3.0, 1.0)
-        inst = Qp1qcInstance(a=a, b=b, c=c, delta=delta)
         if not newton_only:
-            return inst
-        rho = inst.rho
-        top = inst.top_set
-        off = ~top
-        with np.errstate(divide="ignore"):
-            ubar = np.where(off, b / np.where(off, rho - a, 1.0), 0.0)
-        closed = float(np.linalg.norm(ubar)) <= delta and not (c[top] != 0).any()
-        if not closed:
-            return inst
+            return a, b, c, delta
+        newton = solve_batch(a[None], b[None], c[None], delta, strict=False)[4]
+        if newton[0]:
+            return a, b, c, delta
 
 
 def suite_safety(ds, rng, kkt_tol=1e-8, n_lambdas=8, min_ratio=0.05):
@@ -151,14 +147,14 @@ def suite_qp1qc(rng, cases=200, n_samples=20000):
     worst_over = 0.0
     worst_t1 = 0.0
     for _ in range(cases):
-        inst = random_instance(rng)
-        sol = solve(inst)
-        ref = sphere_oracle(inst, n_samples, rng)
-        worst_under = max(worst_under, ref - sol.s_value)
-        worst_over = max(worst_over, (sol.s_value - ref) / (1.0 + abs(ref)))
-        if inst.a.shape[0] == 1:
-            exact = (inst.delta * np.sqrt(inst.a[0]) + abs(inst.c[0])) ** 2
-            worst_t1 = max(worst_t1, abs(sol.s_value - exact) / (1.0 + exact))
+        a, b, c, delta = random_instance(rng)
+        s = float(solve_batch(a[None], b[None], c[None], delta)[0][0])
+        ref = sphere_oracle(a, b, c, delta, n_samples, rng)
+        worst_under = max(worst_under, ref - s)
+        worst_over = max(worst_over, (s - ref) / (1.0 + abs(ref)))
+        if a.shape[0] == 1:
+            exact = (delta * np.sqrt(a[0]) + abs(c[0])) ** 2
+            worst_t1 = max(worst_t1, abs(s - exact) / (1.0 + exact))
     passed = worst_under <= 1e-9 and worst_over <= 1e-2 and worst_t1 <= 1e-12
     return "qp1qc", passed, {
         "cases": cases,

@@ -95,6 +95,17 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
+    # the walk settings that ``path`` and ``bench`` share
+    walk = argparse.ArgumentParser(add_help=False)
+    walk.add_argument("--grid-points", type=int, default=100, help="levels on the grid")
+    walk.add_argument("--grid-min", type=float, default=0.01,
+                      help="smallest level as a fraction of the all-zero threshold")
+    walk.add_argument("--kkt-tol", type=float, default=1e-6,
+                      help="stationarity certificate each solve must reach")
+    walk.add_argument("--max-iters", type=int, default=20000,
+                      help="iteration budget of each solve")
+    walk.add_argument("--threads", type=int, default=None, help="BLAS thread cap")
+
     ps = sub.add_parser("synth", help="generate a synthetic benchmark dataset")
     ps.add_argument("--kind", choices=["s1", "s2"], required=True,
                     help="s1: independent features; s2: AR(1)-correlated features")
@@ -107,28 +118,19 @@ def build_parser():
     ps.add_argument("--support-mode", choices=["shared", "per-task"], default="shared")
     ps.add_argument("--out", required=True, help="output dataset directory")
 
-    pp = sub.add_parser("path", help="fit a regularization path, CSV per level")
+    pp = sub.add_parser("path", parents=[walk],
+                        help="fit a regularization path, CSV per level")
     pp.add_argument("dataset", help="dataset directory")
     pp.add_argument("--out", required=True, help="output CSV file")
-    pp.add_argument("--grid-points", type=int, default=100)
-    pp.add_argument("--grid-min", type=float, default=0.01,
-                    help="smallest level as a fraction of the all-zero threshold")
     pp.add_argument("--screen", choices=["dpc", "none"], default="dpc")
-    pp.add_argument("--kkt-tol", type=float, default=1e-6)
-    pp.add_argument("--max-iters", type=int, default=20000)
-    pp.add_argument("--threads", type=int, default=None)
 
-    pb = sub.add_parser("bench", help="timed with/without-screening comparison")
+    pb = sub.add_parser("bench", parents=[walk],
+                        help="timed with/without-screening comparison")
     pb.add_argument("dataset")
     pb.add_argument("--out", required=True, help="output CSV file")
     pb.add_argument("--json", dest="json_out", default=None, help="summary JSON file")
-    pb.add_argument("--grid-points", type=int, default=100)
-    pb.add_argument("--grid-min", type=float, default=0.01)
-    pb.add_argument("--kkt-tol", type=float, default=1e-6)
-    pb.add_argument("--max-iters", type=int, default=20000)
     pb.add_argument("--reps", type=int, default=1,
                     help="repetitions; timings are elementwise medians")
-    pb.add_argument("--threads", type=int, default=None)
 
     pv = sub.add_parser("verify", help="run the invariant suites")
     pv.add_argument("dataset")

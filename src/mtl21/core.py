@@ -42,6 +42,7 @@ from .errors import (
     EmptyDataset,
     LambdaOutOfRange,
     NonFinite,
+    NonPositiveLambda,
 )
 
 __all__ = [
@@ -52,6 +53,7 @@ __all__ = [
     "validate_dataset",
     "load_dataset",
     "save_dataset",
+    "l21_norm",
 ]
 
 # a level counts as the all-zero threshold to this relative tolerance
@@ -270,7 +272,7 @@ class WeightMatrix:
         return self.values.shape[1]
 
     def row_norms(self):
-        return np.sqrt(np.einsum("ij,ij->i", self.values, self.values))
+        return _row_norms(self.values)
 
     def __eq__(self, other):
         if not isinstance(other, WeightMatrix):
@@ -299,6 +301,27 @@ def as_weight_values(W, d=None, T=None):
     if d is not None and v.shape != (d, T):
         raise DimensionMismatch(f"weights shape {v.shape}, expected {(d, T)}")
     return v
+
+
+def _row_norms(V):
+    """Euclidean norm of every row of a 2-D array."""
+    return np.sqrt(np.einsum("ij,ij->i", V, V))
+
+
+def l21_norm(W):
+    """Sum of the row norms of a WeightMatrix or 2-D array."""
+    return float(_row_norms(as_weight_values(W)).sum())
+
+
+def _check_lambda(lam):
+    """``lam`` as a float, raising NonFinite for NaN or an infinity and
+    NonPositiveLambda for lam <= 0."""
+    lam = float(lam)
+    if not math.isfinite(lam):
+        raise NonFinite(f"lam must be finite, got {lam}")
+    if lam <= 0:
+        raise NonPositiveLambda(f"lam must be positive, got {lam}")
+    return lam
 
 
 class LambdaGrid:

@@ -60,16 +60,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LAMBDA_EQ_RTOL, as_weight_values
+from .core import LAMBDA_EQ_RTOL, _check_lambda, as_weight_values, l21_norm
 from .errors import (
     DegenerateData,
     DimensionMismatch,
     IndexOutOfRange,
     LambdaOutOfRange,
     NegativeInnerProduct,
-    NonPositiveLambda,
 )
-from .solver import l21_norm
 
 __all__ = [
     "feature_constraint",
@@ -180,9 +178,7 @@ def dual_from_primal(ds, W, lam, support=None):
     With ``support`` (feature indices), W holds just those features' rows;
     every other row is zero.
     """
-    lam = float(lam)
-    if lam <= 0:
-        raise NonPositiveLambda(f"lam must be positive, got {lam}")
+    lam = _check_lambda(lam)
     if support is None:
         V = as_weight_values(W, ds.d, ds.T)
     else:
@@ -420,9 +416,7 @@ def dual_ball(ds, ref, lam, bounds=None):
     normal's), so the ball makes no product; rows the reference lacks take
     one column-gathered adjoint.
     """
-    lam = float(lam)
-    if lam <= 0:
-        raise NonPositiveLambda(f"lam must be positive, got {lam}")
+    lam = _check_lambda(lam)
     if lam >= ref.lambda0:
         raise LambdaOutOfRange(
             f"target level {lam} must be below the reference level {ref.lambda0}"

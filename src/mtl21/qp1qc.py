@@ -17,25 +17,17 @@ sum c^2 + (alpha/2) Delta^2 + sum_t b_t u_t(alpha), which upper-bounds the
 true maximum for every alpha > 2 rho; screening safety therefore never
 depends on root-finding precision.
 
-All d features of one ball share Delta, so the screening path uses the
-vectorized :func:`solve_batch`; :func:`solve` is the single-instance view.
+All d features of one ball share Delta, so :func:`solve_batch` solves many
+instances at once, one per row; it is the one entry to the exact maximum.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence
 
-__all__ = [
-    "Qp1qcInstance",
-    "Qp1qcSolution",
-    "solve",
-    "solve_batch",
-    "screening_scores",
-]
+__all__ = ["solve_batch", "screening_scores"]
 
 # per-iterate convergence target on | ||u|| - Delta |, times max(Delta, 1)
 TARGET_RTOL = 1e-12
@@ -47,55 +39,6 @@ BISECT_AFTER = 10
 # screening_scores decides a feature from its bracket only when the bracket
 # clears 1 by more than this times (T + 4), the rounding of either end
 BRACKET_RTOL = 16.0 * np.finfo(np.float64).eps
-
-
-@dataclass(frozen=True)
-class Qp1qcInstance:
-    """One feature's reduced maximization data.
-
-    a: squared per-task column norms; c: column/center inner products;
-    b = sqrt(a)*|c| elementwise; delta: ball radius.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    delta: float
-
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            v = np.asarray(getattr(self, name), dtype=np.float64)
-            object.__setattr__(self, name, v)
-        if not (self.a.shape == self.b.shape == self.c.shape) or self.a.ndim != 1:
-            raise DimensionMismatch("a, b, c must be 1-D arrays of one shape")
-        if self.a.shape[0] == 0:
-            raise DimensionMismatch("instance needs at least one task")
-        if (self.a < 0).any() or (self.b < 0).any():
-            raise ValueError("a and b must be nonnegative")
-        if (self.b[self.a == 0] != 0).any():
-            raise ValueError("b must vanish wherever a does")
-        if self.delta < 0:
-            raise ValueError(f"delta must be nonnegative, got {self.delta}")
-
-    @property
-    def rho(self):
-        """Largest squared column norm; 2*rho is the multiplier lower bound."""
-        return float(self.a.max())
-
-    @property
-    def top_set(self):
-        """Boolean mask of tasks attaining rho."""
-        return self.a == self.rho
-
-
-@dataclass(frozen=True)
-class Qp1qcSolution:
-    alpha_star: float
-    u_star: np.ndarray
-    s_value: float
-    branch: str  # "closed_form" or "newton"
-    newton_iters: int
-    converged: bool
 
 
 def _bracket(A, B, csum, delta):
@@ -132,6 +75,9 @@ def solve_batch(A, B, C, delta, strict=True):
     """Solve many instances sharing one radius.
 
     Parameters are (m, T) arrays (rows are instances) and the scalar radius.
+    They must describe instances: T >= 1 (else DimensionMismatch), A and B
+    nonnegative, B zero wherever A is (a zero column carries no weight), and
+    delta >= 0 (each else ValueError).
     Returns ``(s, alpha, u, iters, newton_mask, converged)`` where s is the
     (m,) vector of maxima, u the (m, T) maximizers, iters the per-row Newton
     iteration counts (0 on the closed-form branch), newton_mask flags rows
@@ -152,7 +98,15 @@ def solve_batch(A, B, C, delta, strict=True):
     if A.ndim != 2 or A.shape != B.shape or A.shape != C.shape:
         raise DimensionMismatch("A, B, C must share one (m, T) shape")
     m, T = A.shape
+    if T == 0:
+        raise DimensionMismatch("an instance needs at least one task")
+    if (A < 0).any() or (B < 0).any():
+        raise ValueError("A and B must be nonnegative")
+    if (B[A == 0] != 0).any():
+        raise ValueError("B must vanish wherever A does")
     delta = float(delta)
+    if not delta >= 0:
+        raise ValueError(f"delta must be nonnegative, got {delta}")
     s = np.zeros(m)
     alpha = np.zeros(m)
     u = np.zeros((m, T))
@@ -272,21 +226,6 @@ def solve_batch(A, B, C, delta, strict=True):
             )
 
     return s, alpha, u, iters, newton_mask, converged
-
-
-def solve(inst):
-    """Solve one instance; see :func:`solve_batch` for the algorithm."""
-    s, alpha, u, iters, newton_mask, converged = solve_batch(
-        inst.a[None, :], inst.b[None, :], inst.c[None, :], inst.delta
-    )
-    return Qp1qcSolution(
-        alpha_star=float(alpha[0]),
-        u_star=u[0],
-        s_value=float(s[0]),
-        branch="newton" if bool(newton_mask[0]) else "closed_form",
-        newton_iters=int(iters[0]),
-        converged=bool(converged[0]),
-    )
 
 
 def screening_scores(ds, ball):

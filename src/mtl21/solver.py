@@ -37,21 +37,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import WeightMatrix, as_weight_values, validate_dataset
-from .core import MultiTaskDataset
-from .errors import (
-    MaxItersExceeded,
-    NonPositiveLambda,
-    NonPositiveRho,
-    NonPositiveWeight,
+from .core import (
+    MultiTaskDataset,
+    WeightMatrix,
+    _check_lambda,
+    _row_norms,
+    as_weight_values,
+    l21_norm,
+    validate_dataset,
 )
+from .dual import feature_constraint_all
+from .errors import MaxItersExceeded, NonPositiveRho, NonPositiveWeight
 
 __all__ = [
     "SolverConfig",
     "FitResult",
     "fit",
     "objective",
-    "l21_norm",
     "kkt_residual",
     "duality_gap",
     "reduce_weighted",
@@ -99,18 +101,11 @@ def _loss(R):
     return 0.5 * float(np.einsum("ij,ij->", R, R))
 
 
-def _row_norms(V):
-    return np.sqrt(np.einsum("ij,ij->i", V, V))
-
-
-def l21_norm(W):
-    return float(_row_norms(as_weight_values(W)).sum())
-
-
 def objective(ds, W, lam):
     """Data loss plus lam times the sum of row norms."""
+    lam = _check_lambda(lam)
     V = as_weight_values(W, ds.d, ds.T)
-    return _loss(ds.forward(V) - ds.y_stack) + float(lam) * l21_norm(V)
+    return _loss(ds.forward(V) - ds.y_stack) + lam * l21_norm(V)
 
 
 def _row_prox(G, thresh):
@@ -143,9 +138,7 @@ def _kkt_from_M(M, V, rn):
 
 def kkt_residual(ds, W, lam):
     """Independent stationarity residual of a weight matrix at level lam."""
-    lam = float(lam)
-    if lam <= 0:
-        raise NonPositiveLambda(f"lam must be positive, got {lam}")
+    lam = _check_lambda(lam)
     V = as_weight_values(W, ds.d, ds.T)
     M = ds.adjoint((ds.y_stack - ds.forward(V)) / lam)
     return _kkt_from_M(M, V, _row_norms(V))
@@ -155,11 +148,7 @@ def duality_gap(ds, W, lam):
     """Primal objective minus the dual objective at the feasibility-scaled
     dual point induced by W. Nonnegative up to rounding; shrinks to zero as
     the fit tightens."""
-    from .dual import feature_constraint_all  # local import to avoid a cycle
-
-    lam = float(lam)
-    if lam <= 0:
-        raise NonPositiveLambda(f"lam must be positive, got {lam}")
+    lam = _check_lambda(lam)
     V = as_weight_values(W, ds.d, ds.T)
     theta = (ds.y_stack - ds.forward(V)) / lam
     gmax = float(feature_constraint_all(ds, theta).max(initial=0.0))
@@ -185,9 +174,7 @@ def fit(ds, lam, cfg=None):
     """
     t0 = time.perf_counter()
     cfg = cfg or SolverConfig()
-    lam = float(lam)
-    if lam <= 0:
-        raise NonPositiveLambda(f"lam must be positive, got {lam}")
+    lam = _check_lambda(lam)
     validate_dataset(ds)
     d, T = ds.d, ds.T
 

@@ -31,7 +31,7 @@ from mtl21.dual import (
     lambda_max,
 )
 from mtl21.errors import NoConvergence
-from mtl21.qp1qc import solve
+from mtl21.qp1qc import solve_batch
 from mtl21.screening import ROW_ZERO_TOL, sequential_path
 from mtl21.solver import (
     SolverConfig,
@@ -220,14 +220,14 @@ def test_criterion_05_qp1qc_oracle():
     worst_t1 = 0.0
     for _ in range(1000):
         t = int(rng.choice([1, 2, 3, 5]))
-        inst = random_instance(rng, T=t)
-        sol = solve(inst)
-        ref = sphere_oracle(inst, 100000, rng)
-        worst_under = max(worst_under, ref - sol.s_value)
-        worst_over = max(worst_over, sol.s_value - ref - 1e-2 * (1.0 + ref))
+        a, b, c, delta = random_instance(rng, T=t)
+        s = float(solve_batch(a[None], b[None], c[None], delta)[0][0])
+        ref = sphere_oracle(a, b, c, delta, 100000, rng)
+        worst_under = max(worst_under, ref - s)
+        worst_over = max(worst_over, s - ref - 1e-2 * (1.0 + ref))
         if t == 1:
-            exact = (inst.delta * np.sqrt(inst.a[0]) + abs(inst.c[0])) ** 2
-            worst_t1 = max(worst_t1, abs(sol.s_value - exact) / (1.0 + exact))
+            exact = (delta * np.sqrt(a[0]) + abs(c[0])) ** 2
+            worst_t1 = max(worst_t1, abs(s - exact) / (1.0 + exact))
     passed = worst_under <= 1e-9 and worst_over <= 0.0 and worst_t1 <= 1e-12
     report(
         5,
@@ -245,14 +245,14 @@ def test_criterion_06_newton_convergence():
     total = 1000
     for _ in range(total):
         t = int(rng.integers(1, 51))
-        inst = random_instance(rng, T=t, newton_only=True)
+        a, b, c, delta = random_instance(rng, T=t, newton_only=True)
         try:
-            sol = solve(inst)
+            _, _, _, iters, _, converged = solve_batch(a[None], b[None], c[None], delta)
         except NoConvergence:
             continue
-        if sol.converged:
+        if converged[0]:
             within_50 += 1
-            if sol.newton_iters <= 10:
+            if iters[0] <= 10:
                 within_10 += 1
     passed = within_10 >= 990 and within_50 == total
     report(

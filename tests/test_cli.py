@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import mtl21
-from mtl21.cli import BENCH_COLUMNS, PATH_COLUMNS, main
+from mtl21.cli import BENCH_COLUMNS, PATH_COLUMNS, build_parser, main
 
 
 def child_env():
@@ -481,6 +482,25 @@ class TestThreads:
         )
         assert rc == 2
         assert "thread" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_path_and_bench_share_the_walk_options(self):
+        sub = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+
+        def walk_options(command):
+            return {
+                a.dest: (a.option_strings, a.type, a.default, a.help)
+                for a in sub.choices[command]._actions
+                if a.dest in ("grid_points", "grid_min", "kkt_tol", "max_iters", "threads")
+            }
+
+        path = walk_options("path")
+        assert len(path) == 5
+        assert all(help_ for *_, help_ in path.values())
+        assert walk_options("bench") == path
 
 
 class TestModuleDispatch:

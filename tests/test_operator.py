@@ -27,7 +27,7 @@ from mtl21.dual import (
     feature_constraint_grad,
     lambda_max,
 )
-from mtl21.qp1qc import Qp1qcInstance, screening_scores, solve
+from mtl21.qp1qc import screening_scores, solve_batch
 from mtl21.screening import (
     ROW_ZERO_TOL,
     screen_at,
@@ -213,8 +213,7 @@ class TestCallers:
                 bracketed += 1
                 expected = upper
             else:
-                inst = Qp1qcInstance(a=a, b=b, c=c, delta=delta)
-                expected = solve(inst).s_value
+                expected = solve_batch(a[None], b[None], c[None], delta)[0][0]
             assert abs(scores[ell] - expected) <= 1e-12 * max(expected, 1.0)
         assert 0 < settled < ds.d
         assert bracketed > 0

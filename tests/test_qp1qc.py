@@ -6,14 +6,7 @@ import pytest
 from mtl21.core import MultiTaskDataset
 from mtl21.dual import DualBall, feature_constraint, lambda_max
 from mtl21.errors import DimensionMismatch, NoConvergence
-from mtl21.qp1qc import (
-    BRACKET_RTOL,
-    Qp1qcInstance,
-    _bracket,
-    screening_scores,
-    solve,
-    solve_batch,
-)
+from mtl21.qp1qc import BRACKET_RTOL, _bracket, screening_scores, solve_batch
 
 from exact_scores import build_instances, screening_bounds
 
@@ -22,26 +15,24 @@ from exact_scores import build_instances, screening_bounds
 FROZEN_ALPHA = 33.750865384478814
 
 
-def secular_gap(inst, alpha):
+def secular_gap(a, b, delta, alpha):
     """1/||u(alpha)|| - 1/delta, the root function of the Newton branch."""
-    den = alpha - 2.0 * inst.a
+    den = alpha - 2.0 * a
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.where(inst.b == 0.0, 0.0, 2.0 * inst.b / np.where(den == 0.0, 1.0, den))
+        u = np.where(b == 0.0, 0.0, 2.0 * b / np.where(den == 0.0, 1.0, den))
     nu = float(np.linalg.norm(u))
     if nu == 0.0:
         return float("inf")
-    return 1.0 / nu - 1.0 / inst.delta
+    return 1.0 / nu - 1.0 / delta
 
 
-def instance_of(ds, ball, ell):
-    """Reduced data of one feature: row ``ell`` of the batched build."""
-    A, B, C, delta = build_instances(ds, ball)
-    return Qp1qcInstance(a=A[ell], b=B[ell], c=C[ell], delta=delta)
+def solve_one(a, b, c, delta):
+    """``solve_batch`` on the one instance (a, b, c, delta), as one row."""
+    return solve_batch([a], [b], [c], delta)
 
 
-def sphere_max_oracle(inst, n_samples, rng):
+def sphere_max_oracle(a, b, c, delta, n_samples, rng):
     """Boundary sampling lower bound on the maximum; exact for T=1."""
-    a, b, c, delta = inst.a, inst.b, inst.c, inst.delta
     csum = float(np.dot(c, c))
     if len(a) == 1:
         vals = []
@@ -53,29 +44,6 @@ def sphere_max_oracle(inst, n_samples, rng):
     U *= delta
     vals = (U * U) @ a + 2.0 * U @ b + csum
     return float(vals.max())
-
-
-class TestInstance:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Qp1qcInstance(a=np.array([-1.0]), b=np.array([0.0]), c=np.array([0.0]), delta=1.0)
-        with pytest.raises(ValueError):
-            Qp1qcInstance(a=np.array([1.0]), b=np.array([-0.5]), c=np.array([0.5]), delta=1.0)
-        with pytest.raises(ValueError):
-            # b must vanish with a: a zero column cannot carry weight
-            Qp1qcInstance(a=np.array([0.0]), b=np.array([1.0]), c=np.array([0.0]), delta=1.0)
-        with pytest.raises(ValueError):
-            Qp1qcInstance(a=np.array([1.0]), b=np.array([1.0]), c=np.array([1.0]), delta=-0.1)
-
-    def test_rho_and_top_set(self):
-        inst = Qp1qcInstance(
-            a=np.array([1.0, 4.0, 4.0]),
-            b=np.array([1.0, 0.0, 0.0]),
-            c=np.array([1.0, 0.0, 0.0]),
-            delta=0.5,
-        )
-        assert inst.rho == 4.0
-        np.testing.assert_array_equal(inst.top_set, [False, True, True])
 
 
 class TestBuildInstance:
@@ -92,18 +60,18 @@ class TestBuildInstance:
 
     def test_hand_value(self):
         ds = MultiTaskDataset([(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2))])
-        inst = instance_of(ds, self.ball(ds, [[0.5, 7.0]], 0.3), 0)
-        np.testing.assert_allclose(inst.a, [1.0])
-        np.testing.assert_allclose(inst.b, [0.5])
-        np.testing.assert_allclose(inst.c, [0.5])
-        assert inst.delta == 0.3
+        A, B, C, delta = build_instances(ds, self.ball(ds, [[0.5, 7.0]], 0.3))
+        np.testing.assert_allclose(A[0], [1.0])
+        np.testing.assert_allclose(B[0], [0.5])
+        np.testing.assert_allclose(C[0], [0.5])
+        assert delta == 0.3
 
     def test_zero_feature(self):
         ds = MultiTaskDataset([(np.array([[0.0, 1.0], [0.0, 2.0]]), np.zeros(2))])
-        inst = instance_of(ds, self.ball(ds, [[0.5, 7.0]], 0.3), 0)
-        assert inst.a[0] == 0.0
-        assert inst.b[0] == 0.0
-        assert inst.c[0] == 0.0
+        A, B, C, _ = build_instances(ds, self.ball(ds, [[0.5, 7.0]], 0.3))
+        assert A[0, 0] == 0.0
+        assert B[0, 0] == 0.0
+        assert C[0, 0] == 0.0
 
     def test_batch_matches_per_feature(self):
         rng = np.random.default_rng(17)
@@ -115,15 +83,14 @@ class TestBuildInstance:
         assert A.shape == B.shape == C.shape == (6, 3)
         assert delta == 0.7
         for ell in range(6):
-            inst = Qp1qcInstance(a=A[ell], b=B[ell], c=C[ell], delta=delta)
             # direct dot-product recomputation, no shared code path
             for t in range(3):
                 col = ds.X[t][:, ell]
                 o_t = center[t]
-                assert math.isclose(inst.a[t], float(col @ col), rel_tol=1e-14)
-                assert math.isclose(inst.c[t], float(col @ o_t), rel_tol=1e-12, abs_tol=1e-14)
+                assert math.isclose(A[ell, t], float(col @ col), rel_tol=1e-14)
+                assert math.isclose(C[ell, t], float(col @ o_t), rel_tol=1e-12, abs_tol=1e-14)
                 assert math.isclose(
-                    inst.b[t],
+                    B[ell, t],
                     math.sqrt(float(col @ col)) * abs(float(col @ o_t)),
                     rel_tol=1e-12,
                     abs_tol=1e-14,
@@ -132,65 +99,39 @@ class TestBuildInstance:
 
 class TestSolve:
     def test_frozen_newton_example(self):
-        inst = Qp1qcInstance(
-            a=np.array([1.0, 4.0]),
-            b=np.array([1.0, 1.0]),
-            c=np.array([1.0, 1.0]),
-            delta=0.1,
-        )
-        sol = solve(inst)
-        assert sol.branch == "newton"
-        assert sol.converged
-        assert math.isclose(sol.alpha_star, FROZEN_ALPHA, rel_tol=1e-10)
+        a, b, c = np.array([1.0, 4.0]), np.array([1.0, 1.0]), np.array([1.0, 1.0])
+        _, alpha, _, _, newton_mask, converged = solve_one(a, b, c, 0.1)
+        assert newton_mask[0]
+        assert converged[0]
+        assert math.isclose(alpha[0], FROZEN_ALPHA, rel_tol=1e-10)
         # the multiplier sits between the coarse bounds of the bracketing run
-        assert 33.7 < sol.alpha_star < 33.81
+        assert 33.7 < alpha[0] < 33.81
         # root certificate: the secular function changes sign around alpha*
-        delta_a = 1e-6 * sol.alpha_star
-        assert secular_gap(inst, sol.alpha_star - delta_a) < 0.0
-        assert secular_gap(inst, sol.alpha_star + delta_a) > 0.0
+        delta_a = 1e-6 * alpha[0]
+        assert secular_gap(a, b, 0.1, alpha[0] - delta_a) < 0.0
+        assert secular_gap(a, b, 0.1, alpha[0] + delta_a) > 0.0
 
     def test_t1_closed_value(self):
-        inst = Qp1qcInstance(
-            a=np.array([1.0]), b=np.array([0.5]), c=np.array([0.5]), delta=0.3
-        )
-        sol = solve(inst)
-        assert math.isclose(sol.s_value, 0.64, rel_tol=1e-12)
+        s = solve_one([1.0], [0.5], [0.5], 0.3)[0]
+        assert math.isclose(s[0], 0.64, rel_tol=1e-12)
 
     def test_unit_ball_closed_form(self):
-        inst = Qp1qcInstance(
-            a=np.array([1.0, 1.0]),
-            b=np.array([0.0, 0.0]),
-            c=np.array([0.0, 0.0]),
-            delta=1.0,
-        )
-        sol = solve(inst)
-        assert sol.branch == "closed_form"
-        assert sol.alpha_star == 2.0
-        assert math.isclose(sol.s_value, 1.0, rel_tol=1e-14)
+        s, alpha, u, _, newton_mask, _ = solve_one([1.0, 1.0], [0.0, 0.0], [0.0, 0.0], 1.0)
+        assert not newton_mask[0]
+        assert alpha[0] == 2.0
+        assert math.isclose(s[0], 1.0, rel_tol=1e-14)
         # the completion puts all mass on the first top index
-        np.testing.assert_allclose(sol.u_star, [1.0, 0.0])
-        assert math.isclose(float(np.linalg.norm(sol.u_star)), 1.0, rel_tol=1e-12)
+        np.testing.assert_allclose(u[0], [1.0, 0.0])
+        assert math.isclose(float(np.linalg.norm(u[0])), 1.0, rel_tol=1e-12)
 
     def test_point_ball_collapse(self):
-        inst = Qp1qcInstance(
-            a=np.array([1.0, 4.0]),
-            b=np.array([1.0, 2.0]),
-            c=np.array([1.0, -0.5]),
-            delta=0.0,
-        )
-        sol = solve(inst)
-        assert math.isclose(sol.s_value, 1.25, rel_tol=1e-15)
-        np.testing.assert_array_equal(sol.u_star, [0.0, 0.0])
+        s, _, u, _, _, _ = solve_one([1.0, 4.0], [1.0, 2.0], [1.0, -0.5], 0.0)
+        assert math.isclose(s[0], 1.25, rel_tol=1e-15)
+        np.testing.assert_array_equal(u[0], [0.0, 0.0])
 
     def test_all_zero_feature(self):
-        inst = Qp1qcInstance(
-            a=np.array([0.0, 0.0]),
-            b=np.array([0.0, 0.0]),
-            c=np.array([0.0, 0.0]),
-            delta=0.5,
-        )
-        sol = solve(inst)
-        assert sol.s_value == 0.0
+        s = solve_one([0.0, 0.0], [0.0, 0.0], [0.0, 0.0], 0.5)[0]
+        assert s[0] == 0.0
 
     def test_boundary_norm_invariant(self):
         rng = np.random.default_rng(3)
@@ -201,14 +142,13 @@ class TestSolve:
             c[a == 0.0] = 0.0
             b = np.sqrt(a) * np.abs(c)
             delta = 10.0 ** rng.uniform(-3, 1)
-            inst = Qp1qcInstance(a=a, b=b, c=c, delta=delta)
-            sol = solve(inst)
-            if sol.alpha_star > 0.0 and a.max() > 0.0:
-                assert abs(float(np.linalg.norm(sol.u_star)) - delta) <= 1e-10 * max(
+            _, alpha, u, _, _, _ = solve_one(a, b, c, delta)
+            if alpha[0] > 0.0 and a.max() > 0.0:
+                assert abs(float(np.linalg.norm(u[0])) - delta) <= 1e-10 * max(
                     delta, 1.0
                 )
             # PSD certificate for the shifted curvature
-            assert float((-2.0 * a + sol.alpha_star).min()) >= -1e-12
+            assert float((-2.0 * a + alpha[0]).min()) >= -1e-12
 
     def test_dominates_interior_samples(self):
         # the returned value must bound the constraint value everywhere inside
@@ -220,13 +160,12 @@ class TestSolve:
             c[a == 0.0] = 0.0
             b = np.sqrt(a) * np.abs(c)
             delta = 10.0 ** rng.uniform(-3, 1)
-            inst = Qp1qcInstance(a=a, b=b, c=c, delta=delta)
-            sol = solve(inst)
+            s = solve_one(a, b, c, delta)[0][0]
             U = rng.standard_normal((100, T))
             norms = np.linalg.norm(U, axis=1, keepdims=True)
             U *= rng.uniform(0.0, 1.0, (100, 1)) * delta / np.maximum(norms, 1e-300)
             vals = (U * U) @ a + 2.0 * U @ b + float(c @ c)
-            assert float(vals.max()) <= sol.s_value + 1e-9 * max(1.0, sol.s_value)
+            assert float(vals.max()) <= s + 1e-9 * max(1.0, s)
 
     def test_matches_sphere_oracle(self):
         rng = np.random.default_rng(9)
@@ -237,11 +176,10 @@ class TestSolve:
             c[a == 0.0] = 0.0
             b = np.sqrt(a) * np.abs(c)
             delta = 10.0 ** rng.uniform(-3, 1)
-            inst = Qp1qcInstance(a=a, b=b, c=c, delta=delta)
-            sol = solve(inst)
-            oracle = sphere_max_oracle(inst, 20000, rng)
-            assert sol.s_value >= oracle - 1e-9 * max(1.0, abs(oracle))
-            assert sol.s_value <= oracle + 1e-2 * (1.0 + abs(oracle))
+            s = solve_one(a, b, c, delta)[0][0]
+            oracle = sphere_max_oracle(a, b, c, delta, 20000, rng)
+            assert s >= oracle - 1e-9 * max(1.0, abs(oracle))
+            assert s <= oracle + 1e-2 * (1.0 + abs(oracle))
 
     def test_t1_exactness(self):
         # one task: s = (delta*norm + |center correlation|)^2 to nearly machine
@@ -250,19 +188,14 @@ class TestSolve:
             nx = rng.uniform(0.1, 3.0)
             cc = rng.standard_normal() * 2.0
             delta = 10.0 ** rng.uniform(-4, 1)
-            inst = Qp1qcInstance(
-                a=np.array([nx * nx]),
-                b=np.array([nx * abs(cc)]),
-                c=np.array([cc]),
-                delta=delta,
-            )
-            sol = solve(inst)
+            s = solve_one([nx * nx], [nx * abs(cc)], [cc], delta)[0]
             expect = (delta * nx + abs(cc)) ** 2
-            assert math.isclose(sol.s_value, expect, rel_tol=1e-12)
+            assert math.isclose(s[0], expect, rel_tol=1e-12)
 
 
 class TestSolveBatch:
     def test_matches_single_solver(self):
+        # rows are independent: each row of a batch solves as it does alone
         rng = np.random.default_rng(31)
         T = 4
         m = 50
@@ -273,10 +206,23 @@ class TestSolveBatch:
         delta = 0.25
         s, alpha, u, iters, newton_mask, converged = solve_batch(A, B, C, delta)
         for i in range(m):
-            inst = Qp1qcInstance(a=A[i], b=B[i], c=C[i], delta=delta)
-            sol = solve(inst)
-            assert math.isclose(s[i], sol.s_value, rel_tol=1e-10, abs_tol=1e-12)
-            assert newton_mask[i] == (sol.branch == "newton")
+            s_i, _, _, _, newton_i, _ = solve_one(A[i], B[i], C[i], delta)
+            assert math.isclose(s[i], s_i[0], rel_tol=1e-10, abs_tol=1e-12)
+            assert newton_mask[i] == newton_i[0]
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            solve_one([-1.0], [0.0], [0.0], 1.0)
+        with pytest.raises(ValueError):
+            solve_one([1.0], [-0.5], [0.5], 1.0)
+        with pytest.raises(ValueError):
+            # b must vanish with a: a zero column cannot carry weight
+            solve_one([0.0], [1.0], [0.0], 1.0)
+        with pytest.raises(ValueError):
+            solve_one([1.0], [1.0], [1.0], -0.1)
+        with pytest.raises(DimensionMismatch):
+            # an instance needs at least one task
+            solve_one([], [], [], 1.0)
 
     def test_shape_validation(self):
         with pytest.raises(DimensionMismatch):
@@ -301,13 +247,13 @@ class TestSolveBatch:
             c[a == 0.0] = 0.0
             b = np.sqrt(a) * np.abs(c)
             delta = 10.0 ** rng.uniform(-3, 1)
-            sol = solve(Qp1qcInstance(a=a, b=b, c=c, delta=delta))
-            if sol.branch != "newton":
+            _, _, _, iters, newton_mask, converged = solve_one(a, b, c, delta)
+            if not newton_mask[0]:
                 continue
             total += 1
-            worst = max(worst, sol.newton_iters)
-            within10 += sol.newton_iters <= 10
-            assert sol.converged
+            worst = max(worst, iters[0])
+            within10 += iters[0] <= 10
+            assert converged[0]
         assert total > 300
         assert within10 / total >= 0.99
         assert worst <= 50
@@ -323,9 +269,8 @@ class TestSolveBatch:
             s, alpha, u, iters, nm, conv = solve_batch(a, b, c, delta, strict=False)
         except NoConvergence:
             pytest.fail("non-strict mode must not raise")
-        inst = Qp1qcInstance(a=a[0], b=b[0], c=c[0], delta=delta)
         rng = np.random.default_rng(0)
-        oracle = sphere_max_oracle(inst, 50000, rng)
+        oracle = sphere_max_oracle(a[0], b[0], c[0], delta, 50000, rng)
         assert s[0] >= oracle - 1e-9
 
 
@@ -347,10 +292,11 @@ class TestScreeningBounds:
         ball = uncut_ball(ds, rng.standard_normal(ds.y_stack.shape) * 0.1)
         s_all = screening_bounds(ds, ball)
         assert s_all.shape == (9,)
+        A, B, C, delta = build_instances(ds, ball)
         for ell in range(9):
             assert math.isclose(
                 s_all[ell],
-                solve(instance_of(ds, ball, ell)).s_value,
+                solve_one(A[ell], B[ell], C[ell], delta)[0][0],
                 rel_tol=1e-10,
                 abs_tol=1e-12,
             )
@@ -380,7 +326,7 @@ class TestBracket:
             b = np.sqrt(a) * np.abs(c)
             delta = float(rng.uniform(0.0, 1.5))
             lower, upper = _bracket(a[None], b[None], np.array([c @ c]), delta)
-            exact = solve(Qp1qcInstance(a=a, b=b, c=c, delta=delta)).s_value
+            exact = solve_one(a, b, c, delta)[0][0]
             assert lower[0] <= exact * (1.0 + 1e-12) + 1e-15
             assert upper[0] >= exact * (1.0 - 1e-12) - 1e-15
             # the ends differ by at most about rho * delta^2

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from mtl21.core import MultiTaskDataset, WeightMatrix
-from mtl21.dual import lambda_max
+from mtl21.core import MultiTaskDataset, WeightMatrix, l21_norm
+from mtl21.dual import ReferenceSolution, dual_ball, dual_from_primal, lambda_max
 from mtl21.errors import (
     MaxItersExceeded,
+    NonFinite,
     NonPositiveLambda,
     NonPositiveRho,
     NonPositiveWeight,
@@ -18,7 +19,6 @@ from mtl21.solver import (
     fit,
     frobenius_objective,
     kkt_residual,
-    l21_norm,
     objective,
     reduce_frobenius,
     reduce_weighted,
@@ -190,6 +190,33 @@ class TestFitContract:
             kkt_residual(ds, np.zeros((2, 1)), 0.0)
         with pytest.raises(NonPositiveLambda):
             duality_gap(ds, np.zeros((2, 1)), -2.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ds, lam: fit(ds, lam),
+            lambda ds, lam: objective(ds, np.zeros((2, 1)), lam),
+            lambda ds, lam: kkt_residual(ds, np.zeros((2, 1)), lam),
+            lambda ds, lam: duality_gap(ds, np.zeros((2, 1)), lam),
+            lambda ds, lam: dual_from_primal(ds, np.zeros((2, 1)), lam),
+            lambda ds, lam: dual_ball(ds, ReferenceSolution.at_lambda_max(ds), lam),
+        ],
+        ids=["fit", "objective", "kkt_residual", "duality_gap", "dual_from_primal", "dual_ball"],
+    )
+    @pytest.mark.parametrize(
+        "lam, error",
+        [
+            (float("nan"), NonFinite),
+            (float("inf"), NonFinite),
+            (-float("inf"), NonFinite),
+            (0.0, NonPositiveLambda),
+            (-1.0, NonPositiveLambda),
+        ],
+        ids=["nan", "inf", "-inf", "zero", "negative"],
+    )
+    def test_every_level_entry_rejects_a_bad_lambda(self, call, lam, error):
+        with pytest.raises(error):
+            call(hand_dataset(), lam)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
