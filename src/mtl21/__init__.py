@@ -32,7 +32,6 @@ _EXPORTS = {
         "dual_ball",
         "dual_feasibility_violation",
         "dual_from_primal",
-        "feature_constraint",
         "feature_constraint_all",
         "lambda_max",
     ),

@@ -38,6 +38,14 @@ __all__ = [
 # sphere_oracle polishes this many of its best samples for this many steps
 ORACLE_POLISH = 8
 ORACLE_STEPS = 100
+# boundary samples suite_qp1qc draws for each instance's oracle
+ORACLE_SAMPLES = 20000
+# the safety and containment suites walk this many levels down to this
+# fraction of the all-zero threshold; the gap suite solves GAP_LEVELS levels
+# below the threshold, down to a tenth of it
+GRID_POINTS = 8
+GRID_MIN = 0.05
+GAP_LEVELS = 4
 
 
 def sphere_oracle(a, b, c, delta, n_samples, rng):
@@ -96,10 +104,10 @@ def random_instance(rng, T=None, newton_only=False):
             return a, b, c, delta
 
 
-def suite_safety(ds, rng, kkt_tol=1e-8, n_lambdas=8, min_ratio=0.05):
+def suite_safety(ds, kkt_tol=1e-8):
     """Screened sets must sit inside the truly-zero rows of tight solves."""
     lmax, _ = lambda_max(ds)
-    grid = LambdaGrid.log_spaced(lmax, n_points=n_lambdas, min_ratio=min_ratio)
+    grid = LambdaGrid.log_spaced(lmax, n_points=GRID_POINTS, min_ratio=GRID_MIN)
     cfg = SolverConfig(kkt_tol=kkt_tol)
     screened = sequential_path(ds, grid, cfg, keep_weights=False)
     plain = unscreened_path(ds, grid, cfg, keep_weights=True)
@@ -115,14 +123,14 @@ def suite_safety(ds, rng, kkt_tol=1e-8, n_lambdas=8, min_ratio=0.05):
     return "safety", passed, {
         "violations": violations,
         "screened_flags_checked": checked,
-        "grid_points": n_lambdas,
+        "grid_points": GRID_POINTS,
     }
 
 
-def suite_containment(ds, rng, kkt_tol=1e-8, n_lambdas=8, min_ratio=0.05):
+def suite_containment(ds, kkt_tol=1e-8):
     """Solved dual points must lie in the certified balls (both modes)."""
     lmax, _ = lambda_max(ds)
-    grid = LambdaGrid.log_spaced(lmax, n_points=n_lambdas, min_ratio=min_ratio)
+    grid = LambdaGrid.log_spaced(lmax, n_points=GRID_POINTS, min_ratio=GRID_MIN)
     cfg = SolverConfig(kkt_tol=kkt_tol)
     plain = unscreened_path(ds, grid, cfg, keep_weights=True)
     worst = 0.0
@@ -138,10 +146,10 @@ def suite_containment(ds, rng, kkt_tol=1e-8, n_lambdas=8, min_ratio=0.05):
             worst = max(worst, ratio)
         ref_seq = ReferenceSolution.from_primal(ds, plain.records[k].weights, lam)
     passed = worst <= 1.0 + 1e-6
-    return "containment", passed, {"worst_ratio": worst, "grid_points": n_lambdas}
+    return "containment", passed, {"worst_ratio": worst, "grid_points": GRID_POINTS}
 
 
-def suite_qp1qc(rng, cases=200, n_samples=20000):
+def suite_qp1qc(rng, cases=200):
     """Bound dominates the sampling oracle; single-task closed form exact."""
     worst_under = 0.0
     worst_over = 0.0
@@ -149,7 +157,7 @@ def suite_qp1qc(rng, cases=200, n_samples=20000):
     for _ in range(cases):
         a, b, c, delta = random_instance(rng)
         s = float(solve_batch(a[None], b[None], c[None], delta)[0][0])
-        ref = sphere_oracle(a, b, c, delta, n_samples, rng)
+        ref = sphere_oracle(a, b, c, delta, ORACLE_SAMPLES, rng)
         worst_under = max(worst_under, ref - s)
         worst_over = max(worst_over, (s - ref) / (1.0 + abs(ref)))
         if a.shape[0] == 1:
@@ -164,10 +172,10 @@ def suite_qp1qc(rng, cases=200, n_samples=20000):
     }
 
 
-def suite_gap(ds, rng, kkt_tol=1e-8, n_lambdas=4):
+def suite_gap(ds, kkt_tol=1e-8):
     """Primal-dual gap nonnegative (to rounding) and small at tight solves."""
     lmax, _ = lambda_max(ds)
-    grid = LambdaGrid.log_spaced(lmax, n_points=n_lambdas + 1, min_ratio=0.1)
+    grid = LambdaGrid.log_spaced(lmax, n_points=GAP_LEVELS + 1, min_ratio=0.1)
     plain = unscreened_path(ds, grid, SolverConfig(kkt_tol=kkt_tol), keep_weights=True)
     worst_neg = 0.0
     min_gap = np.inf
@@ -182,36 +190,37 @@ def suite_gap(ds, rng, kkt_tol=1e-8, n_lambdas=4):
         "most_negative_gap": worst_neg,
         "min_gap": min_gap,
         "worst_relative_gap": worst_rel,
-        "levels": n_lambdas,
+        "levels": GAP_LEVELS,
     }
 
 
 SUITES = ("safety", "containment", "qp1qc", "gap")
 
 
-def run_suites(ds, suites=SUITES, seed=0, cases=200, kkt_tol=1e-8, out=print):
-    """Run the selected suites; returns True iff all pass."""
+def run_suites(ds, suites=SUITES, seed=0, cases=200, kkt_tol=1e-8):
+    """Run the selected suites, printing a table; returns True iff all pass.
+    Only the qp1qc suite draws random numbers, from ``seed``."""
     rng = np.random.default_rng(seed)
     all_ok = True
-    out(f"{'suite':<14} {'result':<6} details")
+    print(f"{'suite':<14} {'result':<6} details")
     for name in suites:
         try:
             if name == "safety":
-                res = suite_safety(ds, rng, kkt_tol=kkt_tol)
+                res = suite_safety(ds, kkt_tol=kkt_tol)
             elif name == "containment":
-                res = suite_containment(ds, rng, kkt_tol=kkt_tol)
+                res = suite_containment(ds, kkt_tol=kkt_tol)
             elif name == "qp1qc":
                 res = suite_qp1qc(rng, cases=cases)
             elif name == "gap":
-                res = suite_gap(ds, rng, kkt_tol=kkt_tol)
+                res = suite_gap(ds, kkt_tol=kkt_tol)
             else:
                 raise ValueError(f"unknown suite {name!r}")
         except MtlError as e:
             all_ok = False
-            out(f"{name:<14} {'FAIL':<6} error: {e}")
+            print(f"{name:<14} {'FAIL':<6} error: {e}")
             continue
         _, passed, details = res
         all_ok = all_ok and passed
         detail_str = ", ".join(f"{k}={v:.3g}" if isinstance(v, float) else f"{k}={v}" for k, v in details.items())
-        out(f"{name:<14} {'pass' if passed else 'FAIL':<6} {detail_str}")
+        print(f"{name:<14} {'pass' if passed else 'FAIL':<6} {detail_str}")
     return all_ok

@@ -264,6 +264,10 @@ def cmd_bench(args):
     if args.reps < 1:
         print("error: --reps must be >= 1", file=sys.stderr)
         return 2
+    if args.grid_points < 2:
+        # the head level is closed form, so one level times nothing
+        print("error: bench needs --grid-points >= 2", file=sys.stderr)
+        return 2
     runs = []
     try:
         for _ in range(args.reps):

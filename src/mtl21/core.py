@@ -294,12 +294,14 @@ class WeightMatrix:
 
 
 def as_weight_values(W, d=None, T=None):
-    """Coerce a WeightMatrix or array to a (d, T) float64 ndarray."""
+    """Coerce a WeightMatrix or array to a finite (d, T) float64 ndarray."""
     v = W.values if isinstance(W, WeightMatrix) else np.asarray(W, dtype=np.float64)
     if v.ndim != 2:
         raise DimensionMismatch(f"weights must be 2-D, got {v.ndim}-D")
     if d is not None and v.shape != (d, T):
         raise DimensionMismatch(f"weights shape {v.shape}, expected {(d, T)}")
+    if not np.isfinite(v).all():
+        raise NonFinite("weights contain a non-finite value")
     return v
 
 

@@ -64,15 +64,12 @@ from .core import LAMBDA_EQ_RTOL, _check_lambda, as_weight_values, l21_norm
 from .errors import (
     DegenerateData,
     DimensionMismatch,
-    IndexOutOfRange,
     LambdaOutOfRange,
     NegativeInnerProduct,
 )
 
 __all__ = [
-    "feature_constraint",
     "feature_constraint_all",
-    "feature_constraint_grad",
     "dual_feasibility_violation",
     "lambda_max",
     "dual_from_primal",
@@ -101,36 +98,9 @@ def _frozen(a):
     return a
 
 
-def _check_ell(ds, ell):
-    ell = int(ell)
-    if not 0 <= ell < ds.d:
-        raise IndexOutOfRange(f"feature index {ell} outside [0, {ds.d})")
-    return ell
-
-
-def feature_constraint(ds, theta, ell):
-    """Constraint value of one feature: sum_t <x_l_t, theta_t>^2."""
-    ell = _check_ell(ds, ell)
-    return float((ds.adjoint(ds.dual_rows(theta), [ell]) ** 2).sum())
-
-
 def feature_constraint_all(ds, theta):
     """Constraint values of every feature at once; returns a (d,) array."""
     return (ds.adjoint(ds.dual_rows(theta)) ** 2).sum(axis=1)
-
-
-def feature_constraint_grad(ds, theta, ell):
-    """Gradient of one feature's constraint value, as (T, n_max) rows; row t
-    is 2 <x_l_t, theta_t> x_l_t."""
-    ell = _check_ell(ds, ell)
-    return _one_row_image(ds, ell, 2.0 * ds.adjoint(ds.dual_rows(theta), [ell])[0])
-
-
-def _one_row_image(ds, ell, row):
-    """Forward image of the weights whose only nonzero row, ell, is row."""
-    W = np.zeros((ds.d, ds.T))
-    W[ell] = row
-    return ds.forward(W)
 
 
 def dual_feasibility_violation(ds, theta):
@@ -161,12 +131,15 @@ def lambda_max(ds):
 
 def _witness_normal(ds):
     """The threshold's normal, the witness feature's constraint gradient at
-    y/lambda_max, and its image X't n: one forward product and one adjoint
-    per dataset, cached."""
+    y/lambda_max (row t is 2 <x_l*_t, y_t> x_l*_t / lambda_max, the forward
+    image of the weights whose only nonzero row is l*), and its image X't n:
+    one forward product and one adjoint per dataset, cached."""
     key = "witness_normal"
     if key not in ds._cache:
         lmax, ell_star = lambda_max(ds)
-        n = _one_row_image(ds, ell_star, 2.0 * ds.response_image[ell_star] / lmax)
+        W = np.zeros((ds.d, ds.T))
+        W[ell_star] = 2.0 * ds.response_image[ell_star] / lmax
+        n = ds.forward(W)
         ds._cache[key] = (_frozen(n), _frozen(ds.adjoint(n)))
     return ds._cache[key]
 
@@ -382,7 +355,7 @@ class DualBall:
     bound: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.radius < 0:
+        if not self.radius >= 0:
             raise LambdaOutOfRange(f"radius must be nonnegative, got {self.radius}")
         if not 0 < self.lam < self.lambda0:
             raise LambdaOutOfRange(

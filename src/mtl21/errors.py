@@ -2,7 +2,7 @@
 
 Everything derives from :class:`MtlError` so callers can catch the whole
 family at once; a few classes also subclass the matching builtin so that
-generic code (``except IndexError``, ``except ValueError``) keeps working.
+generic code (``except ValueError``, ``except RuntimeError``) keeps working.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ class EmptyDataset(MtlError, ValueError):
 
 class DatasetFormatError(MtlError, ValueError):
     """A dataset directory or file that cannot be parsed."""
-
-
-class IndexOutOfRange(MtlError, IndexError):
-    """A feature or task index outside the valid range."""
 
 
 class DegenerateData(MtlError, ValueError):

@@ -231,21 +231,21 @@ def solve_batch(A, B, C, delta, strict=True):
 def screening_scores(ds, ball):
     """Certified screening scores for every feature; (d,) array.
 
-    Three stages, each certifying an upper bound on the feature's maximum
-    constraint value over the ball. A coarse bound (||c|| + sqrt(rho) *
-    Delta)^2 with rho = max_t a_t dominates the exact maximum: the vector of
-    per-task column/point inner products moves by at most sqrt(rho) * Delta
-    in Euclidean norm as the point ranges over the ball, so the triangle
-    inequality applies. Features it places below 1 are settled. Each
-    contested feature is bracketed without iterating (:func:`_bracket`) and
-    scores the upper end; a bracket that lies on one side of 1, by more than
-    its rounding, decides the feature as its exact maximum would. Only the
-    features whose bracket straddles 1 get the exact maximization.
+    Two stages, each certifying an upper bound on the feature's maximum
+    constraint value over the ball. Each feature on the ball's image rows is
+    bracketed without iterating (:func:`_bracket`) and scores the upper end;
+    a bracket that lies on one side of 1, by more than its rounding, decides
+    the feature as its exact maximum would. Only the features whose bracket
+    straddles 1 get the exact maximization. The upper end is never above the
+    triangle-inequality bound (||c|| + sqrt(rho) * Delta)^2 with
+    rho = max_t a_t: at its alpha each alpha - 2 a_t is at least 2 q / Delta
+    with q = ||b|| <= sqrt(rho) ||c||, so it is at most
+    ||c||^2 + rho Delta^2 + 2 q Delta.
 
-    The stages run on the ball's image rows only; every other feature scores
-    the square of its carried bound, which the ball's moves inflated by a
-    forward-error margin and which stays below 1. A ball that carries
-    nothing has every bound +inf and every feature on its rows.
+    Every other feature scores the square of its carried bound, which the
+    ball's moves inflated by a forward-error margin and which stays below 1.
+    A ball that carries nothing has every bound +inf and every feature on its
+    rows.
 
     Thresholding at 1 therefore gives the same mask as thresholding every
     feature's exact maximum, for a fraction of its cost, but a score may
@@ -254,22 +254,16 @@ def screening_scores(ds, ball):
     """
     rows = ball.rows
     delta = float(ball.radius)
-    csum = np.einsum("ij,ij->i", ball.image, ball.image)
-    fresh = (np.sqrt(csum) + ds.col_norm_max[rows] * delta) ** 2
-    contested = np.flatnonzero(fresh >= 1.0)
-    if contested.size:
-        C = ball.image[contested]
-        cn = ds.col_norms[rows[contested]]
-        A, B = cn**2, cn * np.abs(C)
-        lower, upper = _bracket(A, B, csum[contested], delta)
-        fresh[contested] = upper
-        # rows whose bracket leaves 1 undecided, by more than its rounding,
-        # get the exact maximum
-        tight = BRACKET_RTOL * (ds.T + 4)
-        open_ = (lower <= 1.0 + tight) & (upper >= 1.0 - tight)
-        if open_.any():
-            s, _, _, _, _, _ = solve_batch(A[open_], B[open_], C[open_], delta, strict=False)
-            fresh[contested[open_]] = s
+    C = ball.image
+    cn = ds.col_norms[rows]
+    A, B = cn**2, cn * np.abs(C)
+    lower, upper = _bracket(A, B, np.einsum("ij,ij->i", C, C), delta)
+    # rows whose bracket leaves 1 undecided, by more than its rounding, get
+    # the exact maximum
+    tight = BRACKET_RTOL * (ds.T + 4)
+    open_ = (lower <= 1.0 + tight) & (upper >= 1.0 - tight)
+    if open_.any():
+        upper[open_] = solve_batch(A[open_], B[open_], C[open_], delta, strict=False)[0]
     scores = ball.bound**2
-    scores[rows] = fresh
+    scores[rows] = upper
     return scores

@@ -92,7 +92,6 @@ class PathRecord:
 @dataclass
 class PathScreeningReport:
     records: list = field(default_factory=list)
-    screened: bool = True
 
 
 def screen_at(ds, ref, lam):
@@ -174,7 +173,7 @@ def _walk(ds, grid, solver_handle, keep_weights, screen):
     lmax, _ = lambda_max(ds)
     grid.validate_head(lmax)
     run_solver = _coerce_solver(solver_handle)
-    report = PathScreeningReport(screened=screen)
+    report = PathScreeningReport()
 
     W_full, head = _head_record(ds, float(grid.values[0]), lmax, screen)
     if keep_weights:

@@ -32,7 +32,6 @@ of the accepted iterate itself.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +80,8 @@ class SolverConfig:
 
 @dataclass
 class FitResult:
-    """A certified solve. ``residual`` holds the (T, n_max) padded rows
+    """A certified solve (a solver that misses its tolerance raises rather
+    than returning one). ``residual`` holds the (T, n_max) padded rows
     X_t w_t - y_t of the returned weights and ``gradient`` their adjoint
     image, the solver's last products; a solver that does not keep them
     leaves both None."""
@@ -90,8 +90,6 @@ class FitResult:
     n_iters: int
     kkt_residual: float
     objective: float
-    converged: bool
-    wall_time: float
     residual: np.ndarray | None = None
     gradient: np.ndarray | None = None
 
@@ -172,7 +170,6 @@ def fit(ds, lam, cfg=None):
     the iterations spent) if the tolerance is not met in ``cfg.max_iters``
     iterations.
     """
-    t0 = time.perf_counter()
     cfg = cfg or SolverConfig()
     lam = _check_lambda(lam)
     validate_dataset(ds)
@@ -241,8 +238,6 @@ def fit(ds, lam, cfg=None):
                 n_iters=k,
                 kkt_residual=resid,
                 objective=F_cand,
-                converged=True,
-                wall_time=time.perf_counter() - t0,
                 residual=R,
                 gradient=G,
             )

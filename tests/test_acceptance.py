@@ -23,11 +23,11 @@ from mtl21.cli import main as cli_main
 from mtl21.core import LambdaGrid, MultiTaskDataset, WeightMatrix
 from mtl21.dual import (
     ReferenceSolution,
+    _witness_normal,
     dual_ball,
     dual_feasibility_violation,
     dual_from_primal,
-    feature_constraint,
-    feature_constraint_grad,
+    feature_constraint_all,
     lambda_max,
 )
 from mtl21.errors import NoConvergence
@@ -356,6 +356,8 @@ def test_criterion_09_reduction_identities():
 
 
 def test_criterion_10_gradient_and_homogeneity():
+    # the one constraint gradient the program forms is the witness normal,
+    # the witness feature's gradient at y/lambda_max
     rng = np.random.default_rng(2027)
     worst_grad = 0.0
     worst_hom = 0.0
@@ -364,25 +366,27 @@ def test_criterion_10_gradient_and_homogeneity():
             [(rng.standard_normal((8, 6)), rng.standard_normal(8)) for _ in range(3)]
         )
         theta = rng.standard_normal(ds.y_stack.shape)
-        for ell in range(ds.d):
-            grad = feature_constraint_grad(ds, theta, ell)
-            fd = np.zeros(theta.shape)
-            h = 1e-6
-            for i in np.ndindex(theta.shape):
-                e = np.zeros(theta.shape)
-                e[i] = h
-                fd[i] = (
-                    feature_constraint(ds, theta + e, ell)
-                    - feature_constraint(ds, theta - e, ell)
-                ) / (2.0 * h)
-            denom = max(1.0, float(np.linalg.norm(grad)))
-            worst_grad = max(worst_grad, float(np.linalg.norm(grad - fd)) / denom)
-            base = feature_constraint(ds, theta, ell)
-            for c in (0.5, 2.0, -3.0):
-                scaled = feature_constraint(ds, c * theta, ell)
-                worst_hom = max(
-                    worst_hom, abs(scaled - c * c * base) / max(1.0, abs(base))
-                )
+        lmax, ell = lambda_max(ds)
+        at = ds.y_stack / lmax
+        grad = _witness_normal(ds)[0]
+        fd = np.zeros(at.shape)
+        h = 1e-6
+        for i in np.ndindex(at.shape):
+            e = np.zeros(at.shape)
+            e[i] = h
+            fd[i] = (
+                feature_constraint_all(ds, at + e)[ell]
+                - feature_constraint_all(ds, at - e)[ell]
+            ) / (2.0 * h)
+        denom = max(1.0, float(np.linalg.norm(grad)))
+        worst_grad = max(worst_grad, float(np.linalg.norm(grad - fd)) / denom)
+        base = feature_constraint_all(ds, theta)
+        for c in (0.5, 2.0, -3.0):
+            scaled = feature_constraint_all(ds, c * theta)
+            worst_hom = max(
+                worst_hom,
+                float((np.abs(scaled - c * c * base) / np.maximum(1.0, np.abs(base))).max()),
+            )
     passed = worst_grad <= 1e-5 and worst_hom <= 1e-12
     report(
         10,

@@ -4,7 +4,7 @@ straightforward computations they are built from."""
 import numpy as np
 import pytest
 
-from mtl21.checks import suite_gap
+from mtl21.checks import GAP_LEVELS, suite_gap
 from mtl21.core import LambdaGrid
 from mtl21.dual import lambda_max
 from mtl21.solver import SolverConfig, duality_gap, fit
@@ -32,9 +32,9 @@ def warm_started_gaps(ds, kkt_tol, n_lambdas):
 @pytest.mark.parametrize("kind", ["s1", "s2"])
 def test_gap_suite_matches_a_warm_started_fit_loop(kind):
     ds, _ = generate(SynthConfig(kind=kind, tasks=3, n_per_task=20, d=60, seed=11))
-    name, passed, details = suite_gap(ds, np.random.default_rng(0), kkt_tol=1e-8, n_lambdas=4)
-    assert (name, passed, details["levels"]) == ("gap", True, 4)
-    worst_neg, min_gap, worst_rel = warm_started_gaps(ds, 1e-8, 4)
+    name, passed, details = suite_gap(ds, kkt_tol=1e-8)
+    assert (name, passed, details["levels"]) == ("gap", True, GAP_LEVELS)
+    worst_neg, min_gap, worst_rel = warm_started_gaps(ds, 1e-8, GAP_LEVELS)
     assert details["most_negative_gap"] == worst_neg
     assert details["min_gap"] == min_gap
     assert details["worst_relative_gap"] == worst_rel

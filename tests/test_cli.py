@@ -345,6 +345,21 @@ class TestBadInputExits2:
         rc = main([command, str(dataset_dir), "--out", str(out)])
         self.assert_one_error_line(capsys, rc, str(out))
 
+    def test_bench_needs_two_levels(self, dataset_dir, tmp_path, capsys, monkeypatch):
+        # one level is the closed-form head: nothing to time, and a speedup
+        # of 0/0 that JSON cannot hold
+        import mtl21.cli
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("the path was walked")
+
+        monkeypatch.setattr(mtl21.cli, "_run_path", no_walk)
+        out, summary = tmp_path / "b.csv", tmp_path / "b.json"
+        rc = main(["bench", str(dataset_dir), "--out", str(out), "--json", str(summary),
+                   "--grid-points", "1"])
+        self.assert_one_error_line(capsys, rc, "--grid-points")
+        assert not out.exists() and not summary.exists()
+
     def test_unwritable_json_leaves_the_csv_alone(self, dataset_dir, tmp_path, capsys):
         out = tmp_path / "o.csv"
         out.write_text("kept\n")

@@ -149,11 +149,12 @@ def test_dual_rows_check_the_padded_layout():
 
 def test_package_exports_resolve():
     # every exported name resolves through the package's lazy lookup, and
-    # the names of the removed flat dual layout are gone
+    # the names of the removed flat dual layout and single-feature
+    # constraint are gone
     for name in mtl21.__all__:
         if name != "__version__":
             mtl21.__getattr__(name)
-    for name in ("DualPoint", "stack_response"):
+    for name in ("DualPoint", "stack_response", "feature_constraint"):
         assert name not in mtl21.__all__
         with pytest.raises(AttributeError):
             getattr(mtl21, name)

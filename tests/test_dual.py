@@ -8,18 +8,16 @@ from mtl21.core import MultiTaskDataset
 from mtl21.dual import (
     DualBall,
     ReferenceSolution,
+    _witness_normal,
     dual_ball,
     dual_feasibility_violation,
     dual_from_primal,
-    feature_constraint,
     feature_constraint_all,
-    feature_constraint_grad,
     lambda_max,
 )
 from mtl21.errors import (
     DegenerateData,
     DimensionMismatch,
-    IndexOutOfRange,
     LambdaOutOfRange,
     NegativeInnerProduct,
     NonPositiveLambda,
@@ -55,15 +53,9 @@ class TestFeatureConstraint:
     def test_hand_values(self):
         ds = hand_dataset()
         th = np.array([[1.0 / 7.0, 1.0 / 7.0]])
-        assert math.isclose(feature_constraint(ds, th, 0), 1.0 / 49.0, rel_tol=1e-15)
-        assert math.isclose(feature_constraint(ds, th, 1), 4.0 / 49.0, rel_tol=1e-15)
-
-    def test_index_out_of_range(self):
-        ds = hand_dataset()
-        with pytest.raises(IndexOutOfRange):
-            feature_constraint(ds, np.zeros((1, 2)), 2)
-        with pytest.raises(IndexOutOfRange):
-            feature_constraint(ds, np.zeros((1, 2)), -1)
+        g = feature_constraint_all(ds, th)
+        assert math.isclose(g[0], 1.0 / 49.0, rel_tol=1e-15)
+        assert math.isclose(g[1], 4.0 / 49.0, rel_tol=1e-15)
 
     def test_all_matches_oracle(self):
         rng = np.random.default_rng(5)
@@ -73,9 +65,6 @@ class TestFeatureConstraint:
             g = feature_constraint_all(ds, th)
             for ell in range(ds.d):
                 assert math.isclose(g[ell], constraint_oracle(ds, th, ell), rel_tol=1e-12)
-                assert math.isclose(
-                    g[ell], feature_constraint(ds, th, ell), rel_tol=1e-13
-                )
 
     def test_quadratic_homogeneity(self):
         rng = np.random.default_rng(6)
@@ -87,27 +76,28 @@ class TestFeatureConstraint:
             np.testing.assert_allclose(gc, c * c * g1, rtol=1e-12)
 
     def test_gradient_against_central_differences(self):
+        # the one gradient the program forms: the witness normal, the
+        # witness feature's constraint gradient at y/lambda_max
         rng = np.random.default_rng(7)
         ds = random_dataset(rng, T=2, d=5, n=4)
-        th = rng.standard_normal(ds.y_stack.shape)
+        lmax, ell = lambda_max(ds)
+        th = ds.y_stack / lmax
+        grad = _witness_normal(ds)[0]
+        assert grad.shape == th.shape
         h = 1e-6
-        for ell in range(ds.d):
-            grad = feature_constraint_grad(ds, th, ell)
-            assert grad.shape == th.shape
-            for i in np.ndindex(th.shape):
-                e = np.zeros(th.shape)
-                e[i] = h
-                fd = (
-                    feature_constraint(ds, th + e, ell)
-                    - feature_constraint(ds, th - e, ell)
-                ) / (2 * h)
-                assert math.isclose(grad[i], fd, rel_tol=1e-5, abs_tol=1e-7)
+        for i in np.ndindex(th.shape):
+            e = np.zeros(th.shape)
+            e[i] = h
+            fd = (
+                feature_constraint_all(ds, th + e)[ell]
+                - feature_constraint_all(ds, th - e)[ell]
+            ) / (2 * h)
+            assert math.isclose(grad[i], fd, rel_tol=1e-5, abs_tol=1e-7)
 
     def test_gradient_hand_value(self):
+        # lambda_max = 2 with witness 0; its gradient at y/2 = (1, 0) is (2, 0)
         ds = hand_dataset()
-        np.testing.assert_allclose(
-            feature_constraint_grad(ds, np.array([[1.0, 0.0]]), 0), [[2.0, 0.0]]
-        )
+        np.testing.assert_allclose(_witness_normal(ds)[0], [[2.0, 0.0]])
 
 
 class TestViolation:
@@ -323,6 +313,8 @@ class TestDualBall:
         image = ds.adjoint(np.zeros((1, 2)))
         with pytest.raises(LambdaOutOfRange):
             DualBall(center=np.zeros((1, 2)), radius=-0.1, lam=0.5, lambda0=1.0, image=image)
+        with pytest.raises(LambdaOutOfRange):
+            DualBall(center=np.zeros((1, 2)), radius=math.nan, lam=0.5, lambda0=1.0, image=image)
         with pytest.raises(LambdaOutOfRange):
             DualBall(center=np.zeros((1, 2)), radius=0.1, lam=1.0, lambda0=1.0, image=image)
         # rows and carried bounds come together; without both, the image

@@ -1,4 +1,5 @@
-"""Every import in the package and its tests is read somewhere.
+"""Every import in the package and its tests is read somewhere, and every
+public name a module lists exists.
 
 The project ships no linter, so this walks each module's syntax tree with
 the standard library: a name an import binds must be read in the module, or
@@ -6,7 +7,10 @@ listed in its ``__all__``, unless the import's line carries ``# noqa``.
 """
 
 import ast
+import importlib
 from pathlib import Path
+
+import mtl21
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,3 +41,22 @@ def test_every_import_is_used():
     files = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
     assert len(files) > 10
     assert [entry for path in files for entry in unused_imports(path)] == []
+
+
+def test_every_listed_name_is_bound():
+    # each module's __all__ names only what it binds, and the package's lazy
+    # exports come from their module's __all__ (``errors`` has none, so there
+    # each export must be bound)
+    unbound = []
+    for path in sorted((ROOT / "src" / "mtl21").glob("*.py")):
+        if path.stem in ("__init__", "__main__"):
+            continue
+        module = importlib.import_module(f"mtl21.{path.stem}")
+        listed = getattr(module, "__all__", ())
+        unbound += [f"{path.stem}.{name}" for name in listed if not hasattr(module, name)]
+        exported = mtl21._EXPORTS.get(path.stem, ())
+        if hasattr(module, "__all__"):
+            unbound += [f"{path.stem}.{name} (not in __all__)" for name in exported if name not in listed]
+        else:
+            unbound += [f"{path.stem}.{name}" for name in exported if not hasattr(module, name)]
+    assert unbound == []

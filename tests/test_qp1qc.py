@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mtl21.core import MultiTaskDataset
-from mtl21.dual import DualBall, feature_constraint, lambda_max
+from mtl21.dual import DualBall, feature_constraint_all, lambda_max
 from mtl21.errors import DimensionMismatch, NoConvergence
 from mtl21.qp1qc import BRACKET_RTOL, _bracket, screening_scores, solve_batch
 
@@ -311,9 +311,9 @@ class TestScreeningBounds:
         for _ in range(200):
             z = rng.standard_normal(ds.y_stack.shape)
             z = ball.center + z / np.linalg.norm(z) * ball.radius * rng.uniform(0, 1)
+            vals = feature_constraint_all(ds, z)
             for ell in range(ds.d):
-                val = feature_constraint(ds, z, ell)
-                assert val <= s_all[ell] * (1.0 + 1e-9) + 1e-12
+                assert vals[ell] <= s_all[ell] * (1.0 + 1e-9) + 1e-12
 
 
 class TestBracket:
@@ -398,6 +398,6 @@ class TestScreeningScores:
         center = ds.y_stack / (0.5 * lmax)
         ball = DualBall(center, 0.0, 0.5 * lmax, 0.8 * lmax, ds.adjoint(center))
         scores = screening_scores(ds, ball)
+        vals = feature_constraint_all(ds, ball.center)
         for ell in range(ds.d):
-            val = feature_constraint(ds, ball.center, ell)
-            assert math.isclose(scores[ell], val, rel_tol=1e-12, abs_tol=1e-15)
+            assert math.isclose(scores[ell], vals[ell], rel_tol=1e-12, abs_tol=1e-15)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -71,7 +72,6 @@ class TestHandSolutions:
         ds = hand_dataset()
         res = fit(ds, 1.0, SolverConfig(kkt_tol=1e-12))
         w = res.weights.values[:, 0]
-        assert res.converged
         assert math.isclose(w[0], 1.0, rel_tol=1e-10)
         assert w[1] == 0.0
         assert math.isclose(res.objective, 1.5, rel_tol=1e-12)
@@ -83,7 +83,6 @@ class TestHandSolutions:
         assert lmax == 2.0
         for lam in (lmax, 1.5 * lmax):
             res = fit(ds, lam)
-            assert res.converged
             assert res.n_iters == 1
             assert np.all(res.weights.values == 0.0)
 
@@ -120,14 +119,15 @@ class TestFitContract:
         lam = 0.4 * lambda_max(ds)[0]
         res = fit(ds, lam, SolverConfig(kkt_tol=1e-10, max_iters=50000))
         assert isinstance(res, FitResult)
-        assert res.converged
         assert res.kkt_residual <= 1e-10
         assert kkt_residual(ds, res.weights, lam) <= 2e-10
         assert math.isclose(
             res.objective, objective(ds, res.weights, lam), rel_tol=1e-12
         )
         assert res.n_iters >= 1
-        assert res.wall_time >= 0.0
+        # the contract a custom solver fills: four fields, two optional
+        names = [f.name for f in dataclasses.fields(FitResult)]
+        assert names == ["weights", "n_iters", "kkt_residual", "objective", "residual", "gradient"]
 
     def test_inactive_rows_are_exact_zeros(self):
         rng = np.random.default_rng(11)
@@ -150,7 +150,6 @@ class TestFitContract:
         )
         lam = 0.3 * lambda_max(ds)[0]
         res = fit(ds, lam, SolverConfig(kkt_tol=1e-10))
-        assert res.converged
         assert kkt_residual(ds, res.weights, lam) <= 2e-10
 
     def test_warm_start_resumes(self):
@@ -159,7 +158,6 @@ class TestFitContract:
         lam = 0.4 * lambda_max(ds)[0]
         first = fit(ds, lam, SolverConfig(kkt_tol=1e-8, max_iters=50000))
         again = fit(ds, lam, SolverConfig(kkt_tol=1e-6, warm_start=first.weights))
-        assert again.converged
         assert again.n_iters == 1
         # a raw array is accepted too
         raw = fit(
@@ -218,6 +216,24 @@ class TestFitContract:
         with pytest.raises(error):
             call(hand_dataset(), lam)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ds, W: fit(ds, 1.0, SolverConfig(warm_start=W, max_iters=1)),
+            lambda ds, W: objective(ds, W, 1.0),
+            lambda ds, W: kkt_residual(ds, W, 1.0),
+            lambda ds, W: duality_gap(ds, W, 1.0),
+            lambda ds, W: dual_from_primal(ds, W, 1.0),
+            lambda ds, W: ReferenceSolution.from_primal(ds, W, 1.0),
+        ],
+        ids=["fit", "objective", "kkt_residual", "duality_gap", "dual_from_primal", "from_primal"],
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_every_weight_entry_rejects_non_finite_weights(self, call, bad):
+        # a NaN warm start used to make fit's backtracking double L forever
+        with pytest.raises(NonFinite):
+            call(hand_dataset(), np.array([[1.0], [bad]]))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(max_iters=0)
@@ -266,7 +282,6 @@ class TestStepStart:
         warm[:2] = 1.0  # the restricted sum is 0, so the 1e-12 floor applies
         lam = 0.2 * lambda_max(ds)[0]
         res, adjoints = counted_fit(ds, lam, SolverConfig(kkt_tol=1e-8, warm_start=warm))
-        assert res.converged
         assert kkt_residual(ds, res.weights, lam) <= 2e-8
         assert not res.weights.values[:2].any()
         assert adjoints == res.n_iters + 1
@@ -285,7 +300,6 @@ class TestStepStart:
         curvature = max(np.linalg.norm(X[:, active], 2) ** 2 for X in ds.X)
         assert start < 1e-2 * curvature
         res, adjoints = counted_fit(ds, lam, SolverConfig(kkt_tol=1e-8, warm_start=warm))
-        assert res.converged
         assert kkt_residual(ds, res.weights, lam) <= 2e-8
         assert math.isclose(res.objective, cold.objective, rel_tol=1e-8)
         assert adjoints == res.n_iters + 1
@@ -356,7 +370,6 @@ class TestReductions:
         red = reduce_frobenius(ds, 0.2)
         lam = 0.3 * lambda_max(red)[0]
         res = fit(red, lam, SolverConfig(kkt_tol=1e-10))
-        assert res.converged
         assert math.isclose(
             objective(red, res.weights, lam),
             frobenius_objective(ds, res.weights, lam, 0.2),
