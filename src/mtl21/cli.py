@@ -46,8 +46,6 @@ BENCH_COLUMNS = [
 def _fmt(v):
     if isinstance(v, str):
         return v
-    if isinstance(v, bool):
-        return str(int(v))
     if isinstance(v, int):
         return str(v)
     return f"{v:.12g}"
@@ -265,7 +263,7 @@ def cmd_bench(args):
         print("error: --reps must be >= 1", file=sys.stderr)
         return 2
     if args.grid_points < 2:
-        # the head level is closed form, so one level times nothing
+        # the head level is closed form, so one level times no screening or solve
         print("error: bench needs --grid-points >= 2", file=sys.stderr)
         return 2
     runs = []

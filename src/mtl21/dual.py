@@ -309,7 +309,8 @@ class ReferenceSolution:
         last products, the dual point is its residual rows over -lambda0 and
         the support's image rows are its gradient over -lambda0; otherwise
         the dual point comes from :func:`dual_from_primal` and no row is
-        held.
+        held. Weights that are not the solve's, or a gradient without one
+        row per support feature, raise DimensionMismatch.
 
         The image covers the held rows and the features whose bound, moved
         to theta0, reaches 1 (every feature without ``bounds``, the
@@ -319,9 +320,15 @@ class ReferenceSolution:
         """
         lambda0 = float(lambda0)
         V = as_weight_values(W, ds.d if support is None else len(support), ds.T)
+        if solve is not None and not np.array_equal(V, as_weight_values(solve.weights)):
+            raise DimensionMismatch("the reference weights are not the given solve's weights")
         if solve is not None and solve.residual is not None and solve.gradient is not None:
             theta0 = _frozen(solve.residual / -lambda0)
             held = np.arange(ds.d) if support is None else np.asarray(support)
+            if solve.gradient.shape != (len(held), ds.T):
+                raise DimensionMismatch(
+                    f"solve gradient shape {solve.gradient.shape}, expected {(len(held), ds.T)}"
+                )
             held_image = solve.gradient / -lambda0
         else:
             theta0 = dual_from_primal(ds, V, lambda0, support)

@@ -23,9 +23,12 @@ solve left it and the half-space that solve's weights give (see
 covers all of this work. That ball holds the exact optimum whatever the
 solve's tolerance, so the walk uses every reference as it is.
 
-The grid head needs no screening or solving: at and above the all-zero
-threshold the solution is identically zero, so the head record certifies all
-features inactive by that closed form. Its stored mask carries sentinel
+The grid head runs through the same level body as every other level. At
+and above the all-zero threshold the solution is identically zero, so the
+head keeps no feature and takes the body's no-kept-feature branch: zero
+weights and the objective 1/2 ||y||^2 in closed form, with no screening, no
+solve and no product; its ``t_solve`` is the time to form the zero weights.
+On a screened walk the head marks every feature screened with sentinel
 scores 0.0 (a per-feature bound is undefined there because no higher
 reference level exists).
 """
@@ -42,6 +45,7 @@ from .core import (
     MultiTaskDataset,
     ScreeningMask,
     WeightMatrix,
+    as_weight_values,
     validate_dataset,
 )
 from .dual import (
@@ -53,7 +57,8 @@ from .dual import (
 )
 from .errors import MaxItersExceeded, SolverFailure
 from .qp1qc import screening_scores
-from .solver import SolverConfig, fit, objective
+from .solver import SolverConfig, fit
+from .solver import objective  # noqa: F401  perfbench/spans.py wraps this name
 
 __all__ = [
     "PathRecord",
@@ -113,25 +118,6 @@ def _coerce_solver(solver_handle):
     return solver_handle
 
 
-def _head_record(ds, lam, lmax, screen):
-    W = np.zeros((ds.d, ds.T))
-    y = ds.y_stack.ravel()
-    obj = 0.5 * float(np.dot(y, y))
-    return W, PathRecord(
-        lam=lam,
-        lambda_rel=lam / lmax,
-        mask=ScreeningMask(np.zeros(ds.d), lam) if screen else None,
-        n_screened=ds.d if screen else 0,
-        n_truly_inactive=ds.d,
-        rejection_ratio=1.0 if screen else float("nan"),
-        objective=obj,
-        kkt_residual=0.0,
-        n_iters=0,
-        t_screen=0.0,
-        t_solve=0.0,
-    )
-
-
 def sequential_path(ds, grid, solver_handle=None, keep_weights=False):
     """Screen-and-solve down a decreasing grid, screening each level against
     the previous grid point's solution.
@@ -140,7 +126,8 @@ def sequential_path(ds, grid, solver_handle=None, keep_weights=False):
     ----------
     solver_handle : SolverConfig or callable, optional
         Either a config (a default 1e-6-tolerance one if omitted) or a
-        callable ``(reduced_dataset, lam, warm_start) -> FitResult``.
+        callable ``(reduced_dataset, lam, warm_start) -> FitResult``, whose
+        weights must be finite with one row per reduced feature.
     keep_weights : bool
         Attach each level's re-embedded weights to its record.
 
@@ -156,10 +143,10 @@ def sequential_path(ds, grid, solver_handle=None, keep_weights=False):
 def unscreened_path(ds, grid, solver_handle=None, keep_weights=False):
     """Warm-started plain solves down the grid (no feature elimination).
 
-    The head record still uses the closed form (the solution there is
-    identically zero); every later level runs the solver on the full feature
-    set. Masks are absent; ``n_truly_inactive`` counts near-zero rows of each
-    solution so rejection-style statistics stay comparable.
+    The head keeps no feature (the solution there is identically zero);
+    every later level runs the solver on the full feature set. Masks are
+    absent; ``n_truly_inactive`` counts near-zero rows of each solution so
+    rejection-style statistics stay comparable.
     """
     validate_dataset(ds)
     return _walk(ds, grid, solver_handle, keep_weights, screen=False)
@@ -174,18 +161,19 @@ def _walk(ds, grid, solver_handle, keep_weights, screen):
     grid.validate_head(lmax)
     run_solver = _coerce_solver(solver_handle)
     report = PathScreeningReport()
-
-    W_full, head = _head_record(ds, float(grid.values[0]), lmax, screen)
-    if keep_weights:
-        head.weights = WeightMatrix(W_full)
-    report.records.append(head)
     ball = mask = None  # the last level's ball and mask
 
-    for lam in grid.values[1:]:
+    for level, lam in enumerate(grid.values):
         lam = float(lam)
         n_screened = 0
         t_screen = 0.0
-        if screen:
+        if level == 0:
+            # the head keeps no feature; a screened walk marks every one with
+            # the sentinel score 0.0
+            kept = np.zeros(0, dtype=int)
+            if screen:
+                mask, n_screened = ScreeningMask(np.zeros(ds.d), lam), ds.d
+        elif screen:
             t0 = time.perf_counter()
             if ball is None:
                 ref, bounds = ReferenceSolution.at_lambda_max(ds), None
@@ -219,15 +207,17 @@ def _walk(ds, grid, solver_handle, keep_weights, screen):
                 obj, n_iters, n_inact = float("nan"), e.n_iters, 0
                 kkt = float(e.residual) if e.residual is not None else float("nan")
             else:
-                W_keep = res.weights.values
+                W_keep = as_weight_values(res.weights, len(kept), ds.T)
                 W_full = np.zeros((ds.d, ds.T))
                 W_full[kept] = W_keep
                 # screened rows are exact zeros, so the reduced objective is the full one
                 obj, n_iters, kkt = res.objective, res.n_iters, res.kkt_residual
                 n_inact = n_screened + int((res.weights.row_norms() <= ROW_ZERO_TOL).sum())
         else:
+            # zero weights: the objective is 1/2 ||y||^2, formed without a product
             res, W_keep, W_full = None, np.zeros((0, ds.T)), np.zeros((ds.d, ds.T))
-            obj, n_iters, kkt = objective(ds, W_full, lam), 0, 0.0
+            y = ds.y_stack.ravel()
+            obj, n_iters, kkt = 0.5 * float(np.dot(y, y)), 0, 0.0
             n_inact = ds.d
         t_solve = time.perf_counter() - t1
 

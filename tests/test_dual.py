@@ -412,6 +412,30 @@ class TestContainment:
         far = dual_ball(ds, ReferenceSolution.at_lambda_max(ds), lam)
         assert near.radius < far.radius
 
+    def test_from_primal_takes_only_the_solves_own_weights(self):
+        # the offset comes from W, the normal from the solve's residual: with
+        # W 0.99 times a tight solve's weights the ball at 0.4 lmax would sit
+        # 1.2 radii from the optimum, so the mismatch raises, as does a
+        # gradient without one row per support feature
+        from mtl21.solver import SolverConfig, fit
+
+        ds, _ = generate(SynthConfig(kind="s1", tasks=3, n_per_task=20, d=60, seed=3))
+        lmax, _ = lambda_max(ds)
+        tight = SolverConfig(kkt_tol=1e-10, max_iters=200000)
+        lam0, lam = 0.5 * lmax, 0.4 * lmax
+        support = np.flatnonzero(fit(ds, lam0, tight).weights.row_norms() > 0)
+        sub = MultiTaskDataset([(X[:, support], y) for X, y in zip(ds.X, ds.y)])
+        res = fit(sub, lam0, tight)
+        with pytest.raises(DimensionMismatch):
+            ReferenceSolution.from_primal(ds, 0.99 * res.weights.values, lam0, support=support, solve=res)
+        short = dataclasses.replace(res, gradient=res.gradient[:-1])
+        with pytest.raises(DimensionMismatch):
+            ReferenceSolution.from_primal(ds, res.weights, lam0, support=support, solve=short)
+        ref = ReferenceSolution.from_primal(ds, res.weights, lam0, support=support, solve=res)
+        ball = dual_ball(ds, ref, lam)
+        optimum = dual_from_primal(ds, fit(ds, lam, tight).weights, lam)
+        assert float(np.linalg.norm(optimum - ball.center)) <= ball.radius
+
     def test_loose_reference_ball_holds_the_optimum(self, monkeypatch):
         # a 1e-2 solve at grid[1] stops at kkt 0.0073 with its dual point
         # 0.013 outside the feasible set: every ball a walk builds, one from

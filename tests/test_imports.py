@@ -3,11 +3,15 @@ public name a module lists exists.
 
 The project ships no linter, so this walks each module's syntax tree with
 the standard library: a name an import binds must be read in the module, or
-listed in its ``__all__``, unless the import's line carries ``# noqa``.
+listed in its ``__all__``, unless the import's line carries ``# noqa``. In
+``src/`` such a line must name, after the ``# noqa``, the file of the
+repository that reads the name it keeps, so each one can be found and
+dropped with that file's need for it.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import mtl21
@@ -37,10 +41,35 @@ def unused_imports(path):
     return [f"{where}:{line} {name}" for name, line in bound.items() if name not in used]
 
 
+def reads_name(line, name):
+    """Whether the file a ``# noqa`` comment names exists and mentions ``name``."""
+    match = re.search(r"# noqa.*?([\w./-]+\.py)", line)
+    reader = ROOT / match[1] if match else None
+    return reader is not None and reader.is_file() and re.search(rf"\b{name}\b", reader.read_text())
+
+
+def unexplained_noqa(path):
+    source = path.read_text()
+    lines = source.splitlines()
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                line = lines[alias.lineno - 1]
+                name = alias.asname or alias.name.split(".")[0]
+                if "# noqa" in line and not reads_name(line, name):
+                    out.append(f"{path.relative_to(ROOT)}:{alias.lineno} {name}")
+    return out
+
+
 def test_every_import_is_used():
     files = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
     assert len(files) > 10
     assert [entry for path in files for entry in unused_imports(path)] == []
+
+
+def test_every_kept_import_names_its_reader():
+    assert [entry for path in sorted((ROOT / "src").rglob("*.py")) for entry in unexplained_noqa(path)] == []
 
 
 def test_every_listed_name_is_bound():
