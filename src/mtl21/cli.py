@@ -19,6 +19,8 @@ import json
 import os
 import sys
 
+from .errors import MtlError, SolverFailure
+
 PATH_COLUMNS = [
     "lambda",
     "lambda_rel",
@@ -115,12 +117,14 @@ def build_parser():
     ps.add_argument("--noise-scale", type=float, default=0.01)
     ps.add_argument("--support-mode", choices=["shared", "per-task"], default="shared")
     ps.add_argument("--out", required=True, help="output dataset directory")
+    ps.set_defaults(func=cmd_synth)
 
     pp = sub.add_parser("path", parents=[walk],
                         help="fit a regularization path, CSV per level")
     pp.add_argument("dataset", help="dataset directory")
     pp.add_argument("--out", required=True, help="output CSV file")
     pp.add_argument("--screen", choices=["dpc", "none"], default="dpc")
+    pp.set_defaults(func=cmd_path)
 
     pb = sub.add_parser("bench", parents=[walk],
                         help="timed with/without-screening comparison")
@@ -129,6 +133,7 @@ def build_parser():
     pb.add_argument("--json", dest="json_out", default=None, help="summary JSON file")
     pb.add_argument("--reps", type=int, default=1,
                     help="repetitions; timings are elementwise medians")
+    pb.set_defaults(func=cmd_bench)
 
     pv = sub.add_parser("verify", help="run the invariant suites")
     pv.add_argument("dataset")
@@ -138,6 +143,7 @@ def build_parser():
     pv.add_argument("--kkt-tol", type=float, default=1e-8)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--threads", type=int, default=None)
+    pv.set_defaults(func=cmd_verify)
     return p
 
 
@@ -162,25 +168,17 @@ def _load_validated(path):
 def cmd_synth(args):
     from .synth import SynthConfig, write_benchmark
 
-    try:
-        cfg = SynthConfig(
-            kind=args.kind,
-            tasks=args.tasks,
-            n_per_task=args.n,
-            d=args.d,
-            support_fraction=args.support_fraction,
-            noise_scale=args.noise_scale,
-            seed=args.seed,
-            support_mode=args.support_mode,
-        )
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    try:
-        ds, _ = write_benchmark(cfg, args.out)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    cfg = SynthConfig(
+        kind=args.kind,
+        tasks=args.tasks,
+        n_per_task=args.n,
+        d=args.d,
+        support_fraction=args.support_fraction,
+        noise_scale=args.noise_scale,
+        seed=args.seed,
+        support_mode=args.support_mode,
+    )
+    ds, _ = write_benchmark(cfg, args.out)
     print(f"wrote {args.out}: T={ds.T}, d={ds.d}, n={ds.n_per_task[0]} per task")
     return 0
 
@@ -229,20 +227,13 @@ def _run_path(ds, grid, cfg, screen):
 
 
 def cmd_path(args):
-    from .errors import MtlError, SolverFailure
-
-    try:
-        ds, _, grid, cfg = _path_inputs(args)
-    except (MtlError, ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    ds, _, grid, cfg = _path_inputs(args)
     try:
         report = _run_path(ds, grid, cfg, screen=(args.screen == "dpc"))
     except SolverFailure as e:
         _write_path_csv(args.out, e.report.records)
-        print(f"error: {e}", file=sys.stderr)
         print(f"partial results in {args.out}", file=sys.stderr)
-        return 3
+        raise
     _write_path_csv(args.out, report.records)
     print(f"wrote {args.out}: {len(report.records)} levels")
     return 0
@@ -252,27 +243,17 @@ def cmd_bench(args):
     import numpy as np
 
     from . import __version__
-    from .errors import MtlError, SolverFailure
 
-    try:
-        ds, meta, grid, cfg = _path_inputs(args)
-    except (MtlError, ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     if args.reps < 1:
-        print("error: --reps must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--reps must be >= 1")
     if args.grid_points < 2:
         # the head level is closed form, so one level times no screening or solve
-        print("error: bench needs --grid-points >= 2", file=sys.stderr)
-        return 2
-    runs = []
-    try:
-        for _ in range(args.reps):
-            runs.append((_run_path(ds, grid, cfg, True), _run_path(ds, grid, cfg, False)))
-    except SolverFailure as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        raise ValueError("bench needs --grid-points >= 2")
+    ds, meta, grid, cfg = _path_inputs(args)
+    runs = [
+        (_run_path(ds, grid, cfg, True), _run_path(ds, grid, cfg, False))
+        for _ in range(args.reps)
+    ]
     rep_dpc, rep_plain = runs[-1]
     k = len(rep_dpc.records)
     screen_times = np.median(
@@ -321,50 +302,39 @@ def cmd_bench(args):
 def cmd_verify(args):
     from .checks import SUITES, run_suites
     from .dual import lambda_max
-    from .errors import MtlError
     from .solver import SolverConfig
 
     suites = SUITES if args.suite == "all" else (args.suite,)
-    try:
-        SolverConfig(kkt_tol=args.kkt_tol)
-        if args.cases < 1:
-            raise ValueError(f"--cases must be >= 1, got {args.cases}")
-        if args.seed < 0:
-            raise ValueError(f"--seed must be >= 0, got {args.seed}")
-        ds = None
-        if suites != ("qp1qc",):
-            # every other suite reads the dataset and walks a grid down from
-            # the all-zero threshold
-            ds, _ = _load_validated(args.dataset)
-            lambda_max(ds)
-    except (MtlError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    SolverConfig(kkt_tol=args.kkt_tol)
+    if args.cases < 1:
+        raise ValueError(f"--cases must be >= 1, got {args.cases}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    ds = None
+    if suites != ("qp1qc",):
+        # every other suite reads the dataset and walks a grid down from
+        # the all-zero threshold
+        ds, _ = _load_validated(args.dataset)
+        lambda_max(ds)
     ok = run_suites(ds, suites=suites, seed=args.seed, cases=args.cases, kkt_tol=args.kkt_tol)
     return 0 if ok else 1
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; an error it raises becomes one ``error:`` line on
+    stderr and exit 3 (a solver failure) or 2 (any other package error, a
+    bad value or an I/O failure)."""
+    args = build_parser().parse_args(argv)
     try:
-        resolved = _set_threads(args)
-    except ValueError as e:
+        args._resolved_threads = _set_threads(args)
+        return args.func(args)
+    except SolverFailure as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
+    except (MtlError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    args._resolved_threads = resolved
-    handlers = {
-        "synth": cmd_synth,
-        "path": cmd_path,
-        "bench": cmd_bench,
-        "verify": cmd_verify,
-    }
-    return handlers[args.command](args)
 
 
 def entry():
-    sys.exit(main())
-
-
-if __name__ == "__main__":
     sys.exit(main())

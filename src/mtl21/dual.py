@@ -349,8 +349,7 @@ class DualBall:
     the adjoint image X't center on the features ``rows`` (as in
     :class:`ReferenceSolution`), and ``bound`` for every feature an upper
     bound on its largest ||X_l' theta|| over the ball, below 1 off ``rows``:
-    carried from the last ball, or +inf. Built without both, the image
-    covers every feature and every bound is +inf.
+    carried from the last ball, or +inf.
     """
 
     center: np.ndarray
@@ -358,8 +357,8 @@ class DualBall:
     lam: float
     lambda0: float
     image: np.ndarray
-    rows: np.ndarray | None = None
-    bound: np.ndarray | None = None
+    rows: np.ndarray
+    bound: np.ndarray
 
     def __post_init__(self):
         if not self.radius >= 0:
@@ -368,12 +367,7 @@ class DualBall:
             raise LambdaOutOfRange(
                 f"need 0 < lam < lambda0, got lam={self.lam}, lambda0={self.lambda0}"
             )
-        if (self.rows is None) != (self.bound is None):
-            raise DimensionMismatch("image rows and carried bounds come together")
-        if self.rows is None:
-            object.__setattr__(self, "rows", np.arange(len(self.image)))
-            object.__setattr__(self, "bound", np.full(len(self.image), np.inf))
-        elif len(self.image) != len(self.rows):
+        if len(self.image) != len(self.rows):
             raise DimensionMismatch("an image needs one row per feature it covers")
 
 

@@ -69,10 +69,9 @@ class MaxItersExceeded(MtlError, RuntimeError):
 class SolverFailure(MtlError, RuntimeError):
     """A path run aborted mid-way; carries the partial report."""
 
-    def __init__(self, message, report=None, failed_lambda=None):
+    def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
-        self.failed_lambda = failed_lambda
 
 
 class NonPositiveWeight(MtlError, ValueError):

@@ -243,6 +243,5 @@ def _walk(ds, grid, solver_handle, keep_weights, screen):
             raise SolverFailure(
                 f"solver failed at level {lam!r}: {failure}",
                 report=report,
-                failed_lambda=lam,
             ) from failure
     return report

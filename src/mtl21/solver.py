@@ -32,6 +32,7 @@ of the accepted iterate itself.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,7 @@ from .core import (
     validate_dataset,
 )
 from .dual import feature_constraint_all
-from .errors import MaxItersExceeded, NonPositiveRho, NonPositiveWeight
+from .errors import MaxItersExceeded, NonFinite, NonPositiveRho, NonPositiveWeight
 
 __all__ = [
     "SolverConfig",
@@ -72,6 +73,10 @@ class SolverConfig:
     warm_start: object = None
 
     def __post_init__(self):
+        try:
+            operator.index(self.max_iters)
+        except TypeError:
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}") from None
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not 0 < self.kkt_tol < math.inf:
@@ -268,6 +273,30 @@ def fit(ds, lam, cfg=None):
     )
 
 
+def _check_task_weights(ds, weights):
+    """``weights`` as a float array, one per task, raising NonFinite for NaN
+    or an infinity and NonPositiveWeight for a wrong length or a weight <= 0."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != 1 or w.shape[0] != ds.T:
+        raise NonPositiveWeight(f"need {ds.T} weights, got shape {w.shape}")
+    if not np.isfinite(w).all():
+        raise NonFinite("weights must be finite")
+    if (w <= 0).any():
+        raise NonPositiveWeight("weights must be positive")
+    return w
+
+
+def _check_rho(rho):
+    """``rho`` as a float, raising NonFinite for NaN or an infinity and
+    NonPositiveRho for rho <= 0."""
+    rho = float(rho)
+    if not math.isfinite(rho):
+        raise NonFinite(f"rho must be finite, got {rho}")
+    if rho <= 0:
+        raise NonPositiveRho(f"rho must be positive, got {rho}")
+    return rho
+
+
 def reduce_weighted(ds, weights):
     """Rescale so a per-task weighted loss becomes the plain objective.
 
@@ -275,11 +304,7 @@ def reduce_weighted(ds, weights):
     X_t and y_t by sqrt(weights[t]) makes the plain objective on the new data
     equal the weighted objective on the old.
     """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.shape[0] != ds.T:
-        raise NonPositiveWeight(f"need {ds.T} weights, got shape {w.shape}")
-    if (w <= 0).any():
-        raise NonPositiveWeight("weights must be positive")
+    w = _check_task_weights(ds, weights)
     return MultiTaskDataset(
         [(ds.X[t] / np.sqrt(w[t]), ds.y[t] / np.sqrt(w[t])) for t in range(ds.T)]
     )
@@ -287,11 +312,12 @@ def reduce_weighted(ds, weights):
 
 def weighted_objective(ds, W, lam, weights):
     """Objective of the per-task weighted model on the original data."""
+    lam = _check_lambda(lam)
+    w = _check_task_weights(ds, weights)
     V = as_weight_values(W, ds.d, ds.T)
-    w = np.asarray(weights, dtype=np.float64)
     R = ds.forward(V) - ds.y_stack
     loss = 0.5 * float((np.einsum("ij,ij->i", R, R) / w).sum())
-    return loss + float(lam) * l21_norm(V)
+    return loss + lam * l21_norm(V)
 
 
 def reduce_frobenius(ds, rho):
@@ -300,9 +326,7 @@ def reduce_frobenius(ds, rho):
     Each task gains d rows sqrt(2 rho) * I and d zero responses; the plain
     objective on the result equals the ridge objective on the original.
     """
-    rho = float(rho)
-    if rho <= 0:
-        raise NonPositiveRho(f"rho must be positive, got {rho}")
+    rho = _check_rho(rho)
     d = ds.d
     block = np.sqrt(2.0 * rho) * np.eye(d)
     zeros = np.zeros(d)
@@ -316,5 +340,6 @@ def reduce_frobenius(ds, rho):
 
 def frobenius_objective(ds, W, lam, rho):
     """Objective of the ridge-augmented model on the original data."""
+    rho = _check_rho(rho)
     V = as_weight_values(W, ds.d, ds.T)
-    return objective(ds, V, lam) + float(rho) * float(np.einsum("ij,ij->", V, V))
+    return objective(ds, V, lam) + rho * float(np.einsum("ij,ij->", V, V))

@@ -444,6 +444,52 @@ class TestVerify:
         assert rc == 1
 
 
+class TestExitCodeMap:
+    """Whatever a command raises, ``main`` turns into one ``error:`` line and
+    the documented code: 3 for a solver failure, 2 for any other package
+    error, a bad value or an I/O failure."""
+
+    @pytest.mark.parametrize("command", ["synth", "path", "bench", "verify"])
+    @pytest.mark.parametrize(
+        "error,code",
+        [
+            (OSError("boom"), 2),
+            (mtl21.DatasetFormatError("boom"), 2),
+            (mtl21.SolverFailure("boom"), 3),
+        ],
+        ids=["os", "mtl", "solver"],
+    )
+    def test_raised_error_maps_to_its_code(
+        self, command, error, code, dataset_dir, tmp_path, capsys, monkeypatch
+    ):
+        import mtl21.cli
+        import mtl21.synth
+
+        def fail(*args, **kwargs):
+            raise error
+
+        if command == "synth":
+            monkeypatch.setattr(mtl21.synth, "write_benchmark", fail)
+            argv = ["synth", "--kind", "s1", "--tasks", "2", "--n", "5", "--d", "10",
+                    "--out", str(tmp_path / "ds")]
+        else:
+            monkeypatch.setattr(mtl21.cli, "_load_validated", fail)
+            argv = [command, str(dataset_dir)]
+            if command != "verify":
+                argv += ["--out", str(tmp_path / "o.csv")]
+        rc = main(argv)
+        assert rc == code
+        captured = capsys.readouterr()
+        assert captured.err == "error: boom\n"
+        assert captured.out == ""
+
+    def test_verify_on_a_name_too_long_for_the_os(self, tmp_path, capsys):
+        rc = main(["verify", str(tmp_path / ("x" * 300)), "--suite", "safety"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestThreads:
     def test_env_var_garbage_exits_2(self, dataset_dir, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MTFL_THREADS", "many")

@@ -308,24 +308,17 @@ class TestDualBall:
             dual_ball(ds, self.ref(ds, [1.0, 0.0]), 1.0)
         with pytest.raises(NonPositiveLambda):
             dual_ball(ds, self.ref(ds, [1.0, 0.0]), 0.0)
+
     def test_ball_type_invariants(self):
         ds = hand_dataset()
         image = ds.adjoint(np.zeros((1, 2)))
+        every = {"rows": np.arange(ds.d), "bound": np.full(ds.d, np.inf)}
         with pytest.raises(LambdaOutOfRange):
-            DualBall(center=np.zeros((1, 2)), radius=-0.1, lam=0.5, lambda0=1.0, image=image)
+            DualBall(np.zeros((1, 2)), -0.1, 0.5, 1.0, image, **every)
         with pytest.raises(LambdaOutOfRange):
-            DualBall(center=np.zeros((1, 2)), radius=math.nan, lam=0.5, lambda0=1.0, image=image)
+            DualBall(np.zeros((1, 2)), math.nan, 0.5, 1.0, image, **every)
         with pytest.raises(LambdaOutOfRange):
-            DualBall(center=np.zeros((1, 2)), radius=0.1, lam=1.0, lambda0=1.0, image=image)
-        # rows and carried bounds come together; without both, the image
-        # covers every feature and every bound is +inf
-        ball = DualBall(center=np.zeros((1, 2)), radius=0.1, lam=0.5, lambda0=1.0, image=image)
-        np.testing.assert_array_equal(ball.rows, [0, 1])
-        assert np.isinf(ball.bound).all() and ball.bound.shape == (2,)
-        with pytest.raises(DimensionMismatch):
-            DualBall(np.zeros((1, 2)), 0.1, 0.5, 1.0, image[:1], rows=np.array([1]))
-        with pytest.raises(DimensionMismatch):
-            DualBall(np.zeros((1, 2)), 0.1, 0.5, 1.0, image, bound=np.zeros(2))
+            DualBall(np.zeros((1, 2)), 0.1, 1.0, 1.0, image, **every)
         with pytest.raises(DimensionMismatch):
             DualBall(np.zeros((1, 2)), 0.1, 0.5, 1.0, image, rows=np.array([1]), bound=np.zeros(2))
 

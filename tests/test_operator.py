@@ -190,6 +190,8 @@ class TestCallers:
             lam=1.0,
             lambda0=2.0,
             image=ds.adjoint(center),
+            rows=np.arange(ds.d),
+            bound=np.full(ds.d, np.inf),
         )
         centers = blocks(ds, ball.center)
         scores = screening_scores(ds, ball)
@@ -448,7 +450,10 @@ def test_s2_walk_masks_match_fresh_images(monkeypatch):
         carried = screening_scores(ds, ball)
         assert_image(ds, ball.image, ball.center, ball.rows)
         fresh_ball = dataclasses.replace(
-            ball, image=ds.adjoint(ball.center), rows=None, bound=None
+            ball,
+            image=ds.adjoint(ball.center),
+            rows=np.arange(ds.d),
+            bound=np.full(ds.d, np.inf),
         )
         fresh = screening_scores(ds, fresh_ball)
         assert np.array_equal(carried < 1.0, fresh < 1.0)

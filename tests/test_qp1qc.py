@@ -280,7 +280,10 @@ def uncut_ball(ds, theta0):
     X' center on every feature."""
     r = ds.y_stack - theta0
     center = theta0 + 0.5 * r
-    return DualBall(center, 0.5 * float(np.linalg.norm(r)), 1.0, 2.0, ds.adjoint(center))
+    return DualBall(
+        center, 0.5 * float(np.linalg.norm(r)), 1.0, 2.0, ds.adjoint(center),
+        np.arange(ds.d), np.full(ds.d, np.inf),
+    )
 
 
 class TestScreeningBounds:
@@ -396,7 +399,10 @@ class TestScreeningScores:
         )
         lmax, _ = lambda_max(ds)
         center = ds.y_stack / (0.5 * lmax)
-        ball = DualBall(center, 0.0, 0.5 * lmax, 0.8 * lmax, ds.adjoint(center))
+        ball = DualBall(
+            center, 0.0, 0.5 * lmax, 0.8 * lmax, ds.adjoint(center),
+            np.arange(ds.d), np.full(ds.d, np.inf),
+        )
         scores = screening_scores(ds, ball)
         vals = feature_constraint_all(ds, ball.center)
         for ell in range(ds.d):

@@ -244,12 +244,10 @@ class TestSequentialPath:
         grid = grid_for(ds, points=10, floor=0.01)
         with pytest.raises(SolverFailure) as ei:
             sequential_path(ds, grid, SolverConfig(max_iters=2, kkt_tol=1e-12))
-        err = ei.value
-        assert err.report is not None
-        assert err.failed_lambda is not None
-        last = err.report.records[-1]
+        records = ei.value.report.records
+        last = records[-1]
         assert last.status == "solver-failure"
-        assert last.lam == err.failed_lambda
+        assert last.lam == grid.values[len(records) - 1]
 
     def test_loose_solves_rescale_reference_without_fallback(self):
         # a 1e-6-certificate solve leaves its dual point slightly infeasible;
@@ -345,7 +343,7 @@ class TestFailedLevel:
         # the walk stops at the level that failed: the head, then level 1
         assert len(records) == 2 and records[0].weights is not None
         last = records[-1]
-        assert last.lam == ei.value.failed_lambda == grid.values[1]
+        assert last.lam == grid.values[1]
         assert last.status == "solver-failure"
         assert last.n_iters == 3
         assert last.kkt_residual == cause.residual and last.kkt_residual > cfg.kkt_tol
@@ -420,7 +418,10 @@ def checked_walk(monkeypatch, ds, grid, solver):
             assert np.array_equal(ball.rows, np.arange(ds_.d))
         else:
             full = dataclasses.replace(
-                ball, image=ds_.adjoint(ball.center), rows=None, bound=None
+                ball,
+                image=ds_.adjoint(ball.center),
+                rows=np.arange(ds_.d),
+                bound=np.full(ds_.d, np.inf),
             )
             carried = np.ones(ds_.d, dtype=bool)
             carried[ball.rows] = False

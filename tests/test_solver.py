@@ -241,6 +241,9 @@ class TestFitContract:
             SolverConfig(kkt_tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(kkt_tol=float("nan"))
+        for iters in (2.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="max_iters"):
+                SolverConfig(max_iters=iters)
 
 
 LAYOUTS = {"equal": (20, 20, 20), "unequal": (12, 25, 7)}
@@ -391,3 +394,37 @@ class TestReductions:
             reduce_frobenius(ds, 0.0)
         with pytest.raises(NonPositiveRho):
             reduce_frobenius(ds, -0.5)
+
+    @pytest.mark.parametrize(
+        "function,args,error",
+        [
+            *[
+                (fn, {"weights": w}, NonFinite)
+                for fn in ("reduce_weighted", "weighted_objective")
+                for w in ([math.nan, 1.0], [math.inf, 1.0], [-math.inf, 1.0])
+            ],
+            *[
+                (fn, {"rho": rho}, NonFinite)
+                for fn in ("reduce_frobenius", "frobenius_objective")
+                for rho in (math.nan, math.inf, -math.inf)
+            ],
+            ("weighted_objective", {"weights": [0.0, 1.0]}, NonPositiveWeight),
+            ("weighted_objective", {"weights": [-1.0, 1.0]}, NonPositiveWeight),
+            ("weighted_objective", {"weights": [1.0, 1.0, 1.0]}, NonPositiveWeight),
+            ("weighted_objective", {"lam": math.nan}, NonFinite),
+            ("weighted_objective", {"lam": -1.0}, NonPositiveLambda),
+            ("frobenius_objective", {"rho": -1.0}, NonPositiveRho),
+        ],
+    )
+    def test_reduction_inputs_are_checked(self, function, args, error):
+        # -inf is a NonFinite, not a non-positive value: finiteness is checked first
+        ds = random_dataset(np.random.default_rng(43), T=2, d=3, n=4)
+        a = {"W": np.ones((3, 2)), "lam": 1.0, "weights": [1.0, 1.0], "rho": 1.0, **args}
+        call = {
+            "reduce_weighted": lambda: reduce_weighted(ds, a["weights"]),
+            "weighted_objective": lambda: weighted_objective(ds, a["W"], a["lam"], a["weights"]),
+            "reduce_frobenius": lambda: reduce_frobenius(ds, a["rho"]),
+            "frobenius_objective": lambda: frobenius_objective(ds, a["W"], a["lam"], a["rho"]),
+        }[function]
+        with pytest.raises(error):
+            call()
