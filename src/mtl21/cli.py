@@ -70,6 +70,8 @@ def _set_threads(args):
             "OPENBLAS_NUM_THREADS",
             "MKL_NUM_THREADS",
             "NUMEXPR_NUM_THREADS",
+            "VECLIB_MAXIMUM_THREADS",
+            "BLIS_NUM_THREADS",
         ):
             os.environ[var] = str(n)
     return n

@@ -20,8 +20,12 @@ numerical code is expected to validate first.
 
 :func:`load_dataset` holds each dataset once: it allocates the stack from
 the counts in ``meta.json``, after checking that every task file is large
-enough to hold its rows, and reads the tasks one at a time into their
-slices, so at most one task's parsed table sits beside the stack.
+enough to hold its rows, and reads each task file one row at a time into
+its slice. A line made only of JSON numbers and commas is parsed by orjson,
+so at most one parsed row sits beside the stack; the first line orjson does
+not read sends its file to numpy's table parser, which reads every other
+spelling and words every error, and holds that file's table beside the
+stack while it is copied in.
 
 All arrays are float64 and frozen (read-only) after construction; the types
 are safe to share across concurrent readers.
@@ -35,6 +39,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .errors import (
     DatasetFormatError,
@@ -287,10 +292,12 @@ class WeightMatrix:
 
     @classmethod
     def from_csv(cls, path):
-        table = _read_table(path)
-        if not len(table):
+        # keyed by row index: a file sent back to numpy is stored again from row 0
+        rows = {}
+        _read_rows(path, rows.__setitem__)
+        if not rows:
             raise DatasetFormatError(f"{path}: no rows")
-        return cls(table)
+        return cls(list(rows.values()))
 
 
 def as_weight_values(W, d=None, T=None):
@@ -442,10 +449,65 @@ def _write_table(path, rows):
             fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
+# the bytes of a line of JSON numbers and commas, its line end stripped
+_JSON_NUMBER_BYTES = b"0123456789.eE+-,"
+
+
+def _read_rows(path, store, width=None):
+    """Read a numeric CSV one row at a time and return its row count.
+
+    ``store(i, row)`` gets row ``i`` (from 0) as a float64 array of ``width``
+    fields (or as many as the first row has). Lines of JSON numbers and
+    commas are parsed by orjson, which rounds each number correctly as numpy
+    does; the first line orjson does not read (another spelling, the integer
+    -0, a row of another width) sends the whole file to :func:`_read_table`,
+    and every row is stored again from row 0. A malformed file raises
+    DatasetFormatError as :func:`_read_table` words it.
+    """
+    try:
+        fh = open(path, "rb")
+    except OSError:
+        rows = None  # _read_table words the error
+    else:
+        with fh:
+            rows = _read_json_rows(fh, store, width)
+    if rows is None:
+        table = _read_table(path, width)
+        for i, row in enumerate(table):
+            store(i, row)
+        rows = len(table)
+    return rows
+
+
+def _read_json_rows(fh, store, width):
+    """The row count of a binary file whose lines are all JSON numbers and
+    commas, each row handed to ``store`` as it is parsed; None at the first
+    other line."""
+    i = 0
+    for line in fh:
+        line = line.rstrip(b"\r\n")
+        if not line:
+            continue  # numpy skips blank lines too
+        # orjson reads the integer -0 as +0.0 where numpy keeps the sign
+        if line.translate(None, _JSON_NUMBER_BYTES) or b"-0," in line or line.endswith(b"-0"):
+            return None
+        try:
+            row = np.array(orjson.loads(b"[" + line + b"]"), dtype=np.float64)
+        except orjson.JSONDecodeError:
+            return None
+        width = width or len(row)
+        if len(row) != width:
+            return None
+        store(i, row)
+        i += 1
+    return i
+
+
 def _read_table(path, width=None):
-    """A numeric CSV as a 2-D float64 array, each row ``width`` fields wide
-    (or as wide as the first); a malformed file raises DatasetFormatError
-    naming the file, the 1-based line and, for a bad cell, its field."""
+    """A numeric CSV as a 2-D float64 array read by numpy, each row ``width``
+    fields wide (or as wide as the first); a malformed file raises
+    DatasetFormatError naming the file, the 1-based line and, for a bad
+    cell, its field."""
     try:
         with warnings.catch_warnings():
             # a file with no rows reads as shape (0, 1); callers count rows
@@ -545,12 +607,14 @@ def load_dataset(in_dir):
     # with no tasks the stack has no columns, as MultiTaskDataset([]) has
     X_stack, y_stack = _zero_stacks(n, d if T else 0)
     for t, path in enumerate(paths):
-        table = _read_table(path, width=d + 1)
-        if len(table) != n[t]:
-            raise DatasetFormatError(
-                f"task_{t}.csv: {len(table)} rows, meta says {n[t]}"
-            )
-        X_stack[t, : n[t]] = table[:, :d]
-        y_stack[t, : n[t]] = table[:, d]
-        del table  # one task's table at a time beside the stack
+        X, y = X_stack[t, : n[t]], y_stack[t, : n[t]]
+
+        def store(i, row):
+            if i < len(y):  # the rows past n[t] are only counted
+                X[i] = row[:d]
+                y[i] = row[d]
+
+        rows = _read_rows(path, store, width=d + 1)
+        if rows != n[t]:
+            raise DatasetFormatError(f"task_{t}.csv: {rows} rows, meta says {n[t]}")
     return MultiTaskDataset._from_stacks(X_stack, y_stack, n), meta

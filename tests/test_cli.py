@@ -498,13 +498,16 @@ class TestThreads:
         assert "MTFL_THREADS" in capsys.readouterr().err
 
     def test_flag_overrides_env(self, dataset_dir, tmp_path, monkeypatch):
-        for var in (
+        pools = (
             "OMP_NUM_THREADS",
             "OPENBLAS_NUM_THREADS",
             "MKL_NUM_THREADS",
             "NUMEXPR_NUM_THREADS",
-        ):
-            monkeypatch.setenv(var, os.environ.get(var, ""))
+            "VECLIB_MAXIMUM_THREADS",
+            "BLIS_NUM_THREADS",
+        )
+        for var in pools:
+            monkeypatch.setenv(var, "2")
         monkeypatch.setenv("MTFL_THREADS", "many")  # ignored when --threads given
         out = tmp_path / "o.csv"
         rc = main(
@@ -520,7 +523,7 @@ class TestThreads:
             ]
         )
         assert rc == 0
-        assert os.environ["OMP_NUM_THREADS"] == "1"
+        assert {var: os.environ[var] for var in pools} == dict.fromkeys(pools, "1")
 
     def test_cli_import_loads_no_numpy(self):
         # the thread cap only takes effect if numpy is first imported after it

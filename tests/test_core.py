@@ -439,3 +439,76 @@ def test_written_cells_are_shortest_round_trip(tmp_path):
     cells = (out / "task_0.csv").read_text().rstrip("\n").split(",")
     assert cells[0] == "0.1"
     assert [float(c) for c in cells] == values
+
+
+def _repr_bits_lines():
+    # 10**5 random finite float64 bit patterns, written as the writer does
+    rng = np.random.default_rng(20)
+    values = rng.integers(0, 2**64, size=10**5, dtype=np.uint64).view(np.float64)
+    values = np.where(np.isfinite(values), values, 1.5).reshape(100, 1000)
+    return [",".join(map(repr, row.tolist())) for row in values]
+
+
+# each fixture: the lines of one file, and whether orjson reads all of them
+# (True) or some line sends the file to numpy (False)
+READER_FIXTURES = {
+    "repr-bits": (_repr_bits_lines(), True),
+    "subnormal-zero-int": (
+        ["5e-324,-0.0,0.0,0,123,9007199254740993", "1e-310,2.225073858507201e-308,-5e-324,7,0.5,-1.0"],
+        True,
+    ),
+    "long-int": (["123456789012345678901234567890,18446744073709551616,-9223372036854775809"], True),
+    "exponents": (["1e+05,1E5,1e-400", "1e-05,2E-3,3e+300"], True),
+    "int-minus-zero": (["1.0,-0", "-0,1.0", "2.5,3.5"], False),
+    "overflow": (["1.5,2.5", "1e400,-1e400"], False),
+    "numpy-spellings": (["1.5,2.5,3.5", "+1,.5,1.", "nan,inf, 1.5", "-inf,-nan,1e3"], False),
+    "crlf": (["1.5,-2.5\r", "3e2,4\r"], True),
+    "blank-lines": (["", "1.5,2", "", "3,4", ""], True),
+}
+
+
+@pytest.mark.parametrize("name", list(READER_FIXTURES))
+def test_reader_matches_loadtxt_bit_for_bit(tmp_path, monkeypatch, name):
+    lines, fast = READER_FIXTURES[name]
+    task = tmp_path / "task_0.csv"
+    task.write_bytes(("\n".join(lines) + "\n").encode())
+    oracle = np.loadtxt(task, delimiter=",", comments=None, ndmin=2)
+    if fast:
+        # numpy's table parser must not be reached
+        monkeypatch.setattr("mtl21.core._read_table", None)
+    n, width = oracle.shape
+    (tmp_path / "meta.json").write_text(json.dumps({"T": 1, "d": width - 1, "n": [n]}))
+    ds, _ = load_dataset(tmp_path)
+    assert np.array_equal(ds.X_stack[0].view(np.int64), oracle[:, :-1].view(np.int64))
+    assert np.array_equal(ds.y_stack[0].view(np.int64), oracle[:, -1].view(np.int64))
+    W = WeightMatrix.from_csv(task)
+    assert np.array_equal(W.values.view(np.int64), oracle.view(np.int64))
+
+
+MALFORMED_TASKS = {
+    # after a line orjson reads
+    "short-row": ("1.0,2.0,3.0\n1.0,2.0\n", "{task} line 2: expected 3 fields, got 2"),
+    "long-row": ("1.0,2.0,3.0\n1,2,3,4\n", "{task} line 2: expected 3 fields, got 4"),
+    "word": ("1.0,2.0,3.0\n\nabc,2.0,3.0\n", "{task} line 3 field 1: not a number: 'abc'"),
+    "underscore": ("1.0,2.0,3.0\n1_0,2.0,3.0\n", "{task} line 2 field 1: not a number: '1_0'"),
+    "empty-cell": ("1.0,2.0,3.0\n1.0,,3.0\n", "{task} line 2 field 2: not a number: ''"),
+    "more-rows": ("1.0,2.0,3.0\n4,5,6\n7,8,9\n", "task_0.csv: 3 rows, meta says 2"),
+    "fewer-rows": ("1.0,2.0,3.0\n\n", "task_0.csv: 1 rows, meta says 2"),
+    # numpy reads the same rows when a line sends the file to it
+    "more-rows-numpy": ("1.0,2.0,3.0\n4,5,6\nnan,8,9\n", "task_0.csv: 3 rows, meta says 2"),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_TASKS))
+def test_malformed_task_file_messages(tmp_path, name):
+    text, message = MALFORMED_TASKS[name]
+    task = tmp_path / "task_0.csv"
+    task.write_text(text)
+    (tmp_path / "meta.json").write_text(json.dumps({"T": 1, "d": 2, "n": [2]}))
+    with pytest.raises(DatasetFormatError) as ei:
+        load_dataset(tmp_path)
+    assert str(ei.value) == message.format(task=task)
+    if " line " in message:
+        with pytest.raises(DatasetFormatError) as ei:
+            WeightMatrix.from_csv(task)
+        assert str(ei.value) == message.format(task=task)

@@ -1,5 +1,6 @@
-"""Every import in the package and its tests is read somewhere, and every
-public name a module lists exists.
+"""Every import in the package and its tests is read somewhere, every
+public name a module lists exists, and every package outside the standard
+library that ``src/`` imports is declared in ``pyproject.toml``.
 
 The project ships no linter, so this walks each module's syntax tree with
 the standard library: a name an import binds must be read in the module, or
@@ -12,6 +13,7 @@ dropped with that file's need for it.
 import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import mtl21
@@ -70,6 +72,33 @@ def test_every_import_is_used():
 
 def test_every_kept_import_names_its_reader():
     assert [entry for path in sorted((ROOT / "src").rglob("*.py")) for entry in unexplained_noqa(path)] == []
+
+
+def imported_modules(path):
+    """The top-level names of the modules a file imports, relative imports left out."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def declared_dependencies():
+    """The distribution names in pyproject.toml's ``dependencies`` list; read
+    with a regex, as ``tomllib`` needs Python 3.11 and the package supports 3.10."""
+    text = (ROOT / "pyproject.toml").read_text()
+    listed = re.search(r"^dependencies\s*=\s*\[(.*?)\]", text, re.M | re.S)[1]
+    names = (re.match(r"[\w.-]+", req)[0] for req in re.findall(r'"([^"]+)"', listed))
+    return {name.lower().replace("-", "_") for name in names}
+
+
+def test_every_imported_package_is_declared():
+    imported = set().union(*(imported_modules(path) for path in (ROOT / "src").rglob("*.py")))
+    third_party = imported - set(sys.stdlib_module_names) - {"mtl21"}
+    assert {"numpy", "orjson"} <= third_party
+    assert sorted(third_party - declared_dependencies()) == []
 
 
 def test_every_listed_name_is_bound():
