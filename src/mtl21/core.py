@@ -20,12 +20,11 @@ numerical code is expected to validate first.
 
 :func:`load_dataset` holds each dataset once: it allocates the stack from
 the counts in ``meta.json``, after checking that every task file is large
-enough to hold its rows, and reads each task file one row at a time into
-its slice. A line made only of JSON numbers and commas is parsed by orjson,
-so at most one parsed row sits beside the stack; the first line orjson does
-not read sends its file to numpy's table parser, which reads every other
-spelling and words every error, and holds that file's table beside the
-stack while it is copied in.
+enough to hold its rows, and reads each task file once, one line at a time,
+into its slice, so at most one parsed row sits beside the stack. A line made
+only of JSON numbers and commas is parsed by orjson; any other line is
+parsed alone by numpy's table parser, which reads every other spelling, and
+a bad line is named where it is found.
 
 All arrays are float64 and frozen (read-only) after construction; the types
 are safe to share across concurrent readers.
@@ -35,7 +34,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -292,12 +290,10 @@ class WeightMatrix:
 
     @classmethod
     def from_csv(cls, path):
-        # keyed by row index: a file sent back to numpy is stored again from row 0
-        rows = {}
-        _read_rows(path, rows.__setitem__)
+        rows = list(_read_rows(path))
         if not rows:
             raise DatasetFormatError(f"{path}: no rows")
-        return cls(list(rows.values()))
+        return cls(rows)
 
 
 def as_weight_values(W, d=None, T=None):
@@ -453,92 +449,67 @@ def _write_table(path, rows):
 _JSON_NUMBER_BYTES = b"0123456789.eE+-,"
 
 
-def _read_rows(path, store, width=None):
-    """Read a numeric CSV one row at a time and return its row count.
+def _read_rows(path, width=None):
+    """Yield the rows of a numeric CSV, each a float64 array of ``width``
+    fields (or as many as the first row has), reading the file once.
 
-    ``store(i, row)`` gets row ``i`` (from 0) as a float64 array of ``width``
-    fields (or as many as the first row has). Lines of JSON numbers and
-    commas are parsed by orjson, which rounds each number correctly as numpy
-    does; the first line orjson does not read (another spelling, the integer
-    -0, a row of another width) sends the whole file to :func:`_read_table`,
-    and every row is stored again from row 0. A malformed file raises
-    DatasetFormatError as :func:`_read_table` words it.
+    Lines end where numpy's table parser ends them, at ``\\n``, ``\\r\\n`` or
+    a lone ``\\r``, and blank ones are skipped as numpy skips them. A line of
+    JSON numbers and commas is parsed by orjson, which rounds each number
+    correctly as numpy does; any other line goes to :func:`_numpy_row` alone.
+    A missing file, a row of another width or a cell that is not a number
+    raises DatasetFormatError naming the file and the 1-based line.
     """
     try:
         fh = open(path, "rb")
-    except OSError:
-        rows = None  # _read_table words the error
-    else:
-        with fh:
-            rows = _read_json_rows(fh, store, width)
-    if rows is None:
-        table = _read_table(path, width)
-        for i, row in enumerate(table):
-            store(i, row)
-        rows = len(table)
-    return rows
-
-
-def _read_json_rows(fh, store, width):
-    """The row count of a binary file whose lines are all JSON numbers and
-    commas, each row handed to ``store`` as it is parsed; None at the first
-    other line."""
-    i = 0
-    for line in fh:
-        line = line.rstrip(b"\r\n")
-        if not line:
-            continue  # numpy skips blank lines too
-        # orjson reads the integer -0 as +0.0 where numpy keeps the sign
-        if line.translate(None, _JSON_NUMBER_BYTES) or b"-0," in line or line.endswith(b"-0"):
-            return None
-        try:
-            row = np.array(orjson.loads(b"[" + line + b"]"), dtype=np.float64)
-        except orjson.JSONDecodeError:
-            return None
-        width = width or len(row)
-        if len(row) != width:
-            return None
-        store(i, row)
-        i += 1
-    return i
-
-
-def _read_table(path, width=None):
-    """A numeric CSV as a 2-D float64 array read by numpy, each row ``width``
-    fields wide (or as wide as the first); a malformed file raises
-    DatasetFormatError naming the file, the 1-based line and, for a bad
-    cell, its field."""
-    try:
-        with warnings.catch_warnings():
-            # a file with no rows reads as shape (0, 1); callers count rows
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(path, delimiter=",", comments=None, ndmin=2)
-        if len(table) and width not in (None, table.shape[1]):
-            raise ValueError(f"rows of {table.shape[1]} fields, expected {width}")
     except (FileNotFoundError, IsADirectoryError):
         raise DatasetFormatError(f"{path}: file not found") from None
-    except ValueError as e:
-        # numpy's errors skip blank lines and count rows from 1 or from 0 by
-        # fault, so the lines are read again to name the first bad one
-        with open(path, errors="replace") as fh:
-            for i, line in enumerate(fh, 1):
-                fields = line.rstrip("\r\n").split(",")
-                if fields == [""]:
+    with fh:
+        i = 0
+        for chunk in fh:
+            for line in chunk.splitlines() if b"\r" in chunk else (chunk.rstrip(b"\n"),):
+                i += 1
+                if not line:
                     continue
-                width = len(fields) if width is None else width
-                if len(fields) != width:
+                row = _json_row(line)
+                if row is None:
+                    row = _numpy_row(path, i, line, width)
+                width = width or len(row)
+                if len(row) != width:
                     raise DatasetFormatError(
-                        f"{path} line {i}: expected {width} fields, got {len(fields)}"
-                    ) from None
-                if _parses(line):
-                    continue
-                for j, field in enumerate(fields, 1):
-                    if not (field and _parses(field)):
-                        raise DatasetFormatError(
-                            f"{path} line {i} field {j}: not a number: {field!r}"
-                        ) from None
-        raise DatasetFormatError(f"{path}: {e}") from None
-    return table.reshape(len(table), width or table.shape[1])
+                        f"{path} line {i}: expected {width} fields, got {len(row)}"
+                    )
+                yield row
+
+
+def _json_row(line):
+    """A line of JSON numbers and commas as a float64 row; None for any other."""
+    # orjson reads the integer -0 as +0.0 where numpy keeps the sign
+    if line.translate(None, _JSON_NUMBER_BYTES) or b"-0," in line or line.endswith(b"-0"):
+        return None
+    try:
+        return np.array(orjson.loads(b"[" + line + b"]"), dtype=np.float64)
+    except orjson.JSONDecodeError:
+        return None
+
+
+def _numpy_row(path, i, line, width):
+    """Line ``i`` of ``path`` as a float64 row read by numpy's table parser,
+    which takes every spelling orjson declines (``+1``, ``.5``, ``nan``, ...).
+    A line it refuses raises DatasetFormatError naming the line and either
+    its field count, when that is not ``width``, or its first bad field."""
+    try:
+        return np.loadtxt([line.decode()], delimiter=",", comments=None, ndmin=1)
+    except ValueError as e:  # UnicodeDecodeError is one too
+        error = e
+    fields = line.decode(errors="replace").split(",")
+    width = width or len(fields)
+    if len(fields) != width:
+        raise DatasetFormatError(f"{path} line {i}: expected {width} fields, got {len(fields)}")
+    for j, field in enumerate(fields, 1):
+        if not (field and _parses(field)):
+            raise DatasetFormatError(f"{path} line {i} field {j}: not a number: {field!r}")
+    raise DatasetFormatError(f"{path} line {i}: {error}")
 
 
 def _parses(text):
@@ -578,10 +549,12 @@ def load_dataset(in_dir):
     if not meta_path.is_file():
         raise DatasetFormatError(f"{meta_path}: file not found")
     try:
-        with open(meta_path) as fh:
+        with open(meta_path, encoding="utf-8") as fh:
             meta = json.load(fh)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError or a UnicodeDecodeError
         raise DatasetFormatError(f"{meta_path}: invalid JSON ({e})") from None
+    if not isinstance(meta, dict):
+        raise DatasetFormatError(f"{meta_path}: not a JSON object")
     for key in ("T", "d", "n"):
         if key not in meta:
             raise DatasetFormatError(f"{meta_path}: missing key {key!r}")
@@ -607,14 +580,11 @@ def load_dataset(in_dir):
     # with no tasks the stack has no columns, as MultiTaskDataset([]) has
     X_stack, y_stack = _zero_stacks(n, d if T else 0)
     for t, path in enumerate(paths):
-        X, y = X_stack[t, : n[t]], y_stack[t, : n[t]]
-
-        def store(i, row):
-            if i < len(y):  # the rows past n[t] are only counted
-                X[i] = row[:d]
-                y[i] = row[d]
-
-        rows = _read_rows(path, store, width=d + 1)
+        rows = 0
+        for row in _read_rows(path, d + 1):
+            if rows < n[t]:  # the rows past n[t] are only counted
+                X_stack[t, rows], y_stack[t, rows] = row[:d], row[d]
+            rows += 1
         if rows != n[t]:
             raise DatasetFormatError(f"task_{t}.csv: {rows} rows, meta says {n[t]}")
     return MultiTaskDataset._from_stacks(X_stack, y_stack, n), meta

@@ -380,6 +380,14 @@ class TestBadInputExits2:
         )
         self.assert_one_error_line(capsys, rc, str(out))
 
+    @pytest.mark.parametrize("command", ["path", "verify"])
+    def test_meta_json_that_is_not_an_object(self, command, tmp_path, capsys):
+        # valid JSON, but no object of counts: once a TypeError and exit 1
+        (tmp_path / "meta.json").write_text("5")
+        out = ["--out", str(tmp_path / "o.csv")] if command == "path" else []
+        rc = main([command, str(tmp_path), *out])
+        self.assert_one_error_line(capsys, rc, str(tmp_path / "meta.json"))
+
     def test_negative_synth_seed(self, tmp_path, capsys):
         out = tmp_path / "neg"
         rc = main(

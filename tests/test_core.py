@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -340,6 +341,18 @@ class TestDatasetIO:
             load_dataset(out)
 
     @pytest.mark.parametrize(
+        "text",
+        [b"5", b"null", b'"TdnX"', b'["T", "d", "n"]', b'{"T": 1, "d": 2, "n": [3]}\xff', b"\xff"],
+        ids=["number", "null", "string", "list", "bad-utf8-tail", "bad-utf8"],
+    )
+    def test_meta_json_must_be_a_utf8_object(self, tmp_path, text):
+        meta_path = tmp_path / "meta.json"
+        meta_path.write_bytes(text)
+        with pytest.raises(DatasetFormatError) as ei:
+            load_dataset(tmp_path)
+        assert str(ei.value).startswith(f"{meta_path}: ")
+
+    @pytest.mark.parametrize(
         "key,value", [("n", [3, 10**12]), ("d", 10**9)], ids=["huge-n", "huge-d"]
     )
     def test_oversized_meta_counts_allocate_nothing(self, tmp_path, key, value):
@@ -369,16 +382,28 @@ class TestDatasetIO:
         out = save_dataset(ds, tmp_path / "ds")
         del ds
         load_dataset(save_dataset(tiny_dataset(), tmp_path / "warm"))  # lazy imports
-        tracemalloc.start()
-        try:
-            back, _ = load_dataset(out)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        def load_peak():
+            tracemalloc.start()
+            try:
+                back, _ = load_dataset(out)
+                return back.X_stack.nbytes, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        stack, peak = load_peak()
         table = n * (d + 1) * 8
         # the tasks read one by one straight into the stack: not a second
         # copy of every task beside it
-        assert peak < back.X_stack.nbytes + 2 * table
+        assert peak < stack + 2 * table
+        # a cell only numpy reads costs its line, not a read of its whole file
+        for t in range(T):
+            task = out / f"task_{t}.csv"
+            lines = task.read_bytes().splitlines()
+            lines[-1] = lines[-1].rsplit(b",", 1)[0] + b",+1"
+            task.write_bytes(b"\n".join(lines) + b"\n")
+        stack, peak = load_peak()
+        assert peak < stack + table
 
     def test_meta_count_mismatch(self, tmp_path):
         ds = tiny_dataset()
@@ -463,6 +488,7 @@ READER_FIXTURES = {
     "overflow": (["1.5,2.5", "1e400,-1e400"], False),
     "numpy-spellings": (["1.5,2.5,3.5", "+1,.5,1.", "nan,inf, 1.5", "-inf,-nan,1e3"], False),
     "crlf": (["1.5,-2.5\r", "3e2,4\r"], True),
+    "lone-cr": (["1.5,-2.5\r3e2,4\r\r-1e-3,5", "6,7.25"], True),
     "blank-lines": (["", "1.5,2", "", "3,4", ""], True),
 }
 
@@ -474,8 +500,8 @@ def test_reader_matches_loadtxt_bit_for_bit(tmp_path, monkeypatch, name):
     task.write_bytes(("\n".join(lines) + "\n").encode())
     oracle = np.loadtxt(task, delimiter=",", comments=None, ndmin=2)
     if fast:
-        # numpy's table parser must not be reached
-        monkeypatch.setattr("mtl21.core._read_table", None)
+        # numpy's parser must not be reached
+        monkeypatch.setattr("mtl21.core._numpy_row", None)
     n, width = oracle.shape
     (tmp_path / "meta.json").write_text(json.dumps({"T": 1, "d": width - 1, "n": [n]}))
     ds, _ = load_dataset(tmp_path)
@@ -492,6 +518,7 @@ MALFORMED_TASKS = {
     "word": ("1.0,2.0,3.0\n\nabc,2.0,3.0\n", "{task} line 3 field 1: not a number: 'abc'"),
     "underscore": ("1.0,2.0,3.0\n1_0,2.0,3.0\n", "{task} line 2 field 1: not a number: '1_0'"),
     "empty-cell": ("1.0,2.0,3.0\n1.0,,3.0\n", "{task} line 2 field 2: not a number: ''"),
+    "lone-cr": ("1.0,2.0,3.0\r4,5,6\rabc,2.0,3.0\r", "{task} line 3 field 1: not a number: 'abc'"),
     "more-rows": ("1.0,2.0,3.0\n4,5,6\n7,8,9\n", "task_0.csv: 3 rows, meta says 2"),
     "fewer-rows": ("1.0,2.0,3.0\n\n", "task_0.csv: 1 rows, meta says 2"),
     # numpy reads the same rows when a line sends the file to it
@@ -512,3 +539,66 @@ def test_malformed_task_file_messages(tmp_path, name):
         with pytest.raises(DatasetFormatError) as ei:
             WeightMatrix.from_csv(task)
         assert str(ei.value) == message.format(task=task)
+
+
+def _random_task_bytes(rng):
+    """A small task file of JSON numbers and numpy-only, bad or empty cells,
+    with ragged rows, blank lines and every line end numpy splits at."""
+    cells = [b"-0", b"+1", b".5", b"nan", b"1e400", b"1_0", b"\xff", b"  ", b"", b"-0.0", b"-inf"]
+    width = int(rng.integers(1, 5))
+    out = []
+    for _ in range(rng.integers(1, 6)):
+        if rng.random() < 0.15:
+            line = b""
+        else:
+            row = []
+            for _ in range(width + (rng.random() < 0.05) * int(rng.choice([-1, 1]))):
+                if rng.random() < 0.15:
+                    row.append(cells[rng.integers(len(cells))])
+                else:
+                    value = rng.standard_normal() * 10.0 ** rng.integers(-5, 6)
+                    row.append(repr(float(value)).encode())
+            line = b",".join(row)
+        out.append(line + [b"\n", b"\r\n", b"\r"][rng.integers(3)])
+    if rng.random() < 0.3:
+        out[-1] = out[-1].rstrip(b"\r\n")
+    return b"".join(out)
+
+
+def test_reader_agrees_with_loadtxt_on_random_files(tmp_path):
+    # numpy is the oracle: what it reads, both readers return bit for bit;
+    # what it refuses, both refuse naming the file and a line
+    rng = np.random.default_rng(21)
+    task = tmp_path / "task_0.csv"
+    accepted = refused = 0
+    for _ in range(2000):
+        data = _random_task_bytes(rng)
+        task.write_bytes(data)
+        try:
+            with warnings.catch_warnings():
+                # a file of blank lines holds no data, which numpy warns of
+                warnings.simplefilter("ignore", UserWarning)
+                oracle = np.loadtxt(task, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            refused += 1
+            first = next(line for line in data.splitlines() if line)
+            meta = {"T": 1, "d": first.count(b","), "n": [0]}
+            (tmp_path / "meta.json").write_text(json.dumps(meta))
+            for read in (lambda: load_dataset(tmp_path), lambda: WeightMatrix.from_csv(task)):
+                with pytest.raises(DatasetFormatError) as ei:
+                    read()
+                assert str(ei.value).startswith(f"{task} line "), data
+            continue
+        accepted += 1
+        n, width = oracle.shape
+        (tmp_path / "meta.json").write_text(json.dumps({"T": 1, "d": width - 1, "n": [n]}))
+        ds, _ = load_dataset(tmp_path)
+        got = np.column_stack((ds.X_stack[0], ds.y_stack[0]))
+        assert np.array_equal(got.view(np.int64), oracle.view(np.int64)), data
+        if n == 0:
+            with pytest.raises(DatasetFormatError, match="no rows"):
+                WeightMatrix.from_csv(task)
+        else:
+            W = WeightMatrix.from_csv(task)
+            assert np.array_equal(W.values.view(np.int64), oracle.view(np.int64)), data
+    assert min(accepted, refused) > 500
