@@ -6,7 +6,9 @@ tight-tolerance reference solve), "containment" (the certified ball really
 contains the solved dual point, for both reference modes), "qp1qc" (the
 per-feature bound dominates a polished boundary-sampling oracle and matches the
 single-task closed form), and "gap" (the primal-dual gap at the solved point
-is nonnegative and small).
+is nonnegative and small). The three dataset suites read one tight
+unscreened walk on one grid (:func:`tight_walk`); only "safety" walks again,
+screening down the same grid.
 
 Each suite returns ``(name, passed, details)``; :func:`run_suites` prints a
 table and reports overall success.
@@ -17,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import LambdaGrid
-from .dual import ReferenceSolution, dual_ball, dual_from_primal, lambda_max
+from .dual import ReferenceSolution, dual_ball, lambda_max
 from .errors import MtlError
 from .qp1qc import solve_batch
 from .screening import ROW_ZERO_TOL, sequential_path, unscreened_path
@@ -26,6 +28,7 @@ from .solver import SolverConfig, duality_gap
 __all__ = [
     "sphere_oracle",
     "random_instance",
+    "tight_walk",
     "suite_safety",
     "suite_containment",
     "suite_qp1qc",
@@ -40,12 +43,10 @@ ORACLE_POLISH = 8
 ORACLE_STEPS = 100
 # boundary samples suite_qp1qc draws for each instance's oracle
 ORACLE_SAMPLES = 20000
-# the safety and containment suites walk this many levels down to this
-# fraction of the all-zero threshold; the gap suite solves GAP_LEVELS levels
-# below the threshold, down to a tenth of it
+# the dataset suites share one tight unscreened walk of this many levels down
+# to this fraction of the all-zero threshold
 GRID_POINTS = 8
 GRID_MIN = 0.05
-GAP_LEVELS = 4
 
 
 def sphere_oracle(a, b, c, delta, n_samples, rng):
@@ -83,70 +84,57 @@ def sphere_oracle(a, b, c, delta, n_samples, rng):
     return csum + best
 
 
-def random_instance(rng, T=None, newton_only=False):
-    """A random reduced instance ``(a, b, c, delta)`` with b = sqrt(a)|c|;
-    with ``newton_only``, redrawn until :func:`solve_batch` would take it to
-    the root-finder rather than the closed form."""
-    while True:
-        if T is None:
-            t = int(rng.integers(1, 6))
-        else:
-            t = T
-        a = rng.uniform(0.0, 2.0, t) ** 2
-        scale = rng.uniform(0.1, 2.0)
-        c = rng.standard_normal(t) * scale
-        b = np.sqrt(a) * np.abs(c)
-        delta = 10.0 ** rng.uniform(-3.0, 1.0)
-        if not newton_only:
-            return a, b, c, delta
-        newton = solve_batch(a[None], b[None], c[None], delta, strict=False)[4]
-        if newton[0]:
-            return a, b, c, delta
+def random_instance(rng):
+    """A random reduced instance ``(a, b, c, delta)`` of 1 to 5 tasks, with
+    b = sqrt(a)|c|."""
+    t = int(rng.integers(1, 6))
+    a = rng.uniform(0.0, 2.0, t) ** 2
+    scale = rng.uniform(0.1, 2.0)
+    c = rng.standard_normal(t) * scale
+    b = np.sqrt(a) * np.abs(c)
+    delta = 10.0 ** rng.uniform(-3.0, 1.0)
+    return a, b, c, delta
 
 
-def suite_safety(ds, kkt_tol=1e-8):
-    """Screened sets must sit inside the truly-zero rows of tight solves."""
+def tight_walk(ds, kkt_tol):
+    """The unscreened walk the dataset suites read: tight solves, weights
+    kept, on the ``GRID_POINTS``-level grid down to ``GRID_MIN``."""
     lmax, _ = lambda_max(ds)
     grid = LambdaGrid.log_spaced(lmax, n_points=GRID_POINTS, min_ratio=GRID_MIN)
-    cfg = SolverConfig(kkt_tol=kkt_tol)
-    screened = sequential_path(ds, grid, cfg, keep_weights=False)
-    plain = unscreened_path(ds, grid, cfg, keep_weights=True)
-    violations = 0
-    checked = 0
+    return unscreened_path(ds, grid, SolverConfig(kkt_tol=kkt_tol), keep_weights=True)
+
+
+def suite_safety(ds, plain, kkt_tol=1e-8):
+    """Screened sets must sit inside the truly-zero rows of the tight walk
+    ``plain``, screening down its grid at its tolerance ``kkt_tol``."""
+    grid = LambdaGrid([rec.lam for rec in plain.records])
+    screened = sequential_path(ds, grid, SolverConfig(kkt_tol=kkt_tol), keep_weights=False)
+    violations = checked = 0
     for rec_s, rec_u in zip(screened.records[1:], plain.records[1:]):
-        rn = rec_u.weights.row_norms()
-        active = rn > ROW_ZERO_TOL
-        bad = int((rec_s.mask.inactive & active).sum())
-        violations += bad
+        active = rec_u.weights.row_norms() > ROW_ZERO_TOL
+        violations += int((rec_s.mask.inactive & active).sum())
         checked += rec_s.n_screened
-    passed = violations == 0
-    return "safety", passed, {
+    return "safety", violations == 0, {
         "violations": violations,
         "screened_flags_checked": checked,
-        "grid_points": GRID_POINTS,
+        "grid_points": len(grid),
     }
 
 
-def suite_containment(ds, kkt_tol=1e-8):
-    """Solved dual points must lie in the certified balls (both modes)."""
-    lmax, _ = lambda_max(ds)
-    grid = LambdaGrid.log_spaced(lmax, n_points=GRID_POINTS, min_ratio=GRID_MIN)
-    cfg = SolverConfig(kkt_tol=kkt_tol)
-    plain = unscreened_path(ds, grid, cfg, keep_weights=True)
+def suite_containment(ds, plain):
+    """The tight walk's dual points must lie in the certified balls (both
+    modes)."""
     worst = 0.0
-    ref_seq = ReferenceSolution.at_lambda_max(ds)
-    ref_max = ref_seq
-    for k in range(1, len(grid)):
-        lam = float(grid.values[k])
-        theta = dual_from_primal(ds, plain.records[k].weights, lam)
+    ref_seq = ref_max = ReferenceSolution.at_lambda_max(ds)
+    for rec in plain.records[1:]:
+        solved = ReferenceSolution.from_primal(ds, rec.weights, rec.lam)
         for ref in (ref_seq, ref_max):
-            ball = dual_ball(ds, ref, lam)
-            dist = float(np.linalg.norm(theta - ball.center))
+            ball = dual_ball(ds, ref, rec.lam)
+            dist = float(np.linalg.norm(solved.theta0 - ball.center))
             ratio = dist / ball.radius if ball.radius > 0 else (0.0 if dist == 0 else np.inf)
             worst = max(worst, ratio)
-        ref_seq = ReferenceSolution.from_primal(ds, plain.records[k].weights, lam)
-    passed = worst <= 1.0 + 1e-6
-    return "containment", passed, {"worst_ratio": worst, "grid_points": GRID_POINTS}
+        ref_seq = solved
+    return "containment", worst <= 1.0 + 1e-6, {"worst_ratio": worst, "grid_points": len(plain.records)}
 
 
 def suite_qp1qc(rng, cases=200):
@@ -172,11 +160,9 @@ def suite_qp1qc(rng, cases=200):
     }
 
 
-def suite_gap(ds, kkt_tol=1e-8):
-    """Primal-dual gap nonnegative (to rounding) and small at tight solves."""
-    lmax, _ = lambda_max(ds)
-    grid = LambdaGrid.log_spaced(lmax, n_points=GAP_LEVELS + 1, min_ratio=0.1)
-    plain = unscreened_path(ds, grid, SolverConfig(kkt_tol=kkt_tol), keep_weights=True)
+def suite_gap(ds, plain):
+    """Primal-dual gap nonnegative (to rounding) and small at the tight
+    walk's levels below the threshold."""
     worst_neg = 0.0
     min_gap = np.inf
     worst_rel = 0.0
@@ -190,7 +176,7 @@ def suite_gap(ds, kkt_tol=1e-8):
         "most_negative_gap": worst_neg,
         "min_gap": min_gap,
         "worst_relative_gap": worst_rel,
-        "levels": GAP_LEVELS,
+        "levels": len(plain.records) - 1,
     }
 
 
@@ -199,27 +185,39 @@ SUITES = ("safety", "containment", "qp1qc", "gap")
 
 def run_suites(ds, suites=SUITES, seed=0, cases=200, kkt_tol=1e-8):
     """Run the selected suites, printing a table; returns True iff all pass.
-    Only the qp1qc suite draws random numbers, from ``seed``."""
+    The dataset suites share one :func:`tight_walk`, made the first time one
+    of them runs; an ``MtlError`` it raises fails each of them. Only the
+    qp1qc suite draws random numbers, from ``seed``."""
     rng = np.random.default_rng(seed)
+    shared = []  # the tight walk, or the MtlError it raised
+
+    def walk():
+        if not shared:
+            try:
+                shared.append(tight_walk(ds, kkt_tol))
+            except MtlError as e:
+                shared.append(e)
+        if isinstance(shared[0], MtlError):
+            raise shared[0]
+        return shared[0]
+
+    run = {
+        "safety": lambda: suite_safety(ds, walk(), kkt_tol),
+        "containment": lambda: suite_containment(ds, walk()),
+        "qp1qc": lambda: suite_qp1qc(rng, cases=cases),
+        "gap": lambda: suite_gap(ds, walk()),
+    }
     all_ok = True
     print(f"{'suite':<14} {'result':<6} details")
     for name in suites:
+        if name not in run:
+            raise ValueError(f"unknown suite {name!r}")
         try:
-            if name == "safety":
-                res = suite_safety(ds, kkt_tol=kkt_tol)
-            elif name == "containment":
-                res = suite_containment(ds, kkt_tol=kkt_tol)
-            elif name == "qp1qc":
-                res = suite_qp1qc(rng, cases=cases)
-            elif name == "gap":
-                res = suite_gap(ds, kkt_tol=kkt_tol)
-            else:
-                raise ValueError(f"unknown suite {name!r}")
+            _, passed, details = run[name]()
         except MtlError as e:
             all_ok = False
             print(f"{name:<14} {'FAIL':<6} error: {e}")
             continue
-        _, passed, details = res
         all_ok = all_ok and passed
         detail_str = ", ".join(f"{k}={v:.3g}" if isinstance(v, float) else f"{k}={v}" for k, v in details.items())
         print(f"{name:<14} {'pass' if passed else 'FAIL':<6} {detail_str}")

@@ -484,13 +484,17 @@ def _read_rows(path, width=None):
 
 def _json_row(line):
     """A line of JSON numbers and commas as a float64 row; None for any other."""
-    # orjson reads the integer -0 as +0.0 where numpy keeps the sign
-    if line.translate(None, _JSON_NUMBER_BYTES) or b"-0," in line or line.endswith(b"-0"):
+    if line.translate(None, _JSON_NUMBER_BYTES):
         return None
     try:
-        return np.array(orjson.loads(b"[" + line + b"]"), dtype=np.float64)
+        row = np.array(orjson.loads(b"[" + line + b"]"), dtype=np.float64)
     except orjson.JSONDecodeError:
         return None
+    # orjson reads the integer -0 as +0.0 where numpy keeps the sign, so only
+    # a row holding a zero can hold one
+    if not row.all() and (b"-0," in line or line.endswith(b"-0")):
+        return None
+    return row
 
 
 def _numpy_row(path, i, line, width):

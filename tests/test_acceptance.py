@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from mtl21.checks import random_instance, sphere_oracle
+from mtl21.checks import sphere_oracle
 from mtl21.cli import main as cli_main
 from mtl21.core import LambdaGrid, MultiTaskDataset, WeightMatrix
 from mtl21.dual import (
@@ -47,6 +47,21 @@ from mtl21.synth import SynthConfig, generate
 GRID_POINTS = 100
 GRID_MIN = 0.01
 TIGHT = 1e-8
+
+
+def fixed_t_instance(rng, t, newton_only=False):
+    """A random reduced instance ``(a, b, c, delta)`` of ``t`` tasks, drawn
+    as ``checks.random_instance`` draws one after its task count; with
+    ``newton_only``, redrawn until :func:`solve_batch` would take it to the
+    root-finder rather than the closed form."""
+    while True:
+        a = rng.uniform(0.0, 2.0, t) ** 2
+        scale = rng.uniform(0.1, 2.0)
+        c = rng.standard_normal(t) * scale
+        b = np.sqrt(a) * np.abs(c)
+        delta = 10.0 ** rng.uniform(-3.0, 1.0)
+        if not newton_only or solve_batch(a[None], b[None], c[None], delta, strict=False)[4][0]:
+            return a, b, c, delta
 
 
 def report(num, name, passed, details):
@@ -220,7 +235,7 @@ def test_criterion_05_qp1qc_oracle():
     worst_t1 = 0.0
     for _ in range(1000):
         t = int(rng.choice([1, 2, 3, 5]))
-        a, b, c, delta = random_instance(rng, T=t)
+        a, b, c, delta = fixed_t_instance(rng, t)
         s = float(solve_batch(a[None], b[None], c[None], delta)[0][0])
         ref = sphere_oracle(a, b, c, delta, 100000, rng)
         worst_under = max(worst_under, ref - s)
@@ -245,7 +260,7 @@ def test_criterion_06_newton_convergence():
     total = 1000
     for _ in range(total):
         t = int(rng.integers(1, 51))
-        a, b, c, delta = random_instance(rng, T=t, newton_only=True)
+        a, b, c, delta = fixed_t_instance(rng, t, newton_only=True)
         try:
             _, _, _, iters, _, converged = solve_batch(a[None], b[None], c[None], delta)
         except NoConvergence:

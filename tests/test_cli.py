@@ -574,6 +574,17 @@ class TestParser:
         assert all(help_ for *_, help_ in path.values())
         assert walk_options("bench") == path
 
+    def test_verify_suite_choices_are_the_checks_suites(self):
+        # cli.py lists them by hand so that it imports no numerical module
+        # before the thread pin
+        from mtl21.checks import SUITES
+
+        sub = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        (suite,) = (a for a in sub.choices["verify"]._actions if a.dest == "suite")
+        assert tuple(suite.choices) == ("all", *SUITES)
+
 
 class TestModuleDispatch:
     def test_python_dash_m_synth(self, tmp_path):

@@ -485,6 +485,7 @@ READER_FIXTURES = {
     "long-int": (["123456789012345678901234567890,18446744073709551616,-9223372036854775809"], True),
     "exponents": (["1e+05,1E5,1e-400", "1e-05,2E-3,3e+300"], True),
     "int-minus-zero": (["1.0,-0", "-0,1.0", "2.5,3.5"], False),
+    "exponent-minus-zero": (["1e-0,2", "3,1e-0"], True),
     "overflow": (["1.5,2.5", "1e400,-1e400"], False),
     "numpy-spellings": (["1.5,2.5,3.5", "+1,.5,1.", "nan,inf, 1.5", "-inf,-nan,1e3"], False),
     "crlf": (["1.5,-2.5\r", "3e2,4\r"], True),
