@@ -256,7 +256,7 @@ def cmd_bench(args):
         (_run_path(ds, grid, cfg, True), _run_path(ds, grid, cfg, False))
         for _ in range(args.reps)
     ]
-    rep_dpc, rep_plain = runs[-1]
+    rep_dpc = runs[-1][0]
     k = len(rep_dpc.records)
     screen_times = np.median(
         [[r.t_screen for r in dpc.records] for dpc, _ in runs], axis=0

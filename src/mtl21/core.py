@@ -10,9 +10,10 @@ padded entries of every dual quantity stay zero.
 
 The dataset holds the only implementation of the two products every layer is
 built from, ``forward`` (every X_t w_t) and ``adjoint`` (every X_t' theta_t,
-or just the rows of given features), the cached image of the responses
-(``response_image``, every X_t' y_t), and the one check of a dual vector
-(``dual_rows``). A dual vector has one layout, the (T, n_max) rows of
+or just the rows of given features), the constants every level reads, each
+formed on first read (``col_norms``, ``col_norm_max``, ``response_image`` =
+every X_t' y_t, ``threshold`` and ``witness_normal``), and the one check of a
+dual vector (``dual_rows``), whose one layout is the (T, n_max) rows of
 ``y_stack`` with zero padding. Construction rejects tasks that cannot be
 stacked (different column counts) but is otherwise permissive, so that
 invalid data can be held and then reported by :func:`validate_dataset`;
@@ -34,6 +35,8 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +44,7 @@ import orjson
 
 from .errors import (
     DatasetFormatError,
+    DegenerateData,
     DimensionMismatch,
     EmptyDataset,
     LambdaOutOfRange,
@@ -61,6 +65,11 @@ __all__ = [
 
 # a level counts as the all-zero threshold to this relative tolerance
 LAMBDA_EQ_RTOL = 1e-12
+
+
+def _frozen(a):
+    a.setflags(write=False)
+    return a
 
 
 def _zero_stacks(n, d):
@@ -137,7 +146,6 @@ class MultiTaskDataset:
         self.N = sum(n)
         # True on the padding of the (T, n_max) layout
         self._padding = np.arange(y_stack.shape[1]) >= np.array(n, dtype=int)[:, None]
-        self._cache = {}
 
     @property
     def T(self):
@@ -187,36 +195,48 @@ class MultiTaskDataset:
             raise DimensionMismatch("dual vector is nonzero on the padding of a shorter task")
         return R
 
-    @property
+    @cached_property
     def col_norms(self):
-        """(d, T) array of per-task column norms, computed once and cached."""
-        key = "col_norms"
-        if key not in self._cache:
-            cn = np.sqrt(np.einsum("tij,tij->jt", self.X_stack, self.X_stack, order="C"))
-            cn.setflags(write=False)
-            self._cache[key] = cn
-        return self._cache[key]
+        """(d, T) array of per-task column norms."""
+        return _frozen(np.sqrt(np.einsum("tij,tij->jt", self.X_stack, self.X_stack, order="C")))
 
-    @property
+    @cached_property
     def col_norm_max(self):
         """(d,) largest per-task column norm of each feature, sqrt(rho_l): the
         norm of the map theta -> (<x_l_t, theta_t>)_t."""
-        key = "col_norm_max"
-        if key not in self._cache:
-            cm = self.col_norms.max(axis=1)
-            cm.setflags(write=False)
-            self._cache[key] = cm
-        return self._cache[key]
+        return _frozen(self.col_norms.max(axis=1))
 
-    @property
+    @cached_property
     def response_image(self):
-        """(d, T) array X_t' y_t of the responses, computed once and cached."""
-        key = "response_image"
-        if key not in self._cache:
-            img = self.adjoint(self.y_stack)
-            img.setflags(write=False)
-            self._cache[key] = img
-        return self._cache[key]
+        """(d, T) array X_t' y_t of the responses."""
+        return _frozen(self.adjoint(self.y_stack))
+
+    @cached_property
+    def threshold(self):
+        """``(lambda_max, ell_star)``: the smallest level at which the
+        solution is all-zero, max_l sqrt(sum_t <x_l_t, y_t>^2), and the
+        smallest feature index attaining it. Raises DegenerateData, on every
+        read, when every feature is orthogonal to every response."""
+        vals = np.sqrt((self.response_image**2).sum(axis=1))
+        ell_star = int(np.argmax(vals))
+        value = float(vals[ell_star])
+        if value == 0.0:
+            raise DegenerateData(
+                "every feature is orthogonal to every response; no all-zero threshold"
+            )
+        return value, ell_star
+
+    @cached_property
+    def witness_normal(self):
+        """``(n, image)``: the threshold's normal, the witness feature's
+        constraint gradient at y/lambda_max (row t is 2 <x_l*_t, y_t> x_l*_t /
+        lambda_max, the forward image of the weights whose only nonzero row
+        is l*), and its image X't n; one forward product and one adjoint."""
+        lmax, ell_star = self.threshold
+        W = np.zeros((self.d, self.T))
+        W[ell_star] = 2.0 * self.response_image[ell_star] / lmax
+        n = self.forward(W)
+        return _frozen(n), _frozen(self.adjoint(n))
 
     def __eq__(self, other):
         if not isinstance(other, MultiTaskDataset):
@@ -355,6 +375,10 @@ class LambdaGrid:
         """
         if lambda_max <= 0:
             raise LambdaOutOfRange(f"lambda_max must be positive, got {lambda_max}")
+        try:
+            operator.index(n_points)
+        except TypeError:
+            raise LambdaOutOfRange(f"n_points must be an integer, got {n_points!r}") from None
         if n_points < 1:
             raise LambdaOutOfRange(f"need at least one grid point, got {n_points}")
         if not 0 < min_ratio <= 1:
@@ -461,25 +485,24 @@ def _read_rows(path, width=None):
     raises DatasetFormatError naming the file and the 1-based line.
     """
     try:
-        fh = open(path, "rb")
+        # latin-1 maps each byte to one character and back
+        fh = open(path, encoding="latin-1")
     except (FileNotFoundError, IsADirectoryError):
         raise DatasetFormatError(f"{path}: file not found") from None
     with fh:
-        i = 0
-        for chunk in fh:
-            for line in chunk.splitlines() if b"\r" in chunk else (chunk.rstrip(b"\n"),):
-                i += 1
-                if not line:
-                    continue
-                row = _json_row(line)
-                if row is None:
-                    row = _numpy_row(path, i, line, width)
-                width = width or len(row)
-                if len(row) != width:
-                    raise DatasetFormatError(
-                        f"{path} line {i}: expected {width} fields, got {len(row)}"
-                    )
-                yield row
+        for i, text in enumerate(fh, 1):
+            line = text.rstrip("\n").encode("latin-1")
+            if not line:
+                continue
+            row = _json_row(line)
+            if row is None:
+                row = _numpy_row(path, i, line, width)
+            width = width or len(row)
+            if len(row) != width:
+                raise DatasetFormatError(
+                    f"{path} line {i}: expected {width} fields, got {len(row)}"
+                )
+            yield row
 
 
 def _json_row(line):

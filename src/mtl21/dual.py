@@ -37,9 +37,9 @@ Carried images: a reference holds the adjoint image X't theta0, and a ball
 X't center, on an increasing index array ``rows`` of features, one row each
 holding the per-task inner products of that feature with the vector.
 Screening needs only these rows, and the adjoint is linear, so each image is
-formed with the same linear combination as its vector, from the cached
+formed with the same linear combination as its vector, from the dataset's
 response image X't y, the reference's image and, at the threshold, the
-witness normal's image, a per-dataset constant.
+dataset's witness normal image.
 
 Carried bounds: along a path, :class:`ScoreBounds` carries for every feature
 an upper bound on the largest ||X_l' theta|| over the last ball, and moves it
@@ -60,12 +60,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LAMBDA_EQ_RTOL, _check_lambda, as_weight_values, l21_norm
+from .core import LAMBDA_EQ_RTOL, _check_lambda, _frozen, as_weight_values, l21_norm
 from .errors import (
-    DegenerateData,
     DimensionMismatch,
     LambdaOutOfRange,
     NegativeInnerProduct,
+    NonFinite,
 )
 
 __all__ = [
@@ -93,11 +93,6 @@ def _norm(v):
     return math.sqrt(_dot(v, v))
 
 
-def _frozen(a):
-    a.setflags(write=False)
-    return a
-
-
 def feature_constraint_all(ds, theta):
     """Constraint values of every feature at once; returns a (d,) array."""
     return (ds.adjoint(ds.dual_rows(theta)) ** 2).sum(axis=1)
@@ -110,38 +105,9 @@ def dual_feasibility_violation(ds, theta):
 
 
 def lambda_max(ds):
-    """Smallest level at which the solution is all-zero, with its witness.
-
-    Returns ``(value, ell_star)`` where value = max_l sqrt(sum_t
-    <x_l_t, y_t>^2) and ell_star is the smallest maximizing feature index.
-    Cached on the dataset (the inputs are immutable).
-    """
-    key = "lambda_max"
-    if key not in ds._cache:
-        vals = np.sqrt((ds.response_image**2).sum(axis=1))
-        ell_star = int(np.argmax(vals))
-        value = float(vals[ell_star])
-        if value == 0.0:
-            raise DegenerateData(
-                "every feature is orthogonal to every response; no all-zero threshold"
-            )
-        ds._cache[key] = (value, ell_star)
-    return ds._cache[key]
-
-
-def _witness_normal(ds):
-    """The threshold's normal, the witness feature's constraint gradient at
-    y/lambda_max (row t is 2 <x_l*_t, y_t> x_l*_t / lambda_max, the forward
-    image of the weights whose only nonzero row is l*), and its image X't n:
-    one forward product and one adjoint per dataset, cached."""
-    key = "witness_normal"
-    if key not in ds._cache:
-        lmax, ell_star = lambda_max(ds)
-        W = np.zeros((ds.d, ds.T))
-        W[ell_star] = 2.0 * ds.response_image[ell_star] / lmax
-        n = ds.forward(W)
-        ds._cache[key] = (_frozen(n), _frozen(ds.adjoint(n)))
-    return ds._cache[key]
+    """``(value, ell_star)``: the smallest level at which the solution is
+    all-zero and its witness feature, the dataset's ``threshold``."""
+    return ds.threshold
 
 
 def dual_from_primal(ds, W, lam, support=None):
@@ -161,7 +127,7 @@ def dual_from_primal(ds, W, lam, support=None):
 
 
 def _at_threshold(ds, lambda0):
-    return math.isclose(lambda0, lambda_max(ds)[0], rel_tol=LAMBDA_EQ_RTOL, abs_tol=0.0)
+    return math.isclose(lambda0, ds.threshold[0], rel_tol=LAMBDA_EQ_RTOL, abs_tol=0.0)
 
 
 def _image_rows(ds, theta, rows, held, image):
@@ -222,7 +188,7 @@ def _offset(ds, lambda0, l21):
     below the threshold, 2 ||X_l*' y|| / lambda_max at it, whatever the
     weights, since there the ball cuts along the witness normal."""
     if _at_threshold(ds, lambda0):
-        lmax, ell_star = lambda_max(ds)
+        lmax, ell_star = ds.threshold
         l21, lambda0 = 2.0 * _norm(ds.response_image[ell_star]), lmax
     return l21 / lambda0 * (1.0 + _ball_rtol(ds))
 
@@ -268,7 +234,8 @@ class ReferenceSolution:
     holds on the feasible set, for the normal n that theta0 and lambda0 fix
     (see the module notes). ``offset`` +inf claims no half-space, so its
     balls stay uncut; a negative one excludes the zero point of the feasible
-    set and raises NegativeInnerProduct.
+    set and raises NegativeInnerProduct. A NaN or infinite level, dual point
+    or image raises NonFinite.
     """
 
     lambda0: float
@@ -278,8 +245,12 @@ class ReferenceSolution:
     rows: np.ndarray | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.lambda0):
+            raise NonFinite(f"reference level must be finite, got {self.lambda0}")
         if self.lambda0 <= 0:
             raise LambdaOutOfRange(f"reference level must be positive, got {self.lambda0}")
+        if not (np.isfinite(self.theta0).all() and np.isfinite(self.image).all()):
+            raise NonFinite("a reference's dual point and image must be finite")
         if not self.offset >= 0:
             raise NegativeInnerProduct(
                 f"half-space offset {self.offset} excludes 0, a feasible point; "
@@ -294,7 +265,7 @@ class ReferenceSolution:
     def at_lambda_max(cls, ds):
         """Reference at the all-zero threshold, where the dual point is known
         in closed form (y/lambda_max)."""
-        lmax, _ = lambda_max(ds)
+        lmax, _ = ds.threshold
         theta0 = _frozen(ds.y_stack / lmax)
         return cls(lmax, theta0, ds.response_image / lmax, _offset(ds, lmax, 0.0))
 
@@ -395,7 +366,7 @@ def dual_ball(ds, ref, lam, bounds=None):
         raise LambdaOutOfRange(
             f"target level {lam} must be below the reference level {ref.lambda0}"
         )
-    lmax, _ = lambda_max(ds)
+    lmax, _ = ds.threshold
     if ref.lambda0 > lmax * (1 + LAMBDA_EQ_RTOL):
         raise LambdaOutOfRange(f"reference level {ref.lambda0} outside (0, {lmax}]")
     y = ds.y_stack
@@ -409,7 +380,7 @@ def dual_ball(ds, ref, lam, bounds=None):
     radius = 0.5 * _norm(y / lam - th_f)
 
     at_threshold = _at_threshold(ds, ref.lambda0)
-    n = _witness_normal(ds)[0] if at_threshold else y / ref.lambda0 - th0
+    n = ds.witness_normal[0] if at_threshold else y / ref.lambda0 - th0
     n_norm = _norm(n)
     # the rounding of n and of <n, c>, over the uncut ball
     slack = rtol * (rho * ref.offset + _norm(y) / ref.lambda0) * (_norm(center) + radius)
@@ -434,6 +405,6 @@ def dual_ball(ds, ref, lam, bounds=None):
     image = response * (0.5 / lam)
     image += (0.5 * s) * image0
     if tau > 0:
-        n_image = _witness_normal(ds)[1][rows] if at_threshold else response / ref.lambda0 - image0
+        n_image = ds.witness_normal[1][rows] if at_threshold else response / ref.lambda0 - image0
         image -= tau * n_image
     return DualBall(center, radius, lam, ref.lambda0, image, rows, moved)

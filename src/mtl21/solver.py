@@ -149,16 +149,17 @@ def kkt_residual(ds, W, lam):
 
 def duality_gap(ds, W, lam):
     """Primal objective minus the dual objective at the feasibility-scaled
-    dual point induced by W. Nonnegative up to rounding; shrinks to zero as
-    the fit tightens."""
+    dual point induced by W, both read from one forward product. Nonnegative
+    up to rounding; shrinks to zero as the fit tightens."""
     lam = _check_lambda(lam)
     V = as_weight_values(W, ds.d, ds.T)
-    theta = (ds.y_stack - ds.forward(V)) / lam
+    R = ds.forward(V) - ds.y_stack
+    theta = R / -lam
     gmax = float(feature_constraint_all(ds, theta).max(initial=0.0))
     scale = 1.0 / max(1.0, np.sqrt(gmax))
     th, y = (theta * scale).ravel(), ds.y_stack.ravel()
     dual_val = lam * float(np.dot(th, y)) - 0.5 * lam * lam * float(np.dot(th, th))
-    return objective(ds, V, lam) - dual_val
+    return _loss(R) + lam * l21_norm(V) - dual_val
 
 
 def fit(ds, lam, cfg=None):

@@ -23,7 +23,6 @@ from mtl21.cli import main as cli_main
 from mtl21.core import LambdaGrid, MultiTaskDataset, WeightMatrix
 from mtl21.dual import (
     ReferenceSolution,
-    _witness_normal,
     dual_ball,
     dual_feasibility_violation,
     dual_from_primal,
@@ -383,7 +382,7 @@ def test_criterion_10_gradient_and_homogeneity():
         theta = rng.standard_normal(ds.y_stack.shape)
         lmax, ell = lambda_max(ds)
         at = ds.y_stack / lmax
-        grad = _witness_normal(ds)[0]
+        grad = ds.witness_normal[0]
         fd = np.zeros(at.shape)
         h = 1e-6
         for i in np.ndindex(at.shape):

@@ -228,6 +228,13 @@ class TestLambdaGrid:
         grid = LambdaGrid.log_spaced(3.0, n_points=1, min_ratio=0.01)
         np.testing.assert_array_equal(grid.values, [3.0])
 
+    def test_log_spaced_rejects_non_integer_points(self):
+        # 2.5 points would give ratios 1, 0.215, 0.1, which are not constant
+        for n_points in (2.5, 3.0, math.nan, "3"):
+            with pytest.raises(LambdaOutOfRange, match="integer"):
+                LambdaGrid.log_spaced(1.0, n_points=n_points)
+        assert len(LambdaGrid.log_spaced(1.0, n_points=np.int64(3))) == 3
+
     def test_rejects_non_decreasing(self):
         with pytest.raises(LambdaOutOfRange):
             LambdaGrid([1.0, 1.0, 0.5])
@@ -402,6 +409,12 @@ class TestDatasetIO:
             lines = task.read_bytes().splitlines()
             lines[-1] = lines[-1].rsplit(b",", 1)[0] + b",+1"
             task.write_bytes(b"\n".join(lines) + b"\n")
+        stack, peak = load_peak()
+        assert peak < stack + table
+        # a file whose lines end in a lone \r is still read line by line
+        for t in range(T):
+            task = out / f"task_{t}.csv"
+            task.write_bytes(task.read_bytes().replace(b"\n", b"\r"))
         stack, peak = load_peak()
         assert peak < stack + table
 

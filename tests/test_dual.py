@@ -8,7 +8,6 @@ from mtl21.core import MultiTaskDataset
 from mtl21.dual import (
     DualBall,
     ReferenceSolution,
-    _witness_normal,
     dual_ball,
     dual_feasibility_violation,
     dual_from_primal,
@@ -20,8 +19,10 @@ from mtl21.errors import (
     DimensionMismatch,
     LambdaOutOfRange,
     NegativeInnerProduct,
+    NonFinite,
     NonPositiveLambda,
 )
+from mtl21.solver import SolverConfig, fit
 from mtl21.synth import SynthConfig, generate
 
 
@@ -82,7 +83,7 @@ class TestFeatureConstraint:
         ds = random_dataset(rng, T=2, d=5, n=4)
         lmax, ell = lambda_max(ds)
         th = ds.y_stack / lmax
-        grad = _witness_normal(ds)[0]
+        grad = ds.witness_normal[0]
         assert grad.shape == th.shape
         h = 1e-6
         for i in np.ndindex(th.shape):
@@ -97,7 +98,7 @@ class TestFeatureConstraint:
     def test_gradient_hand_value(self):
         # lambda_max = 2 with witness 0; its gradient at y/2 = (1, 0) is (2, 0)
         ds = hand_dataset()
-        np.testing.assert_allclose(_witness_normal(ds)[0], [[2.0, 0.0]])
+        np.testing.assert_allclose(ds.witness_normal[0], [[2.0, 0.0]])
 
 
 class TestViolation:
@@ -145,9 +146,35 @@ class TestLambdaMax:
         with pytest.raises(DegenerateData):
             lambda_max(ds)
 
-    def test_cached_on_dataset(self):
-        ds = hand_dataset()
-        assert lambda_max(ds) is lambda_max(ds)
+    def test_cached_on_dataset(self, monkeypatch):
+        # the five per-dataset constants are formed on first read only
+        ds = random_dataset(np.random.default_rng(9))
+        names = ("col_norms", "col_norm_max", "response_image", "threshold", "witness_normal")
+        first = {name: getattr(ds, name) for name in names}
+        products = []
+        for op in ("forward", "adjoint"):
+            inner = getattr(ds, op)
+
+            def counted(*args, _op=op, _inner=inner, **kwargs):
+                products.append(_op)
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(ds, op, counted)
+        for name in names:
+            assert getattr(ds, name) is first[name], name
+        assert lambda_max(ds) is ds.threshold
+        assert products == []
+        arrays = [first[name] for name in names[:3]] + list(first["witness_normal"])
+        for a in arrays:
+            assert isinstance(a, np.ndarray) and not a.flags.writeable
+        # a dataset with no threshold raises on every read, never caching
+        degenerate = MultiTaskDataset([(np.eye(2), np.zeros(2))])
+        for _ in range(2):
+            for read in (lambda: degenerate.threshold, lambda: degenerate.witness_normal):
+                with pytest.raises(DegenerateData):
+                    read()
+            with pytest.raises(DegenerateData):
+                lambda_max(degenerate)
 
 
 class TestDualFromPrimal:
@@ -246,6 +273,42 @@ class TestReferenceSolution:
         theta0 = np.array([[1.0, 0.0]])
         with pytest.raises(LambdaOutOfRange):
             ReferenceSolution(lambda0=0.0, theta0=theta0, image=ds.adjoint(theta0), offset=1.0)
+
+    def test_solve_with_nan_level_is_non_finite(self):
+        # the solve's residual over a NaN level is all NaN: the level is named
+        # as non-finite before the offset check sees a NaN offset
+        ds = hand_dataset()
+        res = fit(ds, 1.0, SolverConfig(kkt_tol=1e-10))
+        with pytest.raises(NonFinite):
+            ReferenceSolution.from_primal(ds, res.weights, math.nan, solve=res)
+        with pytest.raises(NonFinite):
+            ReferenceSolution.from_primal(ds, res.weights, math.nan)
+
+    def test_rejects_infinite_level(self):
+        ds = hand_dataset()
+        theta0 = np.array([[1.0, 0.0]])
+        for level in (math.inf, -math.inf):
+            with pytest.raises(NonFinite):
+                ReferenceSolution(level, theta0, ds.adjoint(theta0), 1.0)
+        with pytest.raises(NonFinite):
+            ReferenceSolution.from_primal(ds, np.zeros((2, 1)), math.inf)
+
+    def test_rejects_nan_dual_point(self):
+        # a NaN theta0 would make dual_ball's radius NaN
+        ds = hand_dataset()
+        theta0 = np.array([[math.nan, 0.0]])
+        with pytest.raises(NonFinite):
+            ReferenceSolution(1.0, theta0, ds.adjoint(np.array([[1.0, 0.0]])), 1.0)
+
+    def test_rejects_nan_image_row(self):
+        # the scaling's max(1, g_max) would drop a NaN row, giving a finite
+        # ball whose scores are NaN
+        ds = hand_dataset()
+        theta0 = np.array([[1.0, 0.0]])
+        image = ds.adjoint(theta0)
+        image[1] = math.nan
+        with pytest.raises(NonFinite):
+            ReferenceSolution(1.0, theta0, image, 1.0)
 
 
 class TestDualBall:

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from mtl21.core import MultiTaskDataset, WeightMatrix, l21_norm
-from mtl21.dual import ReferenceSolution, dual_ball, dual_from_primal, lambda_max
+from mtl21.dual import (
+    ReferenceSolution,
+    dual_ball,
+    dual_from_primal,
+    feature_constraint_all,
+    lambda_max,
+)
 from mtl21.errors import (
     MaxItersExceeded,
     NonFinite,
@@ -327,6 +333,23 @@ class TestDualityGap:
         assert g_tight >= -1e-12
         assert g_tight <= 1e-6
         assert g_tight <= g_rough
+
+    def test_one_forward_product(self, monkeypatch):
+        # the residual rows give both the dual point and the loss
+        rng = np.random.default_rng(31)
+        ds = random_dataset(rng, T=3, d=12, n=20)
+        lam = 0.3 * lambda_max(ds)[0]
+        W = fit(ds, lam, SolverConfig(kkt_tol=1e-4)).weights.values
+        theta = (ds.y_stack - ds.forward(W)) / lam
+        scale = 1.0 / max(1.0, np.sqrt(float(feature_constraint_all(ds, theta).max())))
+        th, y = (theta * scale).ravel(), ds.y_stack.ravel()
+        dual_val = lam * float(np.dot(th, y)) - 0.5 * lam * lam * float(np.dot(th, th))
+        expected = objective(ds, W, lam) - dual_val
+        forward = ds.forward
+        calls = []
+        monkeypatch.setattr(ds, "forward", lambda V: calls.append(1) or forward(V))
+        assert duality_gap(ds, W, lam) == expected
+        assert len(calls) == 1
 
 
 class TestNorms:
