@@ -129,11 +129,19 @@ class MultiTaskDataset:
 
     @classmethod
     def _from_stacks(cls, X_stack, y_stack, n):
-        """A dataset that takes over stacks from :func:`_zero_stacks`, filled
-        with tasks of ``n[t]`` rows, without copying them."""
+        """A dataset that takes over stacks laid out as :func:`_zero_stacks`
+        lays them out, filled with tasks of ``n[t]`` rows, without copying
+        them."""
         ds = cls.__new__(cls)
         ds._adopt(X_stack, y_stack, n)
         return ds
+
+    def _columns(self, rows):
+        """The dataset of the given features' columns, in that order, with
+        the same responses: one gathered copy of those columns, laid out
+        like every stack, that shares ``y_stack``."""
+        XT = np.take(np.swapaxes(self.X_stack, 1, 2), rows, axis=1)
+        return MultiTaskDataset._from_stacks(XT.swapaxes(1, 2), self.y_stack, self.n_per_task)
 
     def _adopt(self, X_stack, y_stack, n):
         X_stack.setflags(write=False)
@@ -184,8 +192,8 @@ class MultiTaskDataset:
 
     def dual_rows(self, theta):
         """A dual vector as float64 (T, n_max) rows, checked to have the shape
-        of ``y_stack`` and exact zeros on the padding; raises
-        DimensionMismatch otherwise."""
+        of ``y_stack`` and exact zeros on the padding, else raising
+        DimensionMismatch, and finite entries, else raising NonFinite."""
         R = np.asarray(theta, dtype=np.float64)
         if R.shape != self.y_stack.shape:
             raise DimensionMismatch(
@@ -193,6 +201,8 @@ class MultiTaskDataset:
             )
         if R[self._padding].any():
             raise DimensionMismatch("dual vector is nonzero on the padding of a shorter task")
+        if not np.isfinite(R).all():
+            raise NonFinite("dual vector has a non-finite entry")
         return R
 
     @cached_property

@@ -146,6 +146,11 @@ def test_dual_rows_check_the_padded_layout():
     for bad in (np.arange(5.0), rows.T, rows[:, :2], leaky):
         with pytest.raises(DimensionMismatch):
             ds.dual_rows(bad)
+    for value in (np.nan, np.inf, -np.inf):
+        bad = rows.copy()
+        bad[0, 1] = value
+        with pytest.raises(NonFinite):
+            ds.dual_rows(bad)
 
 
 def test_package_exports_resolve():

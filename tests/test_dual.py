@@ -110,6 +110,13 @@ class TestViolation:
         ds = hand_dataset()
         assert dual_feasibility_violation(ds, np.array([[0.1, 0.1]])) == 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_is_refused(self, bad):
+        # a NaN constraint value would read as no violation at all
+        ds = hand_dataset()
+        with pytest.raises(NonFinite):
+            dual_feasibility_violation(ds, np.array([[bad, 0.0]]))
+
     def test_scaled_response_boundary(self):
         # y/lambda is feasible exactly down to lambda_max
         rng = np.random.default_rng(8)

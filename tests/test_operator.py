@@ -251,6 +251,7 @@ class Counter:
     their columns, and any other call reads all d."""
 
     def __init__(self, ds):
+        self.ds = ds
         self.calls = {"forward": 0, "adjoint": 0}
         self.rows = {"forward": [], "adjoint": []}
         for name in self.calls:
@@ -267,14 +268,24 @@ class Counter:
 
 
 class TestProductBudget:
-    def test_fit_makes_one_adjoint_per_iteration(self):
+    def test_fit_makes_one_adjoint_per_iteration(self, monkeypatch):
         ds, _ = generate(SynthConfig(kind="s1", tasks=4, n_per_task=20, d=80, seed=5))
         lam = 0.2 * lambda_max(ds)[0]
         count = Counter(ds)
+        blocks = []  # a counter on each block of live rows fit builds
+        columns = ds._columns
+
+        def counted_columns(rows):
+            blocks.append(Counter(columns(rows)))
+            return blocks[-1].ds
+
+        monkeypatch.setattr(ds, "_columns", counted_columns)
         res = fit(ds, lam, SolverConfig(kkt_tol=1e-8))
-        assert res.n_iters > 10
-        # the start point's gradient, then one per accepted iterate
-        assert count.calls["adjoint"] == res.n_iters + 1
+        assert res.n_iters > 10 and blocks
+        # the start point's full-width gradient, one per accepted iterate on
+        # its live block or full-width, and the full-width certificate
+        full = sum(rows is None for rows in count.rows["adjoint"])
+        assert full + sum(b.calls["adjoint"] for b in blocks) == res.n_iters + 2
 
     @pytest.mark.parametrize("sizes", [(6, 6, 6, 6), SIZES], ids=["equal", "unequal"])
     def test_threshold_reference_makes_one_adjoint(self, sizes):

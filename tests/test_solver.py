@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from mtl21.core import MultiTaskDataset, WeightMatrix, l21_norm
+import mtl21.solver
+from mtl21.core import LambdaGrid, MultiTaskDataset, WeightMatrix, l21_norm
 from mtl21.dual import (
     ReferenceSolution,
     dual_ball,
@@ -31,6 +32,8 @@ from mtl21.solver import (
     reduce_weighted,
     weighted_objective,
 )
+from mtl21.screening import unscreened_path
+from mtl21.synth import SynthConfig, generate
 
 
 def hand_dataset():
@@ -265,17 +268,39 @@ def scaled_dataset(rng, sizes, scales):
 
 
 def counted_fit(ds, lam, cfg):
-    """fit, and the number of adjoint products it made (ds keeps counting)."""
-    calls = []
-    adjoint = ds.adjoint
+    """fit, and the adjoint products it made: ``full`` on every column of
+    ds, ``block`` on a block of its live rows' columns, ``rows`` gathered
+    for given rows, and ``blocks`` the blocks built (ds keeps counting)."""
+    calls = dict.fromkeys(("full", "block", "rows", "blocks"), 0)
+    adjoint, columns = ds.adjoint, ds._columns
 
-    def counted(R):
-        calls.append(1)
-        return adjoint(R)
+    def counted(R, rows=None):
+        calls["full" if rows is None else "rows"] += 1
+        return adjoint(R, rows)
 
-    ds.adjoint = counted
+    def counted_columns(rows):
+        calls["blocks"] += 1
+        block = columns(rows)
+        block_adjoint = block.adjoint
+
+        def counted_block(R):
+            calls["block"] += 1
+            return block_adjoint(R)
+
+        block.adjoint = counted_block
+        return block
+
+    ds.adjoint, ds._columns = counted, counted_columns
     res = fit(ds, lam, cfg)
-    return res, len(calls)
+    return res, dict(calls)
+
+
+def budgeted_adjoints(res, calls):
+    """Full-width and live-block adjoints a fit that certifies at its first
+    try makes: one per iteration, on its live block or full-width, one
+    full-width at the start, and, when it used a block, one full-width to
+    certify every row."""
+    return res.n_iters + (2 if calls["blocks"] else 1)
 
 
 @pytest.mark.parametrize("sizes", LAYOUTS.values(), ids=LAYOUTS.keys())
@@ -290,10 +315,10 @@ class TestStepStart:
         warm = np.zeros((ds.d, ds.T))
         warm[:2] = 1.0  # the restricted sum is 0, so the 1e-12 floor applies
         lam = 0.2 * lambda_max(ds)[0]
-        res, adjoints = counted_fit(ds, lam, SolverConfig(kkt_tol=1e-8, warm_start=warm))
+        res, calls = counted_fit(ds, lam, SolverConfig(kkt_tol=1e-8, warm_start=warm))
         assert kkt_residual(ds, res.weights, lam) <= 2e-8
         assert not res.weights.values[:2].any()
-        assert adjoints == res.n_iters + 1
+        assert calls["full"] + calls["block"] == budgeted_adjoints(res, calls)
 
     def test_start_below_curvature_backtracks_to_the_optimum(self, sizes):
         scales = np.array([0.05, 0.05, 0.05, 1.0, 1.0, 6.0, 6.0, 6.0])
@@ -308,10 +333,83 @@ class TestStepStart:
         start = (ds.col_norms[:3] ** 2).sum(axis=0).max() / 8.0
         curvature = max(np.linalg.norm(X[:, active], 2) ** 2 for X in ds.X)
         assert start < 1e-2 * curvature
-        res, adjoints = counted_fit(ds, lam, SolverConfig(kkt_tol=1e-8, warm_start=warm))
+        res, calls = counted_fit(ds, lam, SolverConfig(kkt_tol=1e-8, warm_start=warm))
         assert kkt_residual(ds, res.weights, lam) <= 2e-8
         assert math.isclose(res.objective, cold.objective, rel_tol=1e-8)
-        assert adjoints == res.n_iters + 1
+        assert calls["full"] + calls["block"] == budgeted_adjoints(res, calls)
+
+
+@pytest.fixture
+def live_rows_case():
+    """An s1 dataset with d = 400 and a level of 0.2 lambda_max, at which a
+    cold fit's live rows are a strict subset that grows mid-solve."""
+    ds, _ = generate(SynthConfig(kind="s1", tasks=4, n_per_task=20, d=400, seed=0))
+    return ds, 0.2 * lambda_max(ds)[0]
+
+
+class TestLiveRows:
+    """fit iterates on its live rows' columns and certifies on every row."""
+
+    def test_live_rows_grow_and_certify(self, live_rows_case):
+        ds, lam = live_rows_case
+        res, calls = counted_fit(ds, lam, SolverConfig())
+        # a block at the start, and a larger one after a refresh added rows
+        assert calls["blocks"] >= 2
+        assert kkt_residual(ds, res.weights, lam) <= SolverConfig().kkt_tol
+
+    def test_a_lying_bound_costs_iterations_not_safety(self, live_rows_case, monkeypatch):
+        ds, lam = live_rows_case
+        honest = fit(ds, lam, SolverConfig())
+        # half the support at twice its optimal value: some support rows
+        # start well inside lam, dead
+        support = np.flatnonzero(honest.weights.row_norms() > 0)
+        keep = np.random.default_rng(0).choice(support, len(support) // 2, replace=False)
+        warm = np.zeros((ds.d, ds.T))
+        warm[keep] = 2.0 * honest.weights.values[keep]
+        # a bound that never asks for a refresh keeps those rows dead until
+        # the full-width certificate flags them
+        monkeypatch.setattr(mtl21.solver, "_dead_slack", lambda u, col_norm_max, lam: np.inf)
+        res, calls = counted_fit(ds, lam, SolverConfig(warm_start=warm))
+        assert calls["blocks"] >= 2
+        assert res.kkt_residual <= SolverConfig().kkt_tol
+        assert kkt_residual(ds, res.weights, lam) <= SolverConfig().kkt_tol
+        assert math.isclose(res.objective, honest.objective, rel_tol=1e-9)
+
+    def test_max_iters_carries_full_width_weights(self, live_rows_case, monkeypatch):
+        ds, lam = live_rows_case
+        widths = []
+        columns = ds._columns
+        monkeypatch.setattr(ds, "_columns", lambda rows: widths.append(len(rows)) or columns(rows))
+        with pytest.raises(MaxItersExceeded) as ei:
+            fit(ds, lam, SolverConfig(max_iters=3))
+        assert widths and max(widths) < ds.d
+        assert ei.value.weights.values.shape == (ds.d, ds.T)
+        assert math.isclose(
+            ei.value.residual, kkt_residual(ds, ei.value.weights, lam), rel_tol=1e-6
+        )
+
+    def test_gradient_is_the_full_width_image_of_the_residual(self, live_rows_case):
+        ds, lam = live_rows_case
+        res, calls = counted_fit(ds, lam, SolverConfig())
+        assert calls["blocks"] and res.gradient.shape == (ds.d, ds.T)
+        W = res.weights.values
+        np.testing.assert_allclose(res.residual, ds.forward(W) - ds.y_stack, rtol=0, atol=1e-12)
+        scale = np.abs(res.gradient).max()
+        np.testing.assert_allclose(
+            res.gradient, ds.adjoint(res.residual), rtol=0, atol=1e-13 * scale
+        )
+
+
+def test_tight_walk_does_not_stall_at_loss_rounding():
+    # correlated columns and a 1e-9 certificate: a step test on the
+    # difference of two losses forgives about 1e-12 of the loss, so it
+    # stopped telling steps apart and one level here took 17019 iterations
+    ds, _ = generate(SynthConfig(kind="s2", tasks=4, n_per_task=20, d=150, seed=6))
+    grid = LambdaGrid.log_spaced(lambda_max(ds)[0], 15, 0.05)
+    report = unscreened_path(ds, grid, SolverConfig(kkt_tol=1e-9), keep_weights=True)
+    assert max(r.n_iters for r in report.records) < 2000
+    for r in report.records[1:]:
+        assert kkt_residual(ds, r.weights, r.lam) <= 1e-9 * (1.0 + 1e-6)
 
 
 class TestDualityGap:
