@@ -27,34 +27,23 @@ apart once the losses agree to about 1e-12, far above the rounding of the
 residual rows, and tight certificates then stall.
 
 The iteration runs on the live rows and holds every other row, dead, at
-exact zero. A row is live if it is nonzero in the warm start or if its
-gradient norm ||X_l' R|| at the start reaches ``LIVE_SHARE`` * lam. The
-proximal step keeps a dead row at exact zero, as the full-width iteration
-would, while its gradient norm at the momentum point and at the accepted
-iterate stays within lam, and that norm at residual rows R' is at most
-u_l + sqrt(rho_l) ||R' - R_ref||, where R_ref are the residual rows of the
-last full-width adjoint, u_l the row's gradient norm there and sqrt(rho_l)
-its largest per-task column norm. After each accepted step the solver
-compares ||R - R_ref|| + ||R - R_prev||, which bounds the next momentum
-point's distance from R_ref because its extrapolation weight is below 1,
-with the smallest dead-row slack (lam - u_l) / sqrt(rho_l). When the check
-fails, that iteration's adjoint is full-width: the bound restarts from it,
-and the dead rows that may reach lam from the next momentum point, or whose
-gradient norm reaches ``LIVE_SHARE`` * lam, join the live rows at zero. The
-live rows only grow within a fit, and in exact arithmetic the iterates are
-the full-width iteration's. The bound does not certify the result: once the
-live rows certify, one full-width adjoint certifies every row, and the rows
-it flags join the live rows and the iteration goes on, so a wrong bound
-costs iterations and never a wrong result. With every row live the
-iteration is the full-width one, with no block and no drift norms.
+exact zero, as a strong-rule working set does (Tibshirani et al., JRSS-B
+2012). A row is live if it is nonzero in the warm start or if its gradient
+norm ||X_l' R|| at the start reaches ``LIVE_SHARE`` * lam. Nothing is
+assumed of the dead rows while the live rows move: once the live rows
+certify, one full-width adjoint certifies every row. If that certificate
+fails, the dead rows whose gradient norm there reaches ``LIVE_SHARE`` * lam
+join the live rows at zero and the momentum restarts; the live rows only
+grow within a fit, and a row left out costs iterations, never a wrong
+result. With every row live the iteration is the full-width one, and its
+certificate reads the iteration's own adjoint.
 
 An iteration makes one forward product per step trial (the candidate's
 residual rows) and one adjoint (the accepted iterate's gradient), on the
-live rows' columns or, when it refreshes the bound, full-width. The
-momentum point's residual rows and gradient are the same linear combination
-of the last two accepted iterates' images, so they cost no product; the
-certificate is always evaluated from the fresh forward and adjoint products
-of the accepted iterate itself.
+live rows' columns. The momentum point's residual rows and gradient are the
+same linear combination of the last two accepted iterates' images, so they
+cost no product; the certificate is always evaluated from the fresh forward
+and adjoint products of the accepted iterate itself.
 """
 
 from __future__ import annotations
@@ -204,25 +193,6 @@ def duality_gap(ds, W, lam):
     return _loss(R) + lam * l21_norm(V) - dual_val
 
 
-def _dead_slack(u, col_norm_max, lam):
-    """How far, in Frobenius norm, the residual rows may move from the
-    reference before some dead row's gradient norm can reach ``lam``: the
-    smallest (lam - u_l) / sqrt(rho_l) over the dead rows, given their
-    gradient norms ``u`` at the reference and their ``col_norm_max``; +inf
-    without a dead row, and for a row of zero columns."""
-    with np.errstate(divide="ignore"):
-        return float(((lam - u) / col_norm_max).min(initial=np.inf))
-
-
-def _widen(A, kept, rows):
-    """(len(kept), T) rows: those of ``A``, in order, where ``kept`` holds,
-    and those of ``rows`` (or the scalar) at the other positions."""
-    out = np.empty((len(kept), A.shape[1]))
-    out[kept] = A
-    out[~kept] = rows
-    return out
-
-
 def fit(ds, lam, cfg=None):
     """Minimize the row-sparse objective at one regularization level.
 
@@ -234,17 +204,13 @@ def fit(ds, lam, cfg=None):
 
     The iteration runs on the live rows (see the module docstring). An
     iteration costs one forward product per step trial and one adjoint, on
-    the live rows' columns or, when it refreshes the bound that keeps the
-    other rows dead, full-width. Beside those, a fit makes a full-width
-    adjoint at the start and one at each full-width certificate, and a
-    column-gathered adjoint for the rows a refresh adds when the momentum
-    point is not the accepted iterate. A fit that keeps every row live makes
-    ``n_iters + 1`` adjoints in all, each full-width; one that drops some and
-    certifies at its first try on an iteration without a refresh makes
-    ``n_iters + 2`` full-width and live-block adjoints. Raises
-    :class:`MaxItersExceeded` (carrying the best iterate, with all d rows,
-    its residual and the iterations spent) if the tolerance is not met in
-    ``cfg.max_iters`` iterations.
+    the live rows' columns, or full-width when every row is live. Beside
+    those, a fit makes a full-width adjoint at the start and one at each
+    full-width certificate of a live block: ``n_iters + 1`` adjoints in all,
+    plus one per such certificate. Raises :class:`MaxItersExceeded`
+    (carrying the iterate that came closest to the tolerance, with all d
+    rows, the full-width residual of those weights and the iterations spent)
+    if the tolerance is not met in ``cfg.max_iters`` iterations.
     """
     cfg = cfg or SolverConfig()
     lam = _check_lambda(lam)
@@ -282,16 +248,17 @@ def fit(ds, lam, cfg=None):
                 return cand, Rc, rn_c, _loss(Rc) + lam * float(rn_c.sum()), L
             L *= 2.0
 
-    def joins(G_ref, live, step):
-        # dead rows that may reach lam within `step` of R_ref, or whose
-        # gradient there already reaches LIVE_SHARE of lam
-        u = _row_norms(G_ref)
-        return ~live & ((u >= LIVE_SHARE * lam) | (u + ds.col_norm_max * step > lam))
+    def joins(G_full, live):
+        # dead rows whose gradient norm reaches LIVE_SHARE of lam
+        return ~live & (_row_norms(G_full) >= LIVE_SHARE * lam)
 
-    def slack_at(G_ref):
-        # the dead rows' slack around R_ref
-        dead = ~live
-        return _dead_slack(_row_norms(G_ref[dead]), ds.col_norm_max[dead], lam)
+    def on_live(live, W_full, G_full):
+        # the live rows' indices, the operator on their columns (ds itself
+        # when every row is live) and their rows of the weights and gradient
+        idx = np.flatnonzero(live)
+        if len(idx) == d:
+            return idx, ds, W_full, G_full
+        return idx, ds._columns(idx), W_full[idx], G_full[idx]
 
     def full(A, idx):
         # the rows idx of a (d, T) matrix that is zero elsewhere
@@ -303,18 +270,12 @@ def fit(ds, lam, cfg=None):
 
     # accepted iterate W: its residual rows R = X.W - y and gradient G; V is
     # the momentum point, with its residual rows and gradient. W, G, V and GV
-    # hold the live rows idx only; G_ref is the full-width gradient at R_ref,
-    # the residual rows of the last full adjoint
+    # hold the live rows idx only
     R = ds.forward(W) - ds.y_stack
-    G_ref, R_ref = ds.adjoint(R), R
+    G = ds.adjoint(R)
     F = _loss(R) + lam * l21_norm(W)
-    live = support | joins(G_ref, support, 0.0)
-    if live.all():
-        block, idx, G = ds, np.arange(d), G_ref
-    else:
-        idx = np.flatnonzero(live)
-        block, slack = ds._columns(idx), slack_at(G_ref)
-        W, G = W[idx], G_ref[idx]
+    live = support | joins(G, support)
+    idx, block, W, G = on_live(live, W, G)
     V, RV, GV = W, R, G
     t_k = 1.0
     best_resid = np.inf
@@ -330,76 +291,64 @@ def fit(ds, lam, cfg=None):
         W_prev, R_prev, G_prev = W, R, G
         W, R = cand, Rc
         F = min(F, F_cand)
-        if block is ds:
-            G = ds.adjoint(R)
-        elif _norm(R - R_ref) + _norm(R - R_prev) > slack:
-            # the next momentum point may leave the dead rows' slack (beta < 1
-            # bounds its drift by this sum): refresh the bound from a full
-            # adjoint, which serves as this iteration's adjoint too
-            G_ref, R_ref = ds.adjoint(R), R
-            G = G_ref[idx]
-        else:
-            G = block.adjoint(R)
+        G = block.adjoint(R)
 
         # stationarity certificate at the accepted iterate, from the fresh
-        # forward and adjoint products of W itself; while the bound holds,
-        # the dead rows' gradients stay within lam and add nothing to it
+        # forward and adjoint products of W itself: first on the live rows,
+        # then, once they certify, on every row from a full-width adjoint
+        new = None  # the dead rows a failed full-width certificate flags
         resid = _kkt_from_M(-G / lam, W, rn_c)
-        if resid <= cfg.kkt_tol and block is not ds:
-            # the live rows certify: certify every row, from a full adjoint
-            if R_ref is not R:
-                G_ref, R_ref = ds.adjoint(R), R
+        if resid <= cfg.kkt_tol:
+            G_full = G if block is ds else ds.adjoint(R)
             W_full = full(W, idx)
-            resid = _kkt_from_M(-G_ref / lam, W_full, _row_norms(W_full))
+            resid = _kkt_from_M(-G_full / lam, W_full, _row_norms(W_full))
+            if resid <= cfg.kkt_tol:
+                return FitResult(
+                    weights=WeightMatrix(W_full),
+                    n_iters=k,
+                    kkt_residual=resid,
+                    objective=F_cand,
+                    residual=R,
+                    gradient=G_full,
+                )
+            new = joins(G_full, live)
         if resid < best_resid:
             best_resid = resid
             best_W, best_idx = W, idx
-        if resid <= cfg.kkt_tol:
-            return FitResult(
-                weights=WeightMatrix(full(W, idx)),
-                n_iters=k,
-                kkt_residual=resid,
-                objective=F_cand,
-                residual=R,
-                gradient=G if block is ds else G_ref,
-            )
 
-        dW = W - W_prev
-        if float(np.einsum("ij,ij->", V - W, dW)) > 0.0:
-            # update direction opposes the momentum step: drop the inertia
+        if new is not None and new.any():
+            # the certificate flags dead rows: they join the live rows at
+            # zero, and the momentum restarts from W
+            live = live | new
+            idx, block, W, G = on_live(live, W_full, G_full)
             t_k = 1.0
             V, RV, GV = W, R, G
         else:
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
-            beta = (t_k - 1.0) / t_next
-            t_k = t_next
-            # both products are linear, so the images of V are the same
-            # combination of the two accepted iterates' fresh images
-            V = W + beta * dW
-            RV = R + beta * (R - R_prev)
-            GV = G + beta * (G - G_prev)
-
-        if R_ref is R and block is not ds:
-            # a full adjoint at this iterate: the rows that may now reach lam
-            # join the live set (at zero) and the bound restarts from here
-            new = joins(G_ref, live, 0.0 if RV is R else _norm(RV - R))
-            if new.any():
-                kept = live[new | live]
-                rows = np.flatnonzero(new)
-                GV_new = G_ref[rows] if RV is R else ds.adjoint(RV, rows)
-                live = live | new
-                idx = np.flatnonzero(live)
-                W, V = _widen(W, kept, 0.0), _widen(V, kept, 0.0)
-                G, GV = _widen(G, kept, G_ref[rows]), _widen(GV, kept, GV_new)
-                block = ds if live.all() else ds._columns(idx)
-            slack = slack_at(G_ref)
+            dW = W - W_prev
+            if float(np.einsum("ij,ij->", V - W, dW)) > 0.0:
+                # update direction opposes the momentum step: drop the inertia
+                t_k = 1.0
+                V, RV, GV = W, R, G
+            else:
+                t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
+                beta = (t_k - 1.0) / t_next
+                t_k = t_next
+                # both products are linear, so the images of V are the same
+                # combination of the two accepted iterates' fresh images
+                V = W + beta * dW
+                RV = R + beta * (R - R_prev)
+                GV = G + beta * (G - G_prev)
         L *= 0.97
 
+    # the best iterate was chosen on its live rows; a dead row may exceed lam
+    # there, so its residual is taken afresh over every row
+    best_W = full(best_W, best_idx)
+    best_resid = kkt_residual(ds, best_W, lam)
     raise MaxItersExceeded(
         f"no {cfg.kkt_tol:g} stationarity certificate in {cfg.max_iters} iterations "
         f"(best residual {best_resid:.3e})",
-        weights=WeightMatrix(full(best_W, best_idx)),
-        residual=float(best_resid),
+        weights=WeightMatrix(best_W),
+        residual=best_resid,
         n_iters=cfg.max_iters,
     )
 

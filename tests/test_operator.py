@@ -246,13 +246,14 @@ def test_paths_agree_on_unequal_sizes():
 
 class Counter:
     """Counts the calls of ``forward`` and ``adjoint`` on one dataset and
-    logs the rows each call was given (None for every row). By the
-    operator's switch, a call given at most a quarter of d rows reads just
-    their columns, and any other call reads all d."""
+    logs the array each call read and the rows it was given (None for every
+    row). By the operator's switch, a call given at most a quarter of d rows
+    reads just their columns, and any other call reads all d."""
 
     def __init__(self, ds):
         self.ds = ds
         self.calls = {"forward": 0, "adjoint": 0}
+        self.read = {"forward": [], "adjoint": []}
         self.rows = {"forward": [], "adjoint": []}
         for name in self.calls:
             setattr(ds, name, self._counted(name, getattr(ds, name)))
@@ -261,6 +262,7 @@ class Counter:
         def counted(*args):
             self.calls[name] += 1
             rows = args[1] if len(args) > 1 else None
+            self.read[name].append(args[0])
             self.rows[name].append(None if rows is None else np.array(rows))
             return fn(*args)
 
@@ -283,9 +285,14 @@ class TestProductBudget:
         res = fit(ds, lam, SolverConfig(kkt_tol=1e-8))
         assert res.n_iters > 10 and blocks
         # the start point's full-width gradient, one per accepted iterate on
-        # its live block or full-width, and the full-width certificate
-        full = sum(rows is None for rows in count.rows["adjoint"])
-        assert full + sum(b.calls["adjoint"] for b in blocks) == res.n_iters + 2
+        # its live block, and a full-width certificate of each residual the
+        # block certifies; no adjoint is gathered on given rows
+        assert all(rows is None for rows in count.rows["adjoint"])
+        block_read = [R for b in blocks for R in b.read["adjoint"]]
+        certificates = sum(any(R is B for B in block_read) for R in count.read["adjoint"])
+        assert certificates >= 1
+        block = sum(b.calls["adjoint"] for b in blocks)
+        assert count.calls["adjoint"] + block == res.n_iters + 1 + certificates
 
     @pytest.mark.parametrize("sizes", [(6, 6, 6, 6), SIZES], ids=["equal", "unequal"])
     def test_threshold_reference_makes_one_adjoint(self, sizes):

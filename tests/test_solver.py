@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-import mtl21.solver
 from mtl21.core import LambdaGrid, MultiTaskDataset, WeightMatrix, l21_norm
 from mtl21.dual import (
     ReferenceSolution,
@@ -270,12 +269,15 @@ def scaled_dataset(rng, sizes, scales):
 def counted_fit(ds, lam, cfg):
     """fit, and the adjoint products it made: ``full`` on every column of
     ds, ``block`` on a block of its live rows' columns, ``rows`` gathered
-    for given rows, and ``blocks`` the blocks built (ds keeps counting)."""
-    calls = dict.fromkeys(("full", "block", "rows", "blocks"), 0)
+    for given rows, ``blocks`` the blocks built, and ``certificates`` the
+    full-width adjoints of the residual rows a block's adjoint just read."""
+    calls = dict.fromkeys(("full", "block", "rows", "blocks", "certificates"), 0)
     adjoint, columns = ds.adjoint, ds._columns
+    read = [None]  # the residual rows of the last block adjoint
 
     def counted(R, rows=None):
         calls["full" if rows is None else "rows"] += 1
+        calls["certificates"] += rows is None and R is read[0]
         return adjoint(R, rows)
 
     def counted_columns(rows):
@@ -285,22 +287,25 @@ def counted_fit(ds, lam, cfg):
 
         def counted_block(R):
             calls["block"] += 1
+            read[0] = R
             return block_adjoint(R)
 
         block.adjoint = counted_block
         return block
 
     ds.adjoint, ds._columns = counted, counted_columns
-    res = fit(ds, lam, cfg)
+    try:
+        res = fit(ds, lam, cfg)
+    finally:
+        ds.adjoint, ds._columns = adjoint, columns
     return res, dict(calls)
 
 
 def budgeted_adjoints(res, calls):
-    """Full-width and live-block adjoints a fit that certifies at its first
-    try makes: one per iteration, on its live block or full-width, one
-    full-width at the start, and, when it used a block, one full-width to
-    certify every row."""
-    return res.n_iters + (2 if calls["blocks"] else 1)
+    """Full-width and live-block adjoints a fit makes: one per iteration, on
+    its live block or full-width, one full-width at the start, and one
+    full-width at each certificate of a live block."""
+    return res.n_iters + 1 + calls["certificates"]
 
 
 @pytest.mark.parametrize("sizes", LAYOUTS.values(), ids=LAYOUTS.keys())
@@ -342,38 +347,75 @@ class TestStepStart:
 @pytest.fixture
 def live_rows_case():
     """An s1 dataset with d = 400 and a level of 0.2 lambda_max, at which a
-    cold fit's live rows are a strict subset that grows mid-solve."""
+    cold fit's live rows are a strict subset."""
     ds, _ = generate(SynthConfig(kind="s1", tasks=4, n_per_task=20, d=400, seed=0))
     return ds, 0.2 * lambda_max(ds)[0]
+
+
+def layout_case(sizes):
+    """An s1 dataset with d = 400 whose tasks keep the given row counts, and
+    a level of 0.2 lambda_max."""
+    ds, _ = generate(SynthConfig(kind="s1", tasks=len(sizes), n_per_task=max(sizes), d=400))
+    ds = MultiTaskDataset([(X[:n], y[:n]) for X, y, n in zip(ds.X, ds.y, sizes)])
+    return ds, 0.2 * lambda_max(ds)[0]
+
+
+def half_support_start(ds, lam):
+    """A cold fit, and a warm start holding half its support at twice its
+    optimal value: some of the other support rows start dead."""
+    cold = fit(ds, lam, SolverConfig())
+    support = np.flatnonzero(cold.weights.row_norms() > 0)
+    keep = np.random.default_rng(0).choice(support, len(support) // 2, replace=False)
+    warm = np.zeros((ds.d, ds.T))
+    warm[keep] = 2.0 * cold.weights.values[keep]
+    return cold, warm
 
 
 class TestLiveRows:
     """fit iterates on its live rows' columns and certifies on every row."""
 
-    def test_live_rows_grow_and_certify(self, live_rows_case):
+    def test_a_fit_makes_two_full_width_adjoints(self, live_rows_case):
+        # one at the start and one at the certificate, for a cold fit and for
+        # each fit of a short unscreened walk whose first certificate holds,
+        # and no fit gathers an adjoint on given rows
         ds, lam = live_rows_case
-        res, calls = counted_fit(ds, lam, SolverConfig())
-        # a block at the start, and a larger one after a refresh added rows
-        assert calls["blocks"] >= 2
-        assert kkt_residual(ds, res.weights, lam) <= SolverConfig().kkt_tol
+        fits = [counted_fit(ds, lam, SolverConfig())[1]]
 
-    def test_a_lying_bound_costs_iterations_not_safety(self, live_rows_case, monkeypatch):
-        ds, lam = live_rows_case
-        honest = fit(ds, lam, SolverConfig())
-        # half the support at twice its optimal value: some support rows
-        # start well inside lam, dead
-        support = np.flatnonzero(honest.weights.row_norms() > 0)
-        keep = np.random.default_rng(0).choice(support, len(support) // 2, replace=False)
-        warm = np.zeros((ds.d, ds.T))
-        warm[keep] = 2.0 * honest.weights.values[keep]
-        # a bound that never asks for a refresh keeps those rows dead until
-        # the full-width certificate flags them
-        monkeypatch.setattr(mtl21.solver, "_dead_slack", lambda u, col_norm_max, lam: np.inf)
+        def solver(sub, lam, warm):
+            res, calls = counted_fit(sub, lam, SolverConfig(warm_start=warm))
+            fits.append(calls)
+            return res
+
+        unscreened_path(ds, LambdaGrid.log_spaced(lambda_max(ds)[0], 10, 0.1), solver)
+        first = [calls for calls in fits if calls["blocks"] and calls["certificates"] == 1]
+        assert first[0] is fits[0] and len(first) > len(fits) // 2
+        assert all(calls["full"] == 2 for calls in first)
+        assert not any(calls["rows"] for calls in fits)
+
+    @pytest.mark.parametrize("sizes", LAYOUTS.values(), ids=LAYOUTS.keys())
+    def test_dead_rows_join_at_the_certificate(self, sizes):
+        ds, lam = layout_case(sizes)
+        cold, warm = half_support_start(ds, lam)
         res, calls = counted_fit(ds, lam, SolverConfig(warm_start=warm))
-        assert calls["blocks"] >= 2
+        # the first full-width certificate flags dead rows, which join the
+        # live rows in a second block, and a later one certifies every row
+        assert calls["blocks"] >= 2 and calls["certificates"] >= 2
+        assert calls["full"] + calls["block"] == budgeted_adjoints(res, calls)
         assert res.kkt_residual <= SolverConfig().kkt_tol
         assert kkt_residual(ds, res.weights, lam) <= SolverConfig().kkt_tol
-        assert math.isclose(res.objective, honest.objective, rel_tol=1e-9)
+        assert math.isclose(res.objective, cold.objective, rel_tol=1e-9)
+
+    def test_max_iters_residual_covers_dead_rows(self, live_rows_case):
+        ds, lam = live_rows_case
+        _, warm = half_support_start(ds, lam)
+        with pytest.raises(MaxItersExceeded) as ei:
+            fit(ds, lam, SolverConfig(warm_start=warm, max_iters=20))
+        weights = ei.value.weights
+        # a dead row's gradient exceeds lam at the carried weights, and the
+        # carried residual is theirs over every row
+        image = ds.adjoint(ds.forward(weights.values) - ds.y_stack)
+        assert (np.linalg.norm(image, axis=1)[weights.row_norms() == 0] > lam).any()
+        assert ei.value.residual == kkt_residual(ds, ei.value.weights, lam)
 
     def test_max_iters_carries_full_width_weights(self, live_rows_case, monkeypatch):
         ds, lam = live_rows_case
